@@ -9,6 +9,9 @@ Floats are serialized with shortest round-trip repr in both JSON and CSV.
 
 import csv
 import json
+import os
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -36,8 +39,23 @@ def _model_config(model):
     return dict(model.config)
 
 
+@contextmanager
+def _atomic_open(path, newline=None):
+    """Open a temporary file beside path for writing; on success it replaces
+    path, on failure it is removed, so readers never see a partial file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _dump_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_open(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -134,7 +152,7 @@ def load_solutions(path):
 
 def write_solve_telemetry(path, solve_output):
     """Per-problem status and wall time; excluded from byte-identity."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "status", "f_min", "iterations", "seconds"])
         for record in solve_output.records:
@@ -156,7 +174,7 @@ def write_region_telemetry(path, bundle):
         | set(bundle.fit_seconds)
         | set(bundle.region_failures)
     )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "status", "region_seconds", "fit_seconds"])
         for index in indices:
@@ -170,7 +188,7 @@ def write_region_telemetry(path, bundle):
 
 
 def write_histogram(path, counts, edges):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["left", "right", "count"])
         for b in range(len(counts)):
@@ -246,7 +264,7 @@ def load_regions(path):
 
 def write_samples(samples_path, meta_path, result, bundle):
     dim = result.dimension
-    with open(samples_path, "w", encoding="utf-8", newline="") as fh:
+    with _atomic_open(samples_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["problem_index", "draw_index"]
@@ -304,7 +322,7 @@ def write_posterior_grid(path, posterior, grid_step=None):
     if not np.isfinite(mass) or mass <= 0.0:
         raise DegenerateResult("posterior mass is zero on the requested grid")
     dim = points.shape[1]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             [f"theta_{m + 1}" for m in range(dim)] + ["unnorm", "posterior"]

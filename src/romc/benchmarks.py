@@ -186,17 +186,18 @@ class _Ma2BatchFactory:
 
     def __call__(self, seed, observed_summary):
         noise = np.random.default_rng(seed).standard_normal(self.n_obs + 2)
-        return _Ma2Batch(noise, float(observed_summary[0]), float(observed_summary[1]))
+        gram = kernels.ma2_gram(noise).tolist()
+        return _Ma2Batch(gram, float(observed_summary[0]), float(observed_summary[1]))
 
 
 class _Ma2Batch:
-    def __init__(self, noise, s1_obs, s2_obs):
-        self.noise = noise
+    def __init__(self, gram, s1_obs, s2_obs):
+        self.gram = gram
         self.s1_obs = s1_obs
         self.s2_obs = s2_obs
 
     def __call__(self, thetas):
-        return kernels.ma2_distance_batch(thetas, self.noise, self.s1_obs, self.s2_obs)
+        return kernels.ma2_distance_batch(thetas, self.gram, self.s1_obs, self.s2_obs)
 
 
 def make_ma2_model(n_obs=DEFAULT_MA2_N_OBS, theta_true=DEFAULT_MA2_THETA_TRUE,

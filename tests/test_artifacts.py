@@ -218,3 +218,26 @@ class TestSchemaValidation:
         lines = path.read_text().splitlines()
         assert lines[0] == "left,right,count"
         assert lines[1] == "0.0,0.5,2"
+
+
+class TestAtomicWrites:
+    def test_failed_json_write_keeps_old_file(self, tmp_path):
+        path = tmp_path / "metrics.json"
+        artifacts.write_metrics(path, {"ess": 12.5})
+        before = path.read_bytes()
+        # json.dump writes the leading keys before it reaches the bad value
+        with pytest.raises(TypeError):
+            artifacts.write_metrics(path, {"a": 1.0, "z": object()})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.json"]
+
+    def test_failed_csv_write_keeps_old_file(self, tmp_path):
+        path = tmp_path / "hist.csv"
+        artifacts.write_histogram(path, np.array([2, 3]),
+                                  np.array([0.0, 0.5, 1.0]))
+        before = path.read_bytes()
+        # the second row fails after the header and first row are written
+        with pytest.raises(ValueError):
+            artifacts.write_histogram(path, ["4", "x"], [0.0, 0.5, 1.0])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["hist.csv"]

@@ -1,4 +1,4 @@
-"""Kernel backends: hand-computed oracles and native/numpy agreement."""
+"""Distance kernels against hand-computed and series-based oracles."""
 
 import numpy as np
 import pytest
@@ -6,19 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from romc import kernels
-from romc.kernels import _numpy as ref
-
-HAVE_NATIVE = kernels.BACKEND == "native"
-
-try:
-    from romc.kernels import _native as native
-except ImportError:
-    native = None
 
 
 def test_backend_is_declared():
-    assert kernels.BACKEND in ("native", "numpy")
-    assert kernels.numpy_backend.BACKEND == "numpy"
+    assert kernels.BACKEND == "numpy"
 
 
 def test_ma2_series_hand_case():
@@ -30,157 +21,93 @@ def test_ma2_series_hand_case():
         4.0 + 0.5 * 3.0 - 0.25 * 2.0,
         5.0 + 0.5 * 4.0 - 0.25 * 3.0,
     ])
-    np.testing.assert_allclose(ref.ma2_series(t1, t2, noise), expected, rtol=1e-15)
+    np.testing.assert_allclose(kernels.ma2_series(t1, t2, noise), expected, rtol=1e-15)
 
 
 def test_ma2_series_zero_coefficients_return_driving_noise():
     noise = np.arange(7.0)
-    np.testing.assert_array_equal(ref.ma2_series(0.0, 0.0, noise), noise[2:])
+    np.testing.assert_array_equal(kernels.ma2_series(0.0, 0.0, noise), noise[2:])
 
 
 def test_autocov_summaries_hand_case():
     # s1 = (2*1 + 3*2 + 4*3) / 3, s2 = (3*1 + 4*2) / 2
     series = np.array([1.0, 2.0, 3.0, 4.0])
-    s = ref.autocov_summaries(series)
+    s = kernels.autocov_summaries(series)
     np.testing.assert_allclose(s, [20.0 / 3.0, 11.0 / 2.0], rtol=1e-15)
 
 
 def test_autocov_summaries_rejects_short_series():
     with pytest.raises(ValueError):
-        ref.autocov_summaries(np.array([1.0, 2.0]))
+        kernels.autocov_summaries(np.array([1.0, 2.0]))
 
 
-def test_ma2_distance_batch_matches_composition():
-    rng = np.random.default_rng(5)
-    noise = rng.standard_normal(30)
-    thetas = rng.uniform(-1.0, 1.0, size=(8, 2))
-    s_obs = np.array([0.3, -0.2])
-    got = ref.ma2_distance_batch(thetas, noise, s_obs[0], s_obs[1])
-    for j in range(8):
-        series = ref.ma2_series(thetas[j, 0], thetas[j, 1], noise)
-        s = ref.autocov_summaries(series)
-        expected = float(np.sum((s - s_obs) ** 2))
-        assert got[j] == pytest.approx(expected, rel=1e-12)
+@settings(max_examples=60, deadline=None)
+@given(
+    n_noise=st.one_of(st.just(5), st.integers(5, 120)),
+    seed=st.integers(0, 2**32 - 1),
+    t1=st.floats(-2.0, 2.0),
+    t2=st.floats(-3.0, 3.0),
+)
+def test_ma2_distance_batch_matches_composition(n_noise, seed, t1, t2):
+    """The Gram form agrees with summaries of the explicitly built series."""
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal(n_noise)
+    thetas = np.vstack([[t1, t2], rng.uniform(-3.0, 3.0, size=(7, 2))])
+    s_obs = rng.uniform(-1.0, 1.0, size=2)
+    gram = kernels.ma2_gram(noise)
+    got = kernels.ma2_distance_batch(thetas, gram, s_obs[0], s_obs[1])
+    for j, (a1, a2) in enumerate(thetas):
+        s = kernels.autocov_summaries(kernels.ma2_series(a1, a2, noise))
+        monomials = np.array([1.0, a1, a2, a1 * a1, a1 * a2, a2 * a2])
+        np.testing.assert_allclose(gram @ monomials, s, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(
+            got[j], np.sum((s - s_obs) ** 2), rtol=1e-12, atol=1e-12
+        )
+
+
+def test_single_row_is_bitwise_equal_to_its_row_in_a_batch():
+    rng = np.random.default_rng(7)
+    gram = kernels.ma2_gram(rng.standard_normal(102))
+    thetas = np.column_stack([
+        rng.uniform(-2.0, 2.0, 4096), rng.uniform(-3.0, 3.0, 4096),
+    ])
+    batch = kernels.ma2_distance_batch(thetas, gram, 0.3, -0.2)
+    # the batch factory hands the kernel plain floats
+    as_floats = gram.tolist()
+    single = np.concatenate([
+        kernels.ma2_distance_batch(thetas[j:j + 1], as_floats, 0.3, -0.2)
+        for j in range(thetas.shape[0])
+    ])
+    assert single.shape == batch.shape
+    np.testing.assert_array_equal(single.view(np.uint64), batch.view(np.uint64))
 
 
 def test_ma2_distance_batch_rejects_short_noise():
     with pytest.raises(ValueError):
-        ref.ma2_distance_batch(np.zeros((2, 2)), np.zeros(4), 0.0, 0.0)
+        kernels.ma2_gram(np.zeros(4))
 
 
 def test_toy_location_hand_values():
     # 0.3**4 inside the quartic zone, |t| - (0.5 - 0.5**4) outside
-    got = ref.toy_location(np.array([0.0, 0.3, -0.3, 1.2, -1.2]))
+    got = kernels.toy_location(np.array([0.0, 0.3, -0.3, 1.2, -1.2]))
     expected = [0.0, 0.3**4, 0.3**4, 1.2 - 0.4375, 1.2 - 0.4375]
     np.testing.assert_allclose(got, expected, rtol=1e-15)
 
 
 def test_toy_location_is_continuous_at_the_join():
-    left = ref.toy_location(np.array([0.5 - 1e-12]))[0]
-    right = ref.toy_location(np.array([0.5 + 1e-12]))[0]
+    left = kernels.toy_location(np.array([0.5 - 1e-12]))[0]
+    right = kernels.toy_location(np.array([0.5 + 1e-12]))[0]
     assert abs(left - right) < 1e-10
-    assert ref.toy_location(np.array([0.5]))[0] == pytest.approx(0.5**4)
+    assert kernels.toy_location(np.array([0.5]))[0] == pytest.approx(0.5**4)
 
 
 def test_toy_location_accepts_scalars():
-    assert ref.toy_location(0.3).shape == (1,)
+    assert kernels.toy_location(0.3).shape == (1,)
 
 
 def test_toy_distance_batch_matches_composition():
     thetas = np.array([-2.0, -0.2, 0.0, 0.7])
     u, y_obs = 0.37, -0.1
-    got = ref.toy_distance_batch(thetas, u, y_obs)
-    expected = (ref.toy_location(thetas) + u - y_obs) ** 2
+    got = kernels.toy_distance_batch(thetas, u, y_obs)
+    expected = (kernels.toy_location(thetas) + u - y_obs) ** 2
     np.testing.assert_allclose(got, expected, rtol=1e-15)
-
-
-@pytest.mark.skipif(not HAVE_NATIVE, reason="compiled kernels not built")
-class TestNativeAgreement:
-    """The compiled backend must match the numpy reference closely."""
-
-    def test_ma2_series(self):
-        rng = np.random.default_rng(0)
-        noise = rng.standard_normal(102)
-        np.testing.assert_allclose(
-            native.ma2_series(0.6, 0.2, noise),
-            ref.ma2_series(0.6, 0.2, noise),
-            rtol=1e-12,
-        )
-
-    def test_autocov_summaries(self):
-        rng = np.random.default_rng(1)
-        series = rng.standard_normal(100)
-        np.testing.assert_allclose(
-            native.autocov_summaries(series),
-            ref.autocov_summaries(series),
-            rtol=1e-12,
-        )
-
-    def test_ma2_distance_batch(self):
-        rng = np.random.default_rng(2)
-        noise = rng.standard_normal(102)
-        thetas = rng.uniform(-2.0, 2.0, size=(64, 2))
-        np.testing.assert_allclose(
-            native.ma2_distance_batch(thetas, noise, 0.5, 0.1),
-            ref.ma2_distance_batch(thetas, noise, 0.5, 0.1),
-            rtol=1e-12,
-        )
-
-    def test_toy_kernels(self):
-        thetas = np.linspace(-2.5, 2.5, 101)
-        np.testing.assert_allclose(
-            native.toy_location(thetas), ref.toy_location(thetas), rtol=1e-15
-        )
-        np.testing.assert_allclose(
-            native.toy_distance_batch(thetas, 0.3, 0.0),
-            ref.toy_distance_batch(thetas, 0.3, 0.0),
-            rtol=1e-14,
-        )
-
-    def test_native_guards_match_reference(self):
-        with pytest.raises(ValueError):
-            native.autocov_summaries(np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            native.ma2_distance_batch(np.zeros((2, 2)), np.zeros(4), 0.0, 0.0)
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        t1=st.floats(-2.0, 2.0),
-        t2=st.floats(-3.0, 3.0),
-        seed=st.integers(0, 2**16),
-    )
-    def test_series_property(self, t1, t2, seed):
-        noise = np.random.default_rng(seed).standard_normal(22)
-        np.testing.assert_allclose(
-            native.ma2_series(t1, t2, noise),
-            ref.ma2_series(t1, t2, noise),
-            rtol=1e-12, atol=1e-12,
-        )
-
-
-def test_forced_numpy_backend(monkeypatch):
-    import importlib
-    import sys
-
-    monkeypatch.setenv("ROMC_KERNELS", "numpy")
-    saved = {k: sys.modules.pop(k) for k in list(sys.modules)
-             if k.startswith("romc.kernels")}
-    try:
-        module = importlib.import_module("romc.kernels")
-        assert module.BACKEND == "numpy"
-    finally:
-        sys.modules.update(saved)
-
-
-def test_invalid_backend_request(monkeypatch):
-    import importlib
-    import sys
-
-    monkeypatch.setenv("ROMC_KERNELS", "cuda")
-    saved = {k: sys.modules.pop(k) for k in list(sys.modules)
-             if k.startswith("romc.kernels")}
-    try:
-        with pytest.raises(ValueError):
-            importlib.import_module("romc.kernels")
-    finally:
-        sys.modules.update(saved)
