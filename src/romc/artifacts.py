@@ -89,13 +89,30 @@ def _result_record(result):
     }
 
 
-def _result_from_record(record):
-    return OptimisationResult(
+def _check_dimension(what, size, model):
+    if size != model.prior.dimension:
+        raise ValueError(
+            f"{what} has dimension {size} but model {model.name!r} has "
+            f"{model.prior.dimension}"
+        )
+
+
+def _result_from_record(record, model):
+    # OptimisationResult itself checks that hess_appr matches x_min
+    result = OptimisationResult(
         record["x_min"],
         record["f_min"],
         record["hess_appr"],
         iterations=record.get("iterations"),
     )
+    _check_dimension("x_min", result.x_min.size, model)
+    return result
+
+
+def _gp_from_record(record, model):
+    gp = GaussianProcessSurrogate.from_record(record)
+    _check_dimension("GP inputs", gp.inputs.shape[1], model)
+    return gp
 
 
 def write_solutions(path, solve_output):
@@ -128,21 +145,27 @@ def write_solutions(path, solve_output):
 def load_solutions(path):
     payload = _load_json(path, "solutions")
     model = build_model(payload["model"])
+    n1 = int(payload["n1"])
+    problems = payload["problems"]
+    if len(problems) != n1:
+        raise ValueError(f"n1 is {n1} but {len(problems)} problems are stored")
+    if [entry["index"] for entry in problems] != list(range(n1)):
+        raise ValueError(f"problem indices must run 0..{n1 - 1} in order")
     records = []
-    for entry in payload["problems"]:
+    for entry in problems:
         record = ProblemRecord(index=entry["index"], seed=entry["seed"])
         if entry["status"] == "ok":
-            record.result = _result_from_record(entry["result"])
+            record.result = _result_from_record(entry["result"], model)
         else:
             record.error = entry.get("error", "optimization failed")
         if "gp" in entry:
-            record.gp = GaussianProcessSurrogate.from_record(entry["gp"])
+            record.gp = _gp_from_record(entry["gp"], model)
         records.append(record)
     options = dict(payload["options"])
     options["master_seed"] = int(payload["seed"])
     return SolveOutput(
         model=model,
-        n1=int(payload["n1"]),
+        n1=n1,
         master_seed=int(payload["seed"]),
         use_bo=bool(payload["use_bo"]),
         options=options,
@@ -234,15 +257,17 @@ def load_regions(path):
     for record in payload["regions"]:
         gp = None
         if "gp" in record:
-            gp = GaussianProcessSurrogate.from_record(record["gp"])
+            gp = _gp_from_record(record["gp"], model)
         quadratic = None
         if "quadratic" in record:
             quadratic = QuadraticSurrogate.from_record(record["quadratic"])
+        box = BoundingBox.from_record(record["box"])
+        _check_dimension("box", box.dimension, model)
         entries.append(RegionEntry(
             index=record["index"],
             seed=record["seed"],
-            result=_result_from_record(record["result"]),
-            region=ProposalRegion(BoundingBox.from_record(record["box"])),
+            result=_result_from_record(record["result"], model),
+            region=ProposalRegion(box),
             gp=gp,
             quadratic=quadratic,
             curvature_source=record.get("curvature_source", ""),

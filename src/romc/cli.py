@@ -1,4 +1,4 @@
-"""Command-line pipeline: solve, regions, sample, posterior, evaluate, bench.
+"""Command-line pipeline: solve, regions, sample, posterior, evaluate.
 
 Stages communicate through files in an output directory, so each can be
 rerun or swapped independently:
@@ -31,7 +31,6 @@ from . import artifacts
 from .benchmarks import ToyTruePosterior, build_model, rejection_abc
 from .errors import DegenerateResult, NumericalFailure, UnsupportedDimension
 from .evaluate import compute_divergence, compute_ess
-from .parallel import effective_workers
 from .pipeline import estimate_regions, solve_problems
 
 
@@ -65,10 +64,6 @@ DEFAULTS = {
         "samples": None, "meta": None, "regions": None,
         "kind": "jensen_shannon", "reference": None, "grid_step": None,
         "rejection_draws": 10000, "rejection_quantile": 0.01, "seed": 0,
-        "out": "romc_out",
-    },
-    "bench": {
-        "model": "ma2", "n1": 200, "seed": 0, "use_bo": False, "workers": 0,
         "out": "romc_out",
     },
 }
@@ -209,19 +204,6 @@ def build_parser():
                     help="seed for the rejection reference")
     sp.set_defaults(func=cmd_evaluate)
 
-    sp = subparsers.add_parser(
-        "bench", help="compare sequential and parallel training"
-    )
-    _add_common(sp)
-    sp.add_argument("--model", choices=["1d", "ma2"], default=argparse.SUPPRESS)
-    sp.add_argument("--n1", type=int, default=argparse.SUPPRESS)
-    sp.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    sp.add_argument("--use-bo", dest="use_bo", action="store_true",
-                    default=argparse.SUPPRESS)
-    sp.add_argument("--workers", type=int, default=argparse.SUPPRESS,
-                    help="parallel worker count to test; 0 means all cores")
-    sp.set_defaults(func=cmd_bench)
-
     return parser
 
 
@@ -320,7 +302,7 @@ def cmd_regions(options):
 
 
 def _write_marginals(path, result, bins=40):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with artifacts._atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["parameter", "left", "right", "mass"])
         total = result.weights.sum()
@@ -423,74 +405,6 @@ def cmd_evaluate(options):
 
     artifacts.write_metrics(out / "metrics.json", metrics)
     print(f"wrote {out / 'metrics.json'}")
-    return 0
-
-
-def cmd_bench(options):
-    out = _out_dir(options)
-    model = _build_model(options)
-    workers = effective_workers(options["workers"])
-    report = {
-        "model": options["model"], "n1": options["n1"], "seed": options["seed"],
-        "workers": workers, "phases": {},
-    }
-
-    def timed(func):
-        start = time.perf_counter()
-        value = func()
-        return value, time.perf_counter() - start
-
-    common = dict(
-        n1=options["n1"], seed=options["seed"], use_bo=options["use_bo"],
-    )
-    solve_seq, t_solve_seq = timed(lambda: solve_problems(model, workers=1, **common))
-    solve_par, t_solve_par = timed(
-        lambda: solve_problems(model, workers=workers, **common)
-    )
-    artifacts.write_solutions(out / "bench_solutions_w1.json", solve_seq)
-    artifacts.write_solutions(out / "bench_solutions_wN.json", solve_par)
-    artifacts.write_solve_telemetry(out / "bench_solve_telemetry_w1.csv", solve_seq)
-    artifacts.write_solve_telemetry(out / "bench_solve_telemetry_wN.csv", solve_par)
-    same_solutions = (
-        (out / "bench_solutions_w1.json").read_bytes()
-        == (out / "bench_solutions_wN.json").read_bytes()
-    )
-
-    regions_seq, t_regions_seq = timed(lambda: estimate_regions(solve_seq, workers=1))
-    regions_par, t_regions_par = timed(
-        lambda: estimate_regions(solve_par, workers=workers)
-    )
-    artifacts.write_regions(out / "bench_regions_w1.json", regions_seq)
-    artifacts.write_regions(out / "bench_regions_wN.json", regions_par)
-    artifacts.write_region_telemetry(
-        out / "bench_region_telemetry_w1.csv", regions_seq
-    )
-    artifacts.write_region_telemetry(
-        out / "bench_region_telemetry_wN.csv", regions_par
-    )
-    same_regions = (
-        (out / "bench_regions_w1.json").read_bytes()
-        == (out / "bench_regions_wN.json").read_bytes()
-    )
-
-    total_seq = t_solve_seq + t_regions_seq
-    total_par = t_solve_par + t_regions_par
-    report["phases"] = {
-        "solve": {"sequential_s": t_solve_seq, "parallel_s": t_solve_par},
-        "regions": {"sequential_s": t_regions_seq, "parallel_s": t_regions_par},
-    }
-    report["speedup"] = total_seq / total_par if total_par > 0 else float("nan")
-    report["identical_artifacts"] = bool(same_solutions and same_regions)
-    with open(out / "bench_report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-    print(f"workers tested: 1 vs {workers}")
-    print(f"solve:   {t_solve_seq:.2f}s -> {t_solve_par:.2f}s")
-    print(f"regions: {t_regions_seq:.2f}s -> {t_regions_par:.2f}s")
-    print(f"total speedup: {report['speedup']:.2f}x")
-    print(f"artifacts identical across worker counts: {report['identical_artifacts']}")
-    print(f"wrote {out / 'bench_report.json'}")
     return 0
 
 

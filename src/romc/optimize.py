@@ -10,6 +10,7 @@ the region builder turns into box axes.
 import logging
 
 import numpy as np
+from scipy.linalg import cho_solve, solve_triangular
 from scipy.special import ndtr
 from scipy.stats import qmc
 
@@ -20,6 +21,7 @@ logger = logging.getLogger(__name__)
 
 ARMIJO_C1 = 1e-4
 MAX_BACKTRACKS = 30
+ROW_BLOCK = 512  # GP rows per kernel block; keeps the temporaries in cache
 
 
 class OptimisationResult:
@@ -176,7 +178,13 @@ def solve_gradient(objective, prior, restarts=1, max_iters=200, seed=0,
 
 class GaussianProcessSurrogate:
     """Gaussian-process fit of one objective with a squared-exponential
-    kernel; the posterior mean doubles as a cheap distance stand-in."""
+    kernel; the posterior mean doubles as a cheap distance stand-in.
+
+    The kernel is built elementwise and the mean is a row-wise sum, with
+    no matrix product, so each row's mean does not depend on the batch it
+    is evaluated in: a one-row call returns the same bits as that row of
+    any batch.
+    """
 
     def __init__(self, inputs, values, lengthscales, variance, noise_variance):
         self.inputs = np.asarray(inputs, dtype=np.float64)
@@ -188,32 +196,43 @@ class GaussianProcessSurrogate:
             raise ValueError("inputs must be (n, D) with one value per row")
         n = self.inputs.shape[0]
         self._mean_offset = float(np.mean(self.values))
-        k = self._kernel(self.inputs, self.inputs)
+        self._scaled = self.inputs / self.lengthscales
+        k = self._kernel(self._scaled)
         k[np.diag_indices(n)] += self.noise_variance
         # raises LinAlgError when the matrix is not positive definite
         self._chol = np.linalg.cholesky(k)
         centered = self.values - self._mean_offset
-        self._alpha = np.linalg.solve(
-            self._chol.T, np.linalg.solve(self._chol, centered)
-        )
+        self._alpha = cho_solve((self._chol, True), centered)
 
-    def _kernel(self, a, b):
-        sa = a / self.lengthscales
-        sb = b / self.lengthscales
-        sq = (
-            np.sum(sa**2, axis=1)[:, None]
-            + np.sum(sb**2, axis=1)[None, :]
-            - 2.0 * sa @ sb.T
-        )
-        return self.variance * np.exp(-0.5 * np.maximum(sq, 0.0))
+    def _kernel(self, scaled):
+        """Kernel between rows of lengthscale-scaled inputs and the training
+        inputs, accumulated one input dimension at a time."""
+        sq = np.zeros((scaled.shape[0], self._scaled.shape[0]))
+        for m in range(scaled.shape[1]):
+            diff = np.subtract.outer(scaled[:, m], self._scaled[:, m])
+            diff *= diff
+            sq += diff
+        sq *= -0.5
+        np.exp(sq, out=sq)
+        sq *= self.variance
+        return sq
+
+    def _blocks(self, thetas):
+        """(rows, kernel, mean) for fixed-size blocks of rows."""
+        scaled = np.asarray(thetas, dtype=np.float64) / self.lengthscales
+        for start in range(0, scaled.shape[0], ROW_BLOCK):
+            rows = slice(start, start + ROW_BLOCK)
+            k = self._kernel(scaled[rows])
+            yield rows, k, self._mean_offset + (k * self._alpha).sum(axis=1)
 
     def predict_batch(self, thetas):
         """Posterior mean and variance at each row; variance is clipped at 0."""
-        thetas = np.asarray(thetas, dtype=np.float64)
-        k_star = self._kernel(thetas, self.inputs)
-        mean = self._mean_offset + k_star @ self._alpha
-        v = np.linalg.solve(self._chol, k_star.T)
-        var = self.variance - np.sum(v**2, axis=0)
+        n = len(thetas)
+        mean, var = np.empty(n), np.empty(n)
+        for rows, k, block_mean in self._blocks(thetas):
+            mean[rows] = block_mean
+            v = solve_triangular(self._chol, k.T, lower=True)
+            var[rows] = self.variance - np.sum(v**2, axis=0)
         return mean, np.maximum(var, 0.0)
 
     def predict(self, theta):
@@ -221,10 +240,15 @@ class GaussianProcessSurrogate:
         return float(mean[0]), float(var[0])
 
     def evaluate_batch(self, thetas):
-        return self.predict_batch(thetas)[0]
+        """Posterior mean at each row, without the variance."""
+        mean = np.empty(len(thetas))
+        for rows, _, block_mean in self._blocks(thetas):
+            mean[rows] = block_mean
+        return mean
 
     def __call__(self, theta):
-        return self.predict(theta)[0]
+        theta = np.asarray(theta, dtype=np.float64)
+        return float(self.evaluate_batch(theta[None, :])[0])
 
     def to_record(self):
         return {
@@ -257,11 +281,11 @@ def _fit_gp(inputs, values):
     inputs = np.asarray(inputs, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     n, d = inputs.shape
+    first, second = np.triu_indices(n, k=1)
     lengthscales = np.empty(d)
     for m in range(d):
         col = inputs[:, m]
-        diffs = np.abs(col[:, None] - col[None, :])
-        pairs = diffs[np.triu_indices(n, k=1)]
+        pairs = np.abs(col[first] - col[second])
         med = float(np.median(pairs)) if pairs.size else 0.0
         if med <= 0.0:
             spread = float(np.ptp(col))

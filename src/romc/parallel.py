@@ -2,8 +2,8 @@
 
 Every task owns a pre-derived random stream, so results are identical for
 any worker count; only wall time changes.  Failures are captured per key
-instead of aborting the batch, and per-task durations are returned for
-the speedup report.
+instead of aborting the batch, including tasks lost when a worker process
+dies, and per-task durations are returned for the speedup report.
 """
 
 import os
@@ -44,20 +44,38 @@ def _invoke(item):
     return (*outcome, time.perf_counter() - start)
 
 
-def run_tasks(func, tasks, workers=1, chunksize=1):
+def _collect(future, key):
+    """The task's outcome, or a failure when the pool could not return one
+    (a worker died, or the payload or result did not pickle); such tasks
+    report 0.0 seconds."""
+    try:
+        return future.result()
+    except Exception as exc:  # noqa: BLE001 - captured and reported per key
+        return key, False, None, (repr(exc), traceback.format_exc()), 0.0
+
+
+def run_tasks(func, tasks, workers=1):
     """Apply func to every (key, payload) pair, possibly in parallel.
 
     func must be a module-level callable and payloads picklable when
     workers > 1.  Returns (results, failures, seconds), three dicts keyed
-    by task key in task order regardless of scheduling.
+    by task key in task order regardless of scheduling.  When a worker
+    process dies, every task that had not finished by then is a failure.
     """
     n_workers = effective_workers(workers)
     items = [(func, key, payload) for key, payload in tasks]
     if n_workers == 1 or len(items) <= 1:
         outputs = [_invoke(item) for item in items]
     else:
-        with get_context().Pool(processes=n_workers) as pool:
-            outputs = pool.map(_invoke, items, chunksize=chunksize)
+        # imported here, so that a sequential run does not pay for loading it
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(n_workers, mp_context=get_context()) as pool:
+            futures = [pool.submit(_invoke, item) for item in items]
+            outputs = [
+                _collect(future, key)
+                for (_, key, _), future in zip(items, futures)
+            ]
     results, failures, seconds = {}, {}, {}
     for key, ok, value, error, elapsed in outputs:
         seconds[key] = elapsed

@@ -220,6 +220,87 @@ class TestSchemaValidation:
         assert lines[1] == "0.0,0.5,2"
 
 
+def _tamper(path, edit):
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+
+
+def _first_ok(payload):
+    return next(p for p in payload["problems"] if p["status"] == "ok")
+
+
+class TestLoadValidation:
+    """Artifacts that disagree with their own model or n1 are rejected."""
+
+    @pytest.fixture
+    def solutions(self, solve_output, tmp_path):
+        path = tmp_path / "solutions.json"
+        artifacts.write_solutions(path, solve_output)
+        return path
+
+    def test_n1_must_match_problem_count(self, solutions):
+        _tamper(solutions, lambda p: p.update(n1=p["n1"] + 1))
+        with pytest.raises(ValueError, match="n1 is 16 but 15 problems"):
+            artifacts.load_solutions(solutions)
+
+    def test_indices_must_run_from_zero(self, solutions):
+        def swap(payload):
+            first, second = payload["problems"][:2]
+            first["index"], second["index"] = second["index"], first["index"]
+
+        _tamper(solutions, swap)
+        with pytest.raises(ValueError, match="indices must run 0..14"):
+            artifacts.load_solutions(solutions)
+
+    def test_x_min_dimension_must_match_model(self, solutions):
+        def widen(payload):
+            result = _first_ok(payload)["result"]
+            result["x_min"].append(0.0)
+            result["hess_appr"] = [[1.0, 0.0], [0.0, 1.0]]
+
+        _tamper(solutions, widen)
+        with pytest.raises(ValueError, match="x_min has dimension 2"):
+            artifacts.load_solutions(solutions)
+
+    def test_hess_appr_dimension_must_match_x_min(self, solutions):
+        def widen(payload):
+            result = _first_ok(payload)["result"]
+            result["hess_appr"] = [[1.0, 0.0], [0.0, 1.0]]
+
+        _tamper(solutions, widen)
+        with pytest.raises(ValueError, match="hess_appr"):
+            artifacts.load_solutions(solutions)
+
+    def test_gp_dimension_must_match_model(self, bo_solve_output, tmp_path):
+        path = tmp_path / "solutions.json"
+        artifacts.write_solutions(path, bo_solve_output)
+
+        def widen(payload):
+            gp = _first_ok(payload)["gp"]
+            gp["inputs"] = [row + [0.0] for row in gp["inputs"]]
+            gp["lengthscales"].append(1.0)
+
+        _tamper(path, widen)
+        with pytest.raises(ValueError, match="GP inputs has dimension 2"):
+            artifacts.load_solutions(path)
+
+    def test_box_dimension_must_match_model(self, bundle, tmp_path):
+        path = tmp_path / "regions.json"
+        artifacts.write_regions(path, bundle)
+
+        def widen(payload):
+            payload["regions"][0]["box"] = {
+                "center": [0.0, 0.0],
+                "rotation": [[1.0, 0.0], [0.0, 1.0]],
+                "limits": [[-1.0, 1.0], [-1.0, 1.0]],
+            }
+
+        _tamper(path, widen)
+        with pytest.raises(ValueError, match="box has dimension 2"):
+            artifacts.load_regions(path)
+
+
 class TestAtomicWrites:
     def test_failed_json_write_keeps_old_file(self, tmp_path):
         path = tmp_path / "metrics.json"

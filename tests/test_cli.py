@@ -6,12 +6,13 @@ back, mirroring real usage.
 """
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from romc import artifacts
-from romc.cli import main
+from romc.cli import _write_marginals, main
 
 
 def run(*argv):
@@ -153,6 +154,24 @@ class TestConfigFile:
         assert run("solve", "--config", config, "--out", tmp_path) == 1
 
 
+class TestMarginals:
+    def test_failed_write_keeps_old_file(self, pipeline_dir, tmp_path):
+        result, _ = artifacts.load_samples(
+            pipeline_dir / "samples.csv", pipeline_dir / "samples_meta.json"
+        )
+        path = tmp_path / "samples_marginals.csv"
+        _write_marginals(path, result)
+        before = path.read_bytes()
+        # new rows for theta_1 are written before theta_2 raises IndexError
+        broken = SimpleNamespace(
+            thetas=2.0 * result.thetas, weights=result.weights, dimension=2
+        )
+        with pytest.raises(IndexError):
+            _write_marginals(path, broken)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
 class TestErrorPaths:
     def test_no_command_prints_help(self, capsys):
         assert run() == 1
@@ -166,6 +185,15 @@ class TestErrorPaths:
 
     def test_missing_solutions_artifact(self, tmp_path):
         assert run("regions", "--out", tmp_path) == 1
+
+    def test_inconsistent_solutions_artifact(self, pipeline_dir, tmp_path,
+                                             capsys):
+        payload = json.loads((pipeline_dir / "solutions.json").read_text())
+        payload["n1"] += 1
+        path = tmp_path / "solutions.json"
+        path.write_text(json.dumps(payload))
+        assert run("regions", "--solutions", path, "--out", tmp_path) == 1
+        assert "n1 is 31 but 30 problems" in capsys.readouterr().err
 
     def test_eps_and_quantile_together(self, pipeline_dir, tmp_path):
         assert run("regions", "--solutions", pipeline_dir / "solutions.json",
@@ -183,23 +211,3 @@ class TestErrorPaths:
         assert run("regions", "--solutions", pipeline_dir / "solutions.json",
                    "--eps", 0.0, "--out", tmp_path) == 2
 
-
-class TestBench:
-    def test_bench_report(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr("romc.parallel.os.cpu_count", lambda: 4)
-        assert run("bench", "--model", "1d", "--n1", 6, "--seed", 3,
-                   "--workers", 2, "--out", tmp_path) == 0
-        report = json.loads((tmp_path / "bench_report.json").read_text())
-        assert report["workers"] == 2
-        assert report["identical_artifacts"] is True
-        assert set(report["phases"]) == {"solve", "regions"}
-        for name in [
-            "bench_solutions_w1.json", "bench_solutions_wN.json",
-            "bench_regions_w1.json", "bench_regions_wN.json",
-            "bench_solve_telemetry_w1.csv", "bench_solve_telemetry_wN.csv",
-            "bench_region_telemetry_w1.csv", "bench_region_telemetry_wN.csv",
-        ]:
-            assert (tmp_path / name).exists(), name
-        assert "artifacts identical across worker counts: True" in (
-            capsys.readouterr().out
-        )

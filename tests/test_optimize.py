@@ -136,6 +136,63 @@ class TestGaussianProcessSurrogate:
         theta = np.array([0.3, -0.2])
         assert gp(theta) == gp.evaluate_batch(theta[None, :])[0]
 
+    @pytest.fixture(scope="class")
+    def gps(self):
+        """Surrogates shaped like Bayesian-optimization fits: 2-D, 10 to 64
+        points, rough targets."""
+        rng = np.random.default_rng(11)
+        fits = []
+        for n in (10, 30, 64):
+            inputs = rng.uniform(-2.0, 2.0, size=(n, 2))
+            values = np.abs(np.sin(3.0 * inputs[:, 0]) + inputs[:, 1] ** 2)
+            fits.append(_fit_gp(inputs, values))
+        return fits
+
+    @pytest.fixture(scope="class")
+    def probes(self):
+        return np.random.default_rng(12).uniform(-2.0, 2.0, size=(4096, 2))
+
+    def test_one_row_call_is_bitwise_its_batch_row(self, gps, probes):
+        for gp in gps:
+            batch = gp.evaluate_batch(probes)
+            rows = np.array([gp(theta) for theta in probes[:300]])
+            np.testing.assert_array_equal(rows, batch[:300])
+
+    @pytest.mark.parametrize("size", [511, 512, 513, 1025])
+    def test_batch_size_does_not_change_bits(self, gps, probes, size):
+        # sizes either side of the row block, and more than two blocks
+        for gp in gps:
+            rows = np.array([gp(theta) for theta in probes[:size]])
+            batch = gp.evaluate_batch(probes[:size])
+            np.testing.assert_array_equal(batch, rows)
+
+    def test_predict_mean_is_evaluate_batch(self, gps, probes):
+        for gp in gps:
+            np.testing.assert_array_equal(
+                gp.predict_batch(probes)[0], gp.evaluate_batch(probes)
+            )
+
+    def test_mean_and_variance_match_dense_solve(self, probes):
+        rng = np.random.default_rng(13)
+        inputs = rng.uniform(-2.0, 2.0, size=(40, 2))
+        values = np.cos(inputs[:, 0]) * inputs[:, 1]
+        gp = GaussianProcessSurrogate(inputs, values, [0.7, 0.5], 1.5, 1e-2)
+
+        def kernel(a, b):
+            diff = (a[:, None, :] - b[None, :, :]) / gp.lengthscales
+            return gp.variance * np.exp(-0.5 * np.sum(diff**2, axis=2))
+
+        gram = kernel(inputs, inputs) + gp.noise_variance * np.eye(len(inputs))
+        k_star = kernel(probes, inputs)
+        offset = np.mean(values)
+        ref_mean = offset + k_star @ np.linalg.solve(gram, values - offset)
+        ref_var = gp.variance - np.sum(
+            k_star * np.linalg.solve(gram, k_star.T).T, axis=1
+        )
+        mean, var = gp.predict_batch(probes)
+        np.testing.assert_allclose(mean, ref_mean, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(var, ref_var, rtol=1e-10)
+
     def test_record_round_trip(self):
         gp, inputs, _ = self.make_gp()
         clone = GaussianProcessSurrogate.from_record(gp.to_record())

@@ -5,11 +5,39 @@ patching the visible cpu count; with the fork start method the patched
 module state carries into the children.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import romc
 import romc.parallel
 from romc.parallel import TaskFailure, effective_workers, run_tasks
+
+# One task kills its worker process; the run must return, not hang.
+_WORKER_DEATH = """
+import json, os
+import romc.parallel
+
+def task(payload):
+    if payload == 3:
+        os._exit(1)
+    return payload * payload
+
+romc.parallel.os.cpu_count = lambda: 4
+results, failures, seconds = romc.parallel.run_tasks(
+    task, [(i, i) for i in range(8)], workers=2
+)
+print(json.dumps({
+    "results": list(results.items()),
+    "failures": {key: f.message for key, f in failures.items()},
+    "seconds": list(seconds),
+}))
+"""
 
 
 def _square(payload):
@@ -104,3 +132,25 @@ class TestRunTasksParallel:
         monkeypatch.setattr(romc.parallel, "get_context", no_pool)
         results, _, _ = run_tasks(_square, [(0, 3)], workers=4)
         assert results == {0: 9}
+
+    def test_worker_death_is_a_failure_not_a_hang(self):
+        env = dict(os.environ)
+        src = str(Path(romc.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _WORKER_DEATH], env=env,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        results = dict(out["results"])
+        failures = {int(key): msg for key, msg in out["failures"].items()}
+        # which other tasks went down with the worker depends on scheduling
+        assert "BrokenProcessPool" in failures[3]
+        assert set(results).isdisjoint(failures)
+        assert set(results) | set(failures) == set(range(8))
+        assert all(results[key] == key * key for key in results)
+        assert list(results) == sorted(results)
+        assert out["seconds"] == list(range(8))
