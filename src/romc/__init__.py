@@ -4,6 +4,9 @@ Fix the simulator's randomness seed by seed, minimize each resulting
 deterministic distance, wrap every acceptable minimizer in a bounding-box
 proposal region, and importance-weight uniform draws from those regions
 into posterior samples, expectations and density evaluations.
+
+The package namespace holds the names the README documents; everything
+else is imported from its submodule.
 """
 
 from .benchmarks import (
@@ -20,117 +23,31 @@ from .errors import (
     UnsupportedDimension,
 )
 from .evaluate import compute_divergence, compute_ess
-from .inference import (
-    InferenceResult,
-    PosteriorApproximation,
-    compute_expectation,
-    eval_posterior,
-    eval_unnorm_posterior,
-    midpoint_grid,
-    sample,
-)
-from .model import (
-    BoxUniformPrior,
-    DeterministicObjective,
-    IdentitySummary,
-    Model,
-    Prior,
-    derive_rng,
-    draw_nuisance_seeds,
-    evaluate_distance_batch,
-    finite_difference_gradient,
-    make_objective,
-    squared_distance,
-)
-from .optimize import (
-    GaussianProcessSurrogate,
-    OptimisationResult,
-    compute_eps,
-    distance_histogram,
-    filter_solutions,
-    solve_bayesian,
-    solve_gradient,
-)
-from .pipeline import (
-    InferenceBundle,
-    SolveOutput,
-    estimate_regions,
-    solve_problems,
-)
-from .regions import (
-    BoundingBox,
-    ProposalRegion,
-    RegionSettings,
-    build_box,
-    choose_curvature,
-    curvature_axes,
-    jacobian_curvature,
-    line_search_extent,
-    region_plot_data,
-    sample_region,
-)
-from .surrogate import (
-    DistanceRegistry,
-    QuadraticSurrogate,
-    fit_quadratic,
-    quadratic_feature_count,
-)
+from .inference import midpoint_grid
+from .model import Model, Prior
+from .optimize import OptimisationResult
+from .pipeline import estimate_regions, solve_problems
+from .regions import BoundingBox
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundingBox",
-    "BoxUniformPrior",
     "DegenerateResult",
-    "DeterministicObjective",
-    "DistanceRegistry",
-    "GaussianProcessSurrogate",
-    "IdentitySummary",
-    "InferenceBundle",
-    "InferenceResult",
     "Model",
     "NumericalFailure",
     "OptimisationResult",
-    "PosteriorApproximation",
     "Prior",
-    "ProposalRegion",
-    "QuadraticSurrogate",
-    "RegionSettings",
     "RomcError",
-    "SolveOutput",
     "ToyTruePosterior",
     "UnsupportedDimension",
-    "build_box",
     "build_model",
-    "choose_curvature",
     "compute_divergence",
-    "compute_eps",
     "compute_ess",
-    "compute_expectation",
-    "curvature_axes",
-    "derive_rng",
-    "distance_histogram",
-    "draw_nuisance_seeds",
     "estimate_regions",
-    "eval_posterior",
-    "eval_unnorm_posterior",
-    "evaluate_distance_batch",
-    "filter_solutions",
-    "finite_difference_gradient",
-    "fit_quadratic",
-    "jacobian_curvature",
-    "line_search_extent",
     "make_ma2_model",
-    "make_objective",
     "make_toy_model",
     "midpoint_grid",
-    "quadratic_feature_count",
-    "region_plot_data",
     "rejection_abc",
-    "sample",
-    "sample_region",
-    "solve_bayesian",
-    "solve_gradient",
     "solve_problems",
-    "squared_distance",
 ]

@@ -253,6 +253,12 @@ def write_regions(path, bundle):
 def load_regions(path):
     payload = _load_json(path, "regions")
     model = build_model(payload["model"])
+    eps = float(payload["eps"])
+    if not (np.isfinite(eps) and eps >= 0.0):
+        raise ValueError(f"eps must be finite and nonnegative, found {eps}")
+    indices = [record["index"] for record in payload["regions"]]
+    if any(a >= b for a, b in zip(indices, indices[1:])):
+        raise ValueError("region indices must be unique and increasing")
     entries = []
     for record in payload["regions"]:
         gp = None
@@ -279,7 +285,7 @@ def load_regions(path):
         master_seed=int(payload["seed"]),
         use_bo=bool(payload["use_bo"]),
         options=options,
-        eps=float(payload["eps"]),
+        eps=eps,
         use_surrogate=bool(payload["use_surrogate"]),
         fit_models=bool(payload["fit_models"]),
         entries=entries,
@@ -288,6 +294,9 @@ def load_regions(path):
 
 
 def write_samples(samples_path, meta_path, result, bundle):
+    """Samples CSV plus metadata with result.summary(), which is returned."""
+    # before either file is opened: a degenerate result leaves both untouched
+    summary = result.summary()
     dim = result.dimension
     with _atomic_open(samples_path, newline="") as fh:
         writer = csv.writer(fh)
@@ -312,8 +321,9 @@ def write_samples(samples_path, meta_path, result, bundle):
         "eps": float(result.eps),
         "use_bo": bool(bundle.use_bo),
         "use_surrogate": bool(bundle.use_surrogate),
-        "summary": result.summary(),
+        "summary": summary,
     })
+    return summary
 
 
 def load_samples(samples_path, meta_path):
@@ -321,9 +331,18 @@ def load_samples(samples_path, meta_path):
     problem_indices, draw_indices, thetas, weights = [], [], [], []
     with open(samples_path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         dim = len(header) - 3
-        for row in reader:
+        expected = (["problem_index", "draw_index"]
+                    + [f"theta_{m + 1}" for m in range(dim)] + ["weight"])
+        if dim < 1 or header != expected:
+            raise ValueError(f"{samples_path}: unexpected header {header}")
+        for line_no, row in enumerate(reader, 2):
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{samples_path}:{line_no}: expected {len(header)} "
+                    f"fields, found {len(row)}"
+                )
             problem_indices.append(int(row[0]))
             draw_indices.append(int(row[1]))
             thetas.append([float(v) for v in row[2:2 + dim]])
@@ -337,15 +356,9 @@ def load_samples(samples_path, meta_path):
 
 
 def write_posterior_grid(path, posterior, grid_step=None):
-    """Unnormalized and normalized posterior values on the midpoint grid."""
-    from .errors import DegenerateResult
-    from .inference import midpoint_grid
-
-    points, volume = midpoint_grid(posterior.prior.bounds, grid_step)
-    unnorm = posterior.eval_unnorm_batch(points)
-    mass = float(np.sum(unnorm) * volume)
-    if not np.isfinite(mass) or mass <= 0.0:
-        raise DegenerateResult("posterior mass is zero on the requested grid")
+    """Unnormalized and normalized posterior values on the midpoint grid;
+    returns the grid's mass."""
+    points, unnorm, mass = posterior.grid(grid_step)
     dim = points.shape[1]
     with _atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)

@@ -327,11 +327,10 @@ def cmd_sample(options):
     out = _out_dir(options)
     bundle = artifacts.load_regions(_artifact_path(options, "regions", "regions.json"))
     result = bundle.sample(options["n2"], options["seed"])
-    artifacts.write_samples(
+    summary = artifacts.write_samples(
         out / "samples.csv", out / "samples_meta.json", result, bundle
     )
     _write_marginals(out / "samples_marginals.csv", result)
-    summary = result.summary()
     print(
         f"{summary['n_samples']} draws from {summary['n_regions']} regions; "
         f"ess {summary['ess']:.1f} "
@@ -349,18 +348,23 @@ def cmd_sample(options):
 def cmd_posterior(options):
     out = _out_dir(options)
     bundle = artifacts.load_regions(_artifact_path(options, "regions", "regions.json"))
-    posterior = bundle.posterior()
-    grid_step = options["grid_step"]
-    mass = artifacts.write_posterior_grid(
-        out / "posterior_grid.csv", posterior, grid_step
-    )
-    print(f"partition mass {mass:.6f} over {bundle.model.name} prior bounds")
+    theta = None
     if options["at"] is not None:
         theta = np.array([float(v) for v in str(options["at"]).split(",")])
+        if theta.size != bundle.model.prior.dimension:
+            raise ValueError(
+                f"--at has {theta.size} components but model "
+                f"{bundle.model.name!r} has {bundle.model.prior.dimension}"
+            )
+    posterior = bundle.posterior()
+    mass = artifacts.write_posterior_grid(
+        out / "posterior_grid.csv", posterior, options["grid_step"]
+    )
+    print(f"partition mass {mass:.6f} over {bundle.model.name} prior bounds")
+    if theta is not None:
         unnorm = posterior.eval_unnorm(theta)
-        norm = posterior.eval_posterior(theta, grid_step)
         print(f"unnormalized posterior at {theta.tolist()}: {unnorm:.6f}")
-        print(f"posterior at {theta.tolist()}: {norm:.6f}")
+        print(f"posterior at {theta.tolist()}: {unnorm / mass:.6f}")
     print(f"wrote {out / 'posterior_grid.csv'}")
     return 0
 

@@ -29,19 +29,13 @@ def compute_ess(weights):
     return float(total * total / np.sum(w * w))
 
 
-def _evaluate_density(evaluator, points):
-    if hasattr(evaluator, "evaluate_batch"):
-        values = evaluator.evaluate_batch(points)
-    else:
-        values = evaluator(points)
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (points.shape[0],):
-            values = np.array([float(evaluator(p)) for p in points])
-    return np.asarray(values, dtype=np.float64)
-
-
 def _cell_masses(evaluator, points, volume, label):
-    values = _evaluate_density(evaluator, points)
+    values = np.asarray(evaluator(points), dtype=np.float64)
+    if values.shape != (points.shape[0],):
+        raise ValueError(
+            f"{label} evaluator must return one value per grid point, "
+            f"got shape {values.shape} for {points.shape[0]} points"
+        )
     if np.any(values < -1e-12) or not np.all(np.isfinite(values)):
         raise ValueError(f"{label} density must be finite and nonnegative on the grid")
     masses = np.maximum(values, 0.0) * volume

@@ -7,8 +7,6 @@ indicator * prior / proposal, so expectations are simple weighted
 averages and zero-weight draws stay in the output for diagnostics.
 """
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import DegenerateResult, UnsupportedDimension
@@ -57,6 +55,10 @@ def midpoint_grid(bounds, grid_step=None):
     return points, float(np.prod(widths))
 
 
+def _grid_key(grid_step):
+    return None if grid_step is None else tuple(np.atleast_1d(grid_step).tolist())
+
+
 class PosteriorApproximation:
     """Mixture-of-regions posterior built from accepted problems.
 
@@ -102,21 +104,28 @@ class PosteriorApproximation:
         theta = np.asarray(theta, dtype=np.float64)
         return float(self.eval_unnorm_batch(theta[None, :])[0])
 
-    def partition_function(self, grid_step=None):
-        """Midpoint-quadrature mass of the unnormalized posterior.
+    def grid(self, grid_step=None):
+        """Midpoint grid over the prior bounds: (points, unnorm, mass).
 
-        Computed once per grid step and cached; raises DegenerateResult
-        when no grid cell carries mass.
+        unnorm is the unnormalized posterior at each cell center and mass
+        its midpoint-quadrature integral, which is cached for
+        partition_function; raises DegenerateResult when no grid cell
+        carries mass.
         """
-        key = None if grid_step is None else tuple(np.atleast_1d(grid_step).tolist())
+        points, volume = midpoint_grid(self.prior.bounds, grid_step)
+        unnorm = self.eval_unnorm_batch(points)
+        mass = float(np.sum(unnorm) * volume)
+        if not np.isfinite(mass) or mass <= 0.0:
+            raise DegenerateResult("posterior mass is zero on the normalization grid")
+        self._partition[_grid_key(grid_step)] = mass
+        return points, unnorm, mass
+
+    def partition_function(self, grid_step=None):
+        """Midpoint-quadrature mass of the unnormalized posterior, computed
+        by grid() once per grid step."""
+        key = _grid_key(grid_step)
         if key not in self._partition:
-            points, volume = midpoint_grid(self.prior.bounds, grid_step)
-            mass = float(np.sum(self.eval_unnorm_batch(points)) * volume)
-            if not np.isfinite(mass) or mass <= 0.0:
-                raise DegenerateResult(
-                    "posterior mass is zero on the normalization grid"
-                )
-            self._partition[key] = mass
+            self.grid(grid_step)
         return self._partition[key]
 
     def eval_posterior_batch(self, thetas, grid_step=None):
@@ -125,23 +134,6 @@ class PosteriorApproximation:
     def eval_posterior(self, theta, grid_step=None):
         theta = np.asarray(theta, dtype=np.float64)
         return float(self.eval_posterior_batch(theta[None, :], grid_step)[0])
-
-
-def eval_unnorm_posterior(posterior, theta):
-    """Unnormalized posterior density at one point."""
-    return posterior.eval_unnorm(theta)
-
-
-def eval_posterior(posterior, theta, grid_step=None):
-    """Normalized posterior density at one point (normalizer is cached)."""
-    return posterior.eval_posterior(theta, grid_step)
-
-
-class WeightedSample(NamedTuple):
-    theta: np.ndarray
-    weight: float
-    problem_index: int
-    draw_index: int
 
 
 class InferenceResult:
@@ -171,16 +163,23 @@ class InferenceResult:
     def dimension(self):
         return self.thetas.shape[1]
 
-    @property
-    def samples(self):
-        return [
-            WeightedSample(self.thetas[j], float(self.weights[j]),
-                           int(self.problem_indices[j]), int(self.draw_indices[j]))
-            for j in range(self.n_samples)
-        ]
-
     def expectation(self, h):
-        return compute_expectation(self, h)
+        """Self-normalized weighted expectation of h over the samples.
+
+        h maps one parameter vector to a scalar or a vector; returns a float
+        or an array accordingly.  Raises DegenerateResult when every weight
+        is zero.
+        """
+        w = self.weights
+        total = float(w.sum())
+        if total <= 0.0:
+            raise DegenerateResult("all sample weights are zero")
+        active = np.nonzero(w > 0)[0]
+        values = np.asarray([np.asarray(h(self.thetas[j]), dtype=np.float64)
+                             for j in active])
+        if values.ndim == 1:
+            return float((w[active] * values).sum() / total)
+        return (w[active, None] * values).sum(axis=0) / total
 
     def summary(self):
         """Weighted moments and quantiles per parameter, plus sample
@@ -251,22 +250,3 @@ def sample(posterior, n2, seed):
         problem_indices[block] = pi
     return InferenceResult(thetas, weights, problem_indices, draw_indices,
                            posterior.eps, seed)
-
-
-def compute_expectation(result, h):
-    """Self-normalized weighted expectation of h over the samples.
-
-    h maps one parameter vector to a scalar or a vector; returns a float
-    or an array accordingly.  Raises DegenerateResult when every weight
-    is zero.
-    """
-    w = result.weights
-    total = float(w.sum())
-    if total <= 0.0:
-        raise DegenerateResult("all sample weights are zero")
-    active = np.nonzero(w > 0)[0]
-    values = np.asarray([np.asarray(h(result.thetas[j]), dtype=np.float64)
-                         for j in active])
-    if values.ndim == 1:
-        return float((w[active] * values).sum() / total)
-    return (w[active, None] * values).sum(axis=0) / total

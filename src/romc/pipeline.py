@@ -39,7 +39,7 @@ from .optimize import (
 )
 from .parallel import run_tasks
 from .regions import ProposalRegion, RegionSettings, build_box, choose_curvature
-from .surrogate import DistanceRegistry, fit_quadratic
+from .surrogate import fit_quadratic
 
 
 @dataclass
@@ -241,23 +241,21 @@ class InferenceBundle:
             )
         return self._objectives[index]
 
-    def registry(self):
-        registry = DistanceRegistry()
-        for entry in self.entries:
-            registry.register_objective(entry.index, self.objective(entry.index))
-            if self.use_surrogate and entry.gp is not None:
-                registry.register_gp(entry.index, entry.gp)
-            if entry.quadratic is not None:
-                registry.register_quadratic(entry.index, entry.quadratic)
-        return registry
+    def distance(self, entry):
+        """Distance inference uses for one entry: its fitted quadratic, else
+        its GP mean when use_surrogate is on, else the real objective."""
+        if entry.quadratic is not None:
+            return entry.quadratic
+        if self.use_surrogate and entry.gp is not None:
+            return entry.gp
+        return self.objective(entry.index)
 
     def posterior(self):
-        registry = self.registry()
         return PosteriorApproximation(
             prior=self.model.prior,
             eps=self.eps,
             regions=[entry.region for entry in self.entries],
-            distances=[registry.get(entry.index) for entry in self.entries],
+            distances=[self.distance(entry) for entry in self.entries],
             problem_indices=self.accepted,
         )
 

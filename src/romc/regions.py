@@ -226,11 +226,6 @@ class ProposalRegion:
         return self.box.from_rotated(z)
 
 
-def sample_region(region, n, seed):
-    """Uniform draws from one proposal region (see ProposalRegion.sample)."""
-    return region.sample(n, seed)
-
-
 def build_box(distance, result, eps, settings, curvature=None, objective=None):
     """Bounding box of the acceptance set around one minimizer.
 

@@ -2,9 +2,9 @@
 
 After regions exist, each distance can be replaced by a quadratic fitted
 on points drawn inside its region, which makes posterior evaluation and
-weighting orders of magnitude cheaper for expensive simulators.  The
-registry resolves, per problem, which stand-in inference should use:
-fitted quadratic first, then Gaussian-process mean, then the true
+weighting orders of magnitude cheaper for expensive simulators.
+InferenceBundle.distance picks, per problem, which stand-in inference
+uses: fitted quadratic first, then Gaussian-process mean, then the true
 objective.
 """
 
@@ -115,49 +115,3 @@ def fit_quadratic(distance, region, n_train=None, seed=0):
                 quad[b, a] = coef[pos] / 2.0
             pos += 1
     return QuadraticSurrogate(intercept, linear, quad)
-
-
-class DistanceRegistry:
-    """Per-problem lookup of the distance used during inference.
-
-    get() prefers a fitted quadratic, then a Gaussian-process mean, then
-    the deterministic objective, and raises KeyError for unknown indices.
-    """
-
-    def __init__(self):
-        self._objectives = {}
-        self._gps = {}
-        self._quadratics = {}
-
-    def register_objective(self, index, objective):
-        self._objectives[int(index)] = objective
-
-    def register_gp(self, index, gp):
-        self._gps[int(index)] = gp
-
-    def register_quadratic(self, index, quadratic):
-        self._quadratics[int(index)] = quadratic
-
-    def indices(self):
-        keys = set(self._objectives) | set(self._gps) | set(self._quadratics)
-        return sorted(keys)
-
-    def source(self, index):
-        index = int(index)
-        if index in self._quadratics:
-            return "quadratic"
-        if index in self._gps:
-            return "gp"
-        if index in self._objectives:
-            return "objective"
-        raise KeyError(f"no distance registered for problem {index}")
-
-    def get(self, index):
-        index = int(index)
-        if index in self._quadratics:
-            return self._quadratics[index]
-        if index in self._gps:
-            return self._gps[index]
-        if index in self._objectives:
-            return self._objectives[index]
-        raise KeyError(f"no distance registered for problem {index}")

@@ -8,7 +8,8 @@ pass/fail verdicts are visible even when pytest captures stdout.
 import numpy as np
 import pytest
 
-from romc import BoxUniformPrior, make_toy_model
+from romc import make_toy_model
+from romc.model import BoxUniformPrior
 
 ACCEPTANCE_LINES = []
 

@@ -14,26 +14,22 @@ import pytest
 from conftest import record_acceptance
 
 from romc import (
-    BoxUniformPrior,
     OptimisationResult,
-    PosteriorApproximation,
-    RegionSettings,
     ToyTruePosterior,
     artifacts,
-    build_box,
     compute_divergence,
-    compute_eps,
     compute_ess,
     estimate_regions,
-    finite_difference_gradient,
-    line_search_extent,
     make_ma2_model,
     make_toy_model,
     midpoint_grid,
     rejection_abc,
-    solve_gradient,
     solve_problems,
 )
+from romc.inference import PosteriorApproximation
+from romc.model import BoxUniformPrior, finite_difference_gradient
+from romc.optimize import compute_eps, solve_gradient
+from romc.regions import RegionSettings, build_box, line_search_extent
 
 
 def verdict(number, ok, detail):

@@ -10,7 +10,15 @@ import json
 import numpy as np
 import pytest
 
-from romc import Model, artifacts, estimate_regions, make_toy_model, solve_problems
+from romc import (
+    DegenerateResult,
+    Model,
+    artifacts,
+    estimate_regions,
+    make_toy_model,
+    solve_problems,
+)
+from romc.inference import InferenceResult
 from romc.model import BoxUniformPrior
 
 
@@ -157,6 +165,20 @@ class TestSamplesArtifact:
         header = samples.read_text().splitlines()[0]
         assert header == "problem_index,draw_index,theta_1,weight"
 
+    def test_all_zero_weights_leave_both_files(self, bundle, tmp_path):
+        samples, meta = tmp_path / "samples.csv", tmp_path / "samples_meta.json"
+        result = bundle.sample(5, seed=1)
+        artifacts.write_samples(samples, meta, result, bundle)
+        before = samples.read_bytes(), meta.read_bytes()
+        zero = InferenceResult(result.thetas, np.zeros(result.n_samples),
+                               result.problem_indices, result.draw_indices,
+                               eps=result.eps, seed=result.seed)
+        with pytest.raises(DegenerateResult):
+            artifacts.write_samples(samples, meta, zero, bundle)
+        assert (samples.read_bytes(), meta.read_bytes()) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "samples.csv", "samples_meta.json"]
+
 
 class TestTelemetry:
     def test_solve_telemetry_rows(self, solve_output, tmp_path):
@@ -299,6 +321,58 @@ class TestLoadValidation:
         _tamper(path, widen)
         with pytest.raises(ValueError, match="box has dimension 2"):
             artifacts.load_regions(path)
+
+    @pytest.fixture
+    def regions(self, bundle, tmp_path):
+        path = tmp_path / "regions.json"
+        artifacts.write_regions(path, bundle)
+        return path
+
+    def test_region_indices_must_be_unique(self, regions):
+        # a repeated region would draw the same sample stream twice
+        _tamper(regions, lambda p: p["regions"].insert(1, p["regions"][0]))
+        with pytest.raises(ValueError, match="unique and increasing"):
+            artifacts.load_regions(regions)
+
+    def test_region_indices_must_increase(self, regions):
+        def swap(payload):
+            entries = payload["regions"]
+            entries[0], entries[1] = entries[1], entries[0]
+
+        _tamper(regions, swap)
+        with pytest.raises(ValueError, match="unique and increasing"):
+            artifacts.load_regions(regions)
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -0.5])
+    def test_eps_must_be_finite_and_nonnegative(self, regions, eps):
+        _tamper(regions, lambda p: p.update(eps=eps))
+        with pytest.raises(ValueError, match="eps must be finite"):
+            artifacts.load_regions(regions)
+
+    @pytest.fixture
+    def samples(self, bundle, tmp_path):
+        paths = tmp_path / "samples.csv", tmp_path / "samples_meta.json"
+        artifacts.write_samples(*paths, bundle.sample(5, seed=1), bundle)
+        return paths
+
+    @pytest.mark.parametrize("header", [
+        "", "problem_index,draw_index,weight",
+        "problem_index,draw_index,theta_2,weight",
+        "draw_index,problem_index,theta_1,weight",
+    ])
+    def test_samples_header_checked(self, samples, header):
+        csv_path, meta = samples
+        rows = csv_path.read_text().splitlines()[1:]
+        csv_path.write_text("\n".join([header] + rows) + "\n")
+        with pytest.raises(ValueError, match="unexpected header"):
+            artifacts.load_samples(csv_path, meta)
+
+    def test_truncated_samples_rejected(self, samples):
+        csv_path, meta = samples
+        text = csv_path.read_text()
+        csv_path.write_text(text[:text.rindex(",")])  # last row loses its weight
+        with pytest.raises(ValueError, match="expected 4 fields, found 3"):
+            artifacts.load_samples(csv_path, meta)
 
 
 class TestAtomicWrites:

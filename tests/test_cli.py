@@ -13,6 +13,7 @@ import pytest
 
 from romc import artifacts
 from romc.cli import _write_marginals, main
+from romc.inference import PosteriorApproximation
 
 
 def run(*argv):
@@ -74,6 +75,26 @@ class TestPipeline:
         text = capsys.readouterr().out
         assert "partition mass" in text
         assert "posterior at [0.25]:" in text
+
+    def test_posterior_evaluates_grid_once(self, pipeline_dir, tmp_path,
+                                           monkeypatch, capsys):
+        rows = []
+        original = PosteriorApproximation.eval_unnorm_batch
+
+        def counting(self, thetas):
+            rows.append(len(thetas))
+            return original(self, thetas)
+
+        monkeypatch.setattr(PosteriorApproximation, "eval_unnorm_batch",
+                            counting)
+        assert run("posterior", "--regions", pipeline_dir / "regions.json",
+                   "--at", "0.25", "--out", tmp_path) == 0
+        assert rows == [200, 1]  # the default grid, then the --at point
+        lines = capsys.readouterr().out.splitlines()
+        mass = float(lines[0].split()[2])
+        unnorm = float(lines[1].split(": ")[1])
+        norm = float(lines[2].split(": ")[1])
+        assert norm == pytest.approx(unnorm / mass, rel=1e-5)
 
     def test_marginals_file_shape(self, pipeline_dir):
         lines = (pipeline_dir / "samples_marginals.csv").read_text().splitlines()
@@ -202,9 +223,19 @@ class TestErrorPaths:
     def test_true_reference_needs_1d_model(self, ma2_dir):
         assert run("evaluate", "--reference", "true-1d", "--out", ma2_dir) == 1
 
-    def test_posterior_point_dimension_checked(self, pipeline_dir, tmp_path):
+    def test_posterior_point_dimension_checked(self, pipeline_dir, tmp_path,
+                                               capsys):
         assert run("posterior", "--regions", pipeline_dir / "regions.json",
                    "--at", "0.5,0.1", "--out", tmp_path) == 1
+        assert "--at has 2 components" in capsys.readouterr().err
+        # checked before any file is written
+        assert list(tmp_path.iterdir()) == []
+
+    def test_posterior_point_too_short(self, ma2_dir, tmp_path, capsys):
+        assert run("posterior", "--regions", ma2_dir / "regions.json",
+                   "--at", "0.5", "--out", tmp_path) == 1
+        assert "--at has 1 components" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unreachable_eps_is_numerical_failure(self, pipeline_dir, tmp_path):
         # no optimized distance is exactly zero, so eps 0 filters out all

@@ -158,15 +158,15 @@ class TestComputeDivergence:
         js = compute_divergence(p, q, bounds, grid_step=0.25)
         assert 0 < js < math.log(2.0)
 
-    def test_row_loop_fallback_for_scalar_evaluators(self):
-        class ScalarOnly:
-            def __call__(self, points):
-                # misbehaves on batches, forcing the per-row path
-                return 1.0
+    def test_scalar_evaluator_rejected(self):
+        # evaluators take (n, D) points and return one value per point
+        def scalar_only(points):
+            return 1.0
 
-        got = compute_divergence(ScalarOnly(), stepped_density([1.0, 1.0]),
-                                 BOUNDS_1D, grid_step=0.5)
-        assert got == pytest.approx(0.0, abs=1e-12)
+        for target, reference in [(scalar_only, stepped_density([1.0, 1.0])),
+                                  (stepped_density([1.0, 1.0]), scalar_only)]:
+            with pytest.raises(ValueError, match="one value per grid point"):
+                compute_divergence(target, reference, BOUNDS_1D, grid_step=0.5)
 
     def test_negative_density_rejected(self):
         p = stepped_density([1.0, -0.5])

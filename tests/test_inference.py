@@ -11,17 +11,13 @@ import pytest
 
 from romc import (
     BoundingBox,
-    BoxUniformPrior,
     DegenerateResult,
-    PosteriorApproximation,
-    ProposalRegion,
     UnsupportedDimension,
-    compute_expectation,
-    eval_posterior,
-    eval_unnorm_posterior,
     midpoint_grid,
-    sample,
 )
+from romc.inference import PosteriorApproximation, sample
+from romc.model import BoxUniformPrior
+from romc.regions import ProposalRegion
 
 
 class TestMidpointGrid:
@@ -110,14 +106,6 @@ class TestPosteriorApproximation:
         total = np.sum(posterior.eval_posterior_batch(points, 0.001)) * volume
         assert total == pytest.approx(1.0, abs=1e-9)
 
-    def test_module_level_wrappers(self):
-        posterior = two_bump_posterior()
-        theta = np.array([0.2])
-        assert eval_unnorm_posterior(posterior, theta) == posterior.eval_unnorm(theta)
-        assert eval_posterior(posterior, theta, 0.001) == posterior.eval_posterior(
-            theta, 0.001
-        )
-
     def test_unnorm_monotone_in_eps(self):
         # acceptance indicators can only switch on as eps grows
         tight = two_bump_posterior(eps=0.01)
@@ -144,11 +132,23 @@ class TestPosteriorApproximation:
         posterior.partition_function(0.02)
         assert calls["n"] == 2
 
+    def test_grid_values_and_cached_mass(self):
+        posterior = two_bump_posterior()
+        points, unnorm, mass = posterior.grid(0.001)
+        expected, volume = midpoint_grid(posterior.prior.bounds, 0.001)
+        np.testing.assert_array_equal(points, expected)
+        np.testing.assert_array_equal(unnorm, posterior.eval_unnorm_batch(points))
+        assert mass == float(np.sum(unnorm) * volume)
+        posterior.eval_unnorm_batch = None  # the mass must come from the cache
+        assert posterior.partition_function(0.001) == mass
+
     def test_degenerate_when_no_mass(self):
         posterior = two_bump_posterior(eps=0.0)
         # zero-measure acceptance sets cannot be seen by the grid
         with pytest.raises(DegenerateResult):
             posterior.partition_function(0.01)
+        with pytest.raises(DegenerateResult):
+            posterior.grid(0.01)
 
     def test_alignment_validation(self):
         prior = BoxUniformPrior([[-1.0, 1.0]])
@@ -231,14 +231,13 @@ class TestExpectation:
         result = sample(posterior, 100, seed=5)
         w = result.weights
         manual = float((w * result.thetas[:, 0]).sum() / w.sum())
-        got = compute_expectation(result, lambda t: float(t[0]))
+        got = result.expectation(lambda t: float(t[0]))
         assert got == pytest.approx(manual, rel=1e-12)
-        assert result.expectation(lambda t: float(t[0])) == got
 
     def test_self_normalization(self):
         # acceptance property: E[1] == 1 to 1e-6
         result = sample(two_bump_posterior(), 100, seed=5)
-        assert compute_expectation(result, lambda t: 1.0) == pytest.approx(
+        assert result.expectation(lambda t: 1.0) == pytest.approx(
             1.0, abs=1e-6
         )
         normalized = result.weights / result.weights.sum()
@@ -246,17 +245,15 @@ class TestExpectation:
 
     def test_vector_valued_h(self):
         result = sample(two_bump_posterior(), 60, seed=9)
-        got = compute_expectation(
-            result, lambda t: np.array([t[0], t[0] ** 2])
-        )
+        got = result.expectation(lambda t: np.array([t[0], t[0] ** 2]))
         assert got.shape == (2,)
         assert got[0] == pytest.approx(
-            compute_expectation(result, lambda t: float(t[0])), rel=1e-12
+            result.expectation(lambda t: float(t[0])), rel=1e-12
         )
 
     def test_symmetric_posterior_has_small_mean(self):
         result = sample(two_bump_posterior(), 4000, seed=0)
-        mean = compute_expectation(result, lambda t: float(t[0]))
+        mean = result.expectation(lambda t: float(t[0]))
         assert abs(mean) < 0.05
 
     def test_degenerate_when_all_weights_zero(self):
@@ -264,7 +261,7 @@ class TestExpectation:
         result = sample(posterior, 20, seed=0)
         assert result.weights.sum() == 0.0
         with pytest.raises(DegenerateResult):
-            compute_expectation(result, lambda t: float(t[0]))
+            result.expectation(lambda t: float(t[0]))
         with pytest.raises(DegenerateResult):
             result.summary()
 
@@ -293,15 +290,8 @@ class TestInferenceResultSummary:
         assert _weighted_quantile(values, weights, 0.95) == 3.0
         assert _weighted_quantile(values, weights, 0.01) == 1.0
 
-    def test_samples_view(self):
-        result = sample(two_bump_posterior(), 10, seed=4)
-        rows = result.samples
-        assert len(rows) == result.n_samples
-        np.testing.assert_array_equal(rows[0].theta, result.thetas[0])
-        assert rows[0].weight == result.weights[0]
-
     def test_column_length_validation(self):
-        from romc import InferenceResult
+        from romc.inference import InferenceResult
 
         with pytest.raises(ValueError):
             InferenceResult(np.zeros((3, 1)), np.zeros(2), np.zeros(3),

@@ -6,16 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CountingDistance
-from romc import (
+from romc import NumericalFailure, make_toy_model
+from romc.model import (
     BoxUniformPrior,
     IdentitySummary,
-    NumericalFailure,
     derive_rng,
     draw_nuisance_seeds,
     evaluate_distance_batch,
     finite_difference_gradient,
     make_objective,
-    make_toy_model,
     squared_distance,
 )
 

@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CountingDistance
-from romc import (
-    BoxUniformPrior,
+from romc import OptimisationResult
+from romc.model import BoxUniformPrior
+from romc.optimize import (
     GaussianProcessSurrogate,
-    OptimisationResult,
     compute_eps,
     distance_histogram,
     filter_solutions,

@@ -1,19 +1,20 @@
 """End-to-end training driver: solve, regions, bundle behavior, hooks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from romc import (
     DegenerateResult,
     OptimisationResult,
-    RegionSettings,
-    build_box,
-    draw_nuisance_seeds,
     estimate_regions,
-    fit_quadratic,
     make_toy_model,
     solve_problems,
 )
+from romc.model import draw_nuisance_seeds
+from romc.regions import RegionSettings, build_box
+from romc.surrogate import fit_quadratic
 
 
 def _rejecting_solver(objective, prior, seed):
@@ -155,17 +156,17 @@ class TestEstimateRegions:
                              budget=16, init_points=4)
         bundle = estimate_regions(out, quantile=1.0)
         assert bundle.use_surrogate
-        registry = bundle.registry()
-        for index in bundle.accepted:
-            assert registry.source(index) == "gp"
+        for entry in bundle.entries:
+            assert bundle.distance(entry) is entry.gp
+        bundle.posterior()
+        assert bundle._objectives == {}  # no objective built that goes unused
 
     def test_surrogate_opt_out(self):
         out = solve_problems(make_toy_model(), n1=4, seed=5, use_bo=True,
                              budget=16, init_points=4)
         bundle = estimate_regions(out, quantile=1.0, use_surrogate=False)
-        registry = bundle.registry()
-        for index in bundle.accepted:
-            assert registry.source(index) == "objective"
+        for entry in bundle.entries:
+            assert bundle.distance(entry) is bundle.objective(entry.index)
 
     def test_fit_models_attaches_quadratics(self, toy_solve):
         bundle = estimate_regions(toy_solve, quantile=0.8, fit_models=True)
@@ -173,9 +174,8 @@ class TestEstimateRegions:
         for entry in bundle.entries:
             assert entry.quadratic is not None
         assert sorted(bundle.fit_seconds) == bundle.accepted
-        registry = bundle.registry()
-        for index in bundle.accepted:
-            assert registry.source(index) == "quadratic"
+        for entry in bundle.entries:
+            assert bundle.distance(entry) is entry.quadratic
 
     def test_region_builder_hook(self, toy_solve):
         bundle = estimate_regions(toy_solve, quantile=0.8,
@@ -202,6 +202,20 @@ class TestInferenceBundle:
     def test_objective_cached(self, bundle):
         index = bundle.accepted[0]
         assert bundle.objective(index) is bundle.objective(index)
+
+    def test_distance_precedence(self, bundle):
+        # fitted quadratic, then GP mean under use_surrogate, then objective
+        entry = bundle.entries[0]
+        gp, quadratic = object(), object()
+        with_gp = replace(entry, gp=gp)
+        with_both = replace(entry, gp=gp, quadratic=quadratic)
+        assert not bundle.use_surrogate
+        assert bundle.distance(with_gp) is bundle.objective(entry.index)
+        assert bundle.distance(with_both) is quadratic
+        surrogate = replace(bundle, use_surrogate=True)
+        assert surrogate.distance(entry) is surrogate.objective(entry.index)
+        assert surrogate.distance(with_gp) is gp
+        assert surrogate.distance(with_both) is quadratic
 
     def test_posterior_round_trip(self, bundle):
         posterior = bundle.posterior()

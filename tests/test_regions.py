@@ -11,19 +11,16 @@ semi-axes (1, 0.5).
 import numpy as np
 import pytest
 
-from romc import (
-    BoundingBox,
-    OptimisationResult,
+from romc import BoundingBox, OptimisationResult, UnsupportedDimension
+from romc.regions import (
     ProposalRegion,
     RegionSettings,
-    UnsupportedDimension,
     build_box,
     choose_curvature,
     curvature_axes,
     jacobian_curvature,
     line_search_extent,
     region_plot_data,
-    sample_region,
 )
 
 
@@ -113,7 +110,7 @@ class TestChooseCurvature:
 
 class TestRegionSettings:
     def test_from_prior_uses_mean_range(self):
-        from romc import BoxUniformPrior
+        from romc.model import BoxUniformPrior
 
         prior = BoxUniformPrior([[0.0, 2.0], [0.0, 4.0]])
         settings = RegionSettings.from_prior(prior, fraction=0.05)
@@ -263,7 +260,6 @@ class TestProposalRegion:
         assert draws.shape == (200, 2)
         assert region.box.contains(draws).all()
         np.testing.assert_array_equal(draws, region.sample(200, 5))
-        np.testing.assert_array_equal(draws, sample_region(region, 200, 5))
 
     def test_generator_seed_supported(self):
         region = self.make_region()

@@ -1,13 +1,12 @@
-"""Quadratic surrogates and the per-problem distance registry."""
+"""Quadratic surrogates fitted over proposal regions."""
 
 import numpy as np
 import pytest
 
 from conftest import CountingDistance
-from romc import (
-    BoundingBox,
-    DistanceRegistry,
-    ProposalRegion,
+from romc import BoundingBox
+from romc.regions import ProposalRegion
+from romc.surrogate import (
     QuadraticSurrogate,
     fit_quadratic,
     quadratic_feature_count,
@@ -116,34 +115,3 @@ class TestFitQuadratic:
         assert model.intercept == pytest.approx(0.25, abs=1e-6)
         assert model.linear[0] == pytest.approx(-2.0, abs=1e-6)
         assert model.quad[0, 0] == pytest.approx(4.0, abs=1e-6)
-
-
-class TestDistanceRegistry:
-    def test_precedence_quadratic_gp_objective(self):
-        registry = DistanceRegistry()
-        objective = object()
-        gp = object()
-        quadratic = object()
-        registry.register_objective(0, objective)
-        assert registry.source(0) == "objective"
-        assert registry.get(0) is objective
-        registry.register_gp(0, gp)
-        assert registry.source(0) == "gp"
-        assert registry.get(0) is gp
-        registry.register_quadratic(0, quadratic)
-        assert registry.source(0) == "quadratic"
-        assert registry.get(0) is quadratic
-
-    def test_indices_union_sorted(self):
-        registry = DistanceRegistry()
-        registry.register_gp(5, object())
-        registry.register_objective(1, object())
-        registry.register_quadratic(3, object())
-        assert registry.indices() == [1, 3, 5]
-
-    def test_unknown_index_raises(self):
-        registry = DistanceRegistry()
-        with pytest.raises(KeyError):
-            registry.get(7)
-        with pytest.raises(KeyError):
-            registry.source(7)
