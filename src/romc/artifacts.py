@@ -24,7 +24,7 @@ from .pipeline import (
     RegionEntry,
     SolveOutput,
 )
-from .regions import BoundingBox, ProposalRegion
+from .regions import BoundingBox
 from .surrogate import QuadraticSurrogate
 
 SCHEMA_VERSION = 1
@@ -72,12 +72,6 @@ def _load_json(path, expected_kind):
             f"expected a {expected_kind} artifact, found {payload.get('kind')!r}"
         )
     return payload
-
-
-def _solver_options(options):
-    public = dict(options)
-    public.pop("master_seed", None)
-    return public
 
 
 def _result_record(result):
@@ -137,7 +131,7 @@ def write_solutions(path, solve_output):
         "n1": int(solve_output.n1),
         "seed": int(solve_output.master_seed),
         "use_bo": bool(solve_output.use_bo),
-        "options": _solver_options(solve_output.options),
+        "options": solve_output.options,
         "problems": problems,
     })
 
@@ -161,14 +155,12 @@ def load_solutions(path):
         if "gp" in entry:
             record.gp = _gp_from_record(entry["gp"], model)
         records.append(record)
-    options = dict(payload["options"])
-    options["master_seed"] = int(payload["seed"])
     return SolveOutput(
         model=model,
         n1=n1,
         master_seed=int(payload["seed"]),
         use_bo=bool(payload["use_bo"]),
-        options=options,
+        options=payload["options"],
         records=records,
     )
 
@@ -228,7 +220,7 @@ def write_regions(path, bundle):
             "seed": int(entry.seed),
             "curvature_source": entry.curvature_source,
             "result": _result_record(entry.result),
-            "box": entry.region.box.to_record(),
+            "box": entry.region.to_record(),
         }
         if entry.gp is not None:
             record["gp"] = entry.gp.to_record()
@@ -241,7 +233,7 @@ def write_regions(path, bundle):
         "model": _model_config(bundle.model),
         "seed": int(bundle.master_seed),
         "use_bo": bool(bundle.use_bo),
-        "options": _solver_options(bundle.options),
+        "options": bundle.options,
         "eps": float(bundle.eps),
         "use_surrogate": bool(bundle.use_surrogate),
         "fit_models": bool(bundle.fit_models),
@@ -273,18 +265,16 @@ def load_regions(path):
             index=record["index"],
             seed=record["seed"],
             result=_result_from_record(record["result"], model),
-            region=ProposalRegion(box),
+            region=box,
             gp=gp,
             quadratic=quadratic,
             curvature_source=record.get("curvature_source", ""),
         ))
-    options = dict(payload["options"])
-    options["master_seed"] = int(payload["seed"])
     return InferenceBundle(
         model=model,
         master_seed=int(payload["seed"]),
         use_bo=bool(payload["use_bo"]),
-        options=options,
+        options=payload["options"],
         eps=eps,
         use_surrogate=bool(payload["use_surrogate"]),
         fit_models=bool(payload["fit_models"]),
@@ -353,6 +343,30 @@ def load_samples(samples_path, meta_path):
         eps=meta["eps"], seed=meta["seed"],
     )
     return result, meta
+
+
+def write_marginals(path, result, bins=40):
+    """Weighted histogram of each parameter's draws: mass per bin, summing
+    to 1 per parameter when any weight is positive."""
+    with _atomic_open(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["parameter", "left", "right", "mass"])
+        total = result.weights.sum()
+        for m in range(result.dimension):
+            values = result.thetas[:, m]
+            lo, hi = float(values.min()), float(values.max())
+            if lo == hi:
+                pad = max(abs(lo), 1.0) * 1e-9
+                lo, hi = lo - pad, hi + pad
+            hist, edges = np.histogram(
+                values, bins=bins, range=(lo, hi), weights=result.weights
+            )
+            masses = hist / total if total > 0 else hist
+            for b in range(bins):
+                writer.writerow([
+                    f"theta_{m + 1}", repr(float(edges[b])),
+                    repr(float(edges[b + 1])), repr(float(masses[b])),
+                ])
 
 
 def write_posterior_grid(path, posterior, grid_step=None):

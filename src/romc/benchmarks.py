@@ -256,7 +256,7 @@ class RejectionResult:
     def std(self):
         return self.thetas.std(axis=0)
 
-    def grid_density(self, bounds=None, grid_step=None):
+    def grid_density(self, bounds, grid_step=None):
         """Piecewise-constant density of the accepted draws on a midpoint
         grid over bounds, for divergence comparisons."""
         if self.n_accepted == 0:

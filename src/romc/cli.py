@@ -18,7 +18,6 @@ Exit codes: 0 success, 1 usage or input errors, 2 numerical failures.
 """
 
 import argparse
-import csv
 import json
 import logging
 import sys
@@ -286,7 +285,7 @@ def cmd_regions(options):
     )
     artifacts.write_regions(out / "regions.json", bundle)
     artifacts.write_region_telemetry(out / "region_telemetry.csv", bundle)
-    volumes = np.array([entry.region.box.volume for entry in bundle.entries])
+    volumes = np.array([entry.region.volume for entry in bundle.entries])
     print(
         f"eps {bundle.eps:.6f}: accepted {len(bundle.entries)}/"
         f"{len(solve_output.solved())} solved problems"
@@ -301,28 +300,6 @@ def cmd_regions(options):
     return 0
 
 
-def _write_marginals(path, result, bins=40):
-    with artifacts._atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["parameter", "left", "right", "mass"])
-        total = result.weights.sum()
-        for m in range(result.dimension):
-            values = result.thetas[:, m]
-            lo, hi = float(values.min()), float(values.max())
-            if lo == hi:
-                pad = max(abs(lo), 1.0) * 1e-9
-                lo, hi = lo - pad, hi + pad
-            hist, edges = np.histogram(
-                values, bins=bins, range=(lo, hi), weights=result.weights
-            )
-            masses = hist / total if total > 0 else hist
-            for b in range(bins):
-                writer.writerow([
-                    f"theta_{m + 1}", repr(float(edges[b])),
-                    repr(float(edges[b + 1])), repr(float(masses[b])),
-                ])
-
-
 def cmd_sample(options):
     out = _out_dir(options)
     bundle = artifacts.load_regions(_artifact_path(options, "regions", "regions.json"))
@@ -330,7 +307,7 @@ def cmd_sample(options):
     summary = artifacts.write_samples(
         out / "samples.csv", out / "samples_meta.json", result, bundle
     )
-    _write_marginals(out / "samples_marginals.csv", result)
+    artifacts.write_marginals(out / "samples_marginals.csv", result)
     print(
         f"{summary['n_samples']} draws from {summary['n_regions']} regions; "
         f"ess {summary['ess']:.1f} "

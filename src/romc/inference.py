@@ -2,7 +2,7 @@
 
 The unnormalized posterior at theta is the prior density times the number
 of accepted problems whose distance at theta is within eps.  Sampling
-draws uniformly from each proposal region and weights each draw by
+draws uniformly from each region's bounding box and weights each draw by
 indicator * prior / proposal, so expectations are simple weighted
 averages and zero-weight draws stay in the output for diagnostics.
 """
@@ -232,7 +232,7 @@ def sample(posterior, n2, seed):
     if n2 < 1:
         raise ValueError("n2 must be positive")
     k = posterior.n_regions
-    d = posterior.regions[0].box.dimension
+    d = posterior.regions[0].dimension
     thetas = np.empty((k * n2, d))
     weights = np.empty(k * n2)
     problem_indices = np.empty(k * n2, dtype=np.int64)
@@ -246,7 +246,7 @@ def sample(posterior, n2, seed):
         dist = evaluate_distance_batch(distance, draws)
         pdf = np.asarray(posterior.prior.pdf_batch(draws), dtype=np.float64)
         thetas[block] = draws
-        weights[block] = np.where(dist <= posterior.eps, pdf * region.box.volume, 0.0)
+        weights[block] = np.where(dist <= posterior.eps, pdf * region.volume, 0.0)
         problem_indices[block] = pi
     return InferenceResult(thetas, weights, problem_indices, draw_indices,
                            posterior.eps, seed)

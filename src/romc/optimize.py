@@ -3,8 +3,9 @@
 Each deterministic objective is minimized independently, either with a
 quasi-Newton method on finite-difference gradients or, for expensive
 simulators, with Bayesian optimization on a Gaussian-process fit of the
-distance.  Both report an approximate curvature at the minimizer, which
-the region builder turns into box axes.
+distance.  Both report a curvature at the minimizer, the BFGS estimate or
+the exact Hessian of the surrogate mean, which the region builder turns
+into box axes.
 """
 
 import logging
@@ -235,10 +236,6 @@ class GaussianProcessSurrogate:
             var[rows] = self.variance - np.sum(v**2, axis=0)
         return mean, np.maximum(var, 0.0)
 
-    def predict(self, theta):
-        mean, var = self.predict_batch(np.asarray(theta, dtype=np.float64)[None, :])
-        return float(mean[0]), float(var[0])
-
     def evaluate_batch(self, thetas):
         """Posterior mean at each row, without the variance."""
         mean = np.empty(len(thetas))
@@ -249,6 +246,19 @@ class GaussianProcessSurrogate:
     def __call__(self, theta):
         theta = np.asarray(theta, dtype=np.float64)
         return float(self.evaluate_batch(theta[None, :])[0])
+
+    def hessian(self, theta):
+        """Exact Hessian of the posterior mean at one point:
+        sum_j alpha_j k_j (u_j u_j^T - I) / (l l^T) with u_j = theta/l - x_j/l
+        (Rasmussen & Williams 2006, section 9.4).  Each entry sums over the
+        training points in the same order, so the result is exactly
+        symmetric."""
+        scaled = np.asarray(theta, dtype=np.float64) / self.lengthscales
+        u = scaled - self._scaled
+        weights = self._kernel(scaled[None, :])[0] * self._alpha
+        outer = u[:, :, None] * u[:, None, :] - np.eye(scaled.size)
+        scale = np.outer(self.lengthscales, self.lengthscales)
+        return (weights[:, None, None] * outer).sum(axis=0) / scale
 
     def to_record(self):
         return {
@@ -313,31 +323,6 @@ def _expected_improvement(mean, var, f_best):
     return np.maximum(ei, 0.0)
 
 
-def _fd_hessian(func, x, step=1e-4):
-    """Central-difference Hessian; meant for smooth surrogate means."""
-    x = np.asarray(x, dtype=np.float64)
-    d = x.size
-    h = step * np.maximum(1.0, np.abs(x))
-    hess = np.empty((d, d))
-    f0 = func(x)
-    for a in range(d):
-        ea = np.zeros(d)
-        ea[a] = h[a]
-        hess[a, a] = (func(x + ea) - 2.0 * f0 + func(x - ea)) / h[a] ** 2
-        for b in range(a + 1, d):
-            eb = np.zeros(d)
-            eb[b] = h[b]
-            mixed = (
-                func(x + ea + eb)
-                - func(x + ea - eb)
-                - func(x - ea + eb)
-                + func(x - ea - eb)
-            ) / (4.0 * h[a] * h[b])
-            hess[a, b] = mixed
-            hess[b, a] = mixed
-    return (hess + hess.T) / 2.0
-
-
 def solve_bayesian(objective, prior, budget=64, init_points=10, seed=0,
                    n_candidates=512):
     """Minimize one objective with expected-improvement Bayesian optimization.
@@ -345,8 +330,8 @@ def solve_bayesian(objective, prior, budget=64, init_points=10, seed=0,
     Spends `budget` objective evaluations in total: a Latin-hypercube
     design of init_points followed by sequential acquisitions.  Returns
     (OptimisationResult, GaussianProcessSurrogate) where x_min is the best
-    evaluated point and hess_appr the finite-difference curvature of the
-    surrogate mean there, or None when the surrogate fit fails.
+    evaluated point and hess_appr the exact Hessian of the surrogate mean
+    there, or None when the surrogate fit fails.
     """
     if init_points < 2:
         raise ValueError("init_points must be at least 2")
@@ -390,9 +375,8 @@ def solve_bayesian(objective, prior, budget=64, init_points=10, seed=0,
 
     best = int(np.argmin(values))
     x_min = np.asarray(inputs[best], dtype=np.float64)
-    hess = _fd_hessian(lambda t: gp(t), x_min)
     result = OptimisationResult(
-        x_min, float(values[best]), hess, iterations=budget
+        x_min, float(values[best]), gp.hessian(x_min), iterations=budget
     )
     return result, gp
 

@@ -2,7 +2,7 @@
 
 solve_problems draws one nuisance seed per problem and minimizes every
 deterministic objective; estimate_regions picks the acceptance threshold,
-builds a proposal region per accepted problem and optionally fits local
+builds a bounding box per accepted problem and optionally fits local
 quadratic models.  The resulting InferenceBundle knows how to hand out
 the per-problem distance, the posterior approximation and weighted
 samples.
@@ -38,7 +38,7 @@ from .optimize import (
     solve_gradient,
 )
 from .parallel import run_tasks
-from .regions import ProposalRegion, RegionSettings, build_box, choose_curvature
+from .regions import BoundingBox, RegionSettings, build_box, choose_curvature
 from .surrogate import fit_quadratic
 
 
@@ -55,9 +55,9 @@ class ProblemRecord:
 
 
 def _solve_task(payload):
-    model, seed, index, options, solver = payload
+    model, seed, index, master_seed, options, solver = payload
     objective = make_objective(model, seed, index)
-    stream = [options["master_seed"], index, STREAM_SOLVE]
+    stream = [master_seed, index, STREAM_SOLVE]
     if solver is not None:
         out = solver(objective, model.prior, stream)
     elif options["use_bo"]:
@@ -127,7 +127,6 @@ def solve_problems(model, n1, seed, use_bo=False, restarts=1, max_iters=200,
     """
     seeds = draw_nuisance_seeds(n1, seed)
     options = {
-        "master_seed": int(seed),
         "use_bo": bool(use_bo),
         "restarts": int(restarts),
         "max_iters": int(max_iters),
@@ -136,7 +135,7 @@ def solve_problems(model, n1, seed, use_bo=False, restarts=1, max_iters=200,
         "gradient_step": float(gradient_step),
     }
     tasks = [
-        (i, (model, seeds[i], i, options, solver)) for i in range(n1)
+        (i, (model, seeds[i], i, int(seed), options, solver)) for i in range(n1)
     ]
     results, failures, seconds = run_tasks(_solve_task, tasks, workers=workers)
     records = []
@@ -175,13 +174,13 @@ def _region_task(payload):
 
 
 def _fit_task(payload):
-    (model, seed, index, region, gp, n_train, fit_seed, surrogate_fitter) = payload
+    (model, seed, index, box, gp, n_train, fit_seed, surrogate_fitter) = payload
     if gp is not None:
         distance = gp
     else:
         distance = make_objective(model, seed, index)
     fitter = surrogate_fitter if surrogate_fitter is not None else fit_quadratic
-    return fitter(distance, region, n_train=n_train, seed=fit_seed)
+    return fitter(distance, box, n_train=n_train, seed=fit_seed)
 
 
 @dataclass
@@ -191,7 +190,7 @@ class RegionEntry:
     index: int
     seed: int
     result: OptimisationResult
-    region: ProposalRegion
+    region: BoundingBox
     gp: Optional[GaussianProcessSurrogate] = None
     quadratic: Optional[object] = None
     curvature_source: str = ""
@@ -215,7 +214,6 @@ class InferenceBundle:
     fit_models: bool
     entries: list
     region_failures: dict = field(default_factory=dict)
-    solve_output: Optional[SolveOutput] = None
     region_seconds: dict = field(default_factory=dict)
     fit_seconds: dict = field(default_factory=dict)
 
@@ -267,7 +265,7 @@ def estimate_regions(solve_output, eps=None, quantile=None, fraction=0.05,
                      refinements=10, max_steps=40, use_surrogate=None,
                      fit_models=False, n_train=None, workers=1,
                      region_builder=None, surrogate_fitter=None):
-    """Build a proposal region around every acceptable minimizer.
+    """Build a bounding box around every acceptable minimizer.
 
     The threshold is either given directly (eps) or taken as a quantile of
     the optimized distances (default quantile 0.9).  use_surrogate picks
@@ -325,7 +323,7 @@ def estimate_regions(solve_output, eps=None, quantile=None, fraction=0.05,
                 index=i,
                 seed=record.seed,
                 result=record.result,
-                region=ProposalRegion(box),
+                region=box,
                 gp=record.gp,
                 quadratic=None,
                 curvature_source=source,
@@ -363,7 +361,6 @@ def estimate_regions(solve_output, eps=None, quantile=None, fraction=0.05,
         fit_models=bool(fit_models),
         entries=entries,
         region_failures={key: f.message for key, f in failures.items()},
-        solve_output=solve_output,
         region_seconds=region_seconds,
         fit_seconds=fit_seconds,
     )

@@ -1,7 +1,8 @@
-"""Proposal-region construction around each accepted minimizer.
+"""Region construction around each accepted minimizer.
 
 A region is an oriented bounding box of the acceptance set
-{theta : d_i(theta) <= eps} around x_min.  Axes come from the eigenvectors
+{theta : d_i(theta) <= eps} around x_min, and the proposal of its problem
+is the uniform distribution on that box.  Axes come from the eigenvectors
 of a curvature matrix at the minimizer; extents along each direction come
 from a step-doubling-free, step-halving line search that walks outward
 until the distance exceeds eps.  Boxes may stick out of the prior bounds;
@@ -12,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailure, UnsupportedDimension
-from .model import evaluate_distance_batch
+from .errors import NumericalFailure
 
 ORTHO_TOL = 1e-8
 
@@ -143,6 +143,8 @@ def line_search_extent(distance, center, direction, eps, settings):
 class BoundingBox:
     """Oriented box: center, orthonormal rotation, per-axis signed limits.
 
+    The uniform distribution on the box is the proposal of its problem.
+
     A point theta maps to rotated coordinates z = R^T (theta - center);
     the box is {z : limits[m, 0] <= z_m <= limits[m, 1]} with the lower
     limit negative and the upper positive, so the center is interior.
@@ -189,6 +191,17 @@ class BoundingBox:
         )
         return bool(inside[0]) if single else inside
 
+    def sample(self, n, seed):
+        """Draw n points uniformly inside the box; seed may be an int or a
+        numpy Generator."""
+        if n < 1:
+            raise ValueError("n must be positive")
+        # default_rng returns a Generator argument unaltered
+        z = np.random.default_rng(seed).uniform(
+            self.limits[:, 0], self.limits[:, 1], size=(n, self.dimension)
+        )
+        return self.from_rotated(z)
+
     def to_record(self):
         return {
             "center": self.center.tolist(),
@@ -199,31 +212,6 @@ class BoundingBox:
     @classmethod
     def from_record(cls, record):
         return cls(record["rotation"], record["center"], record["limits"])
-
-
-class ProposalRegion:
-    """Uniform proposal over one bounding box."""
-
-    def __init__(self, box):
-        self.box = box
-        self.density = 1.0 / box.volume
-
-    def pdf(self, theta):
-        return self.density if self.box.contains(theta) else 0.0
-
-    def pdf_batch(self, thetas):
-        return np.where(self.box.contains(np.asarray(thetas)), self.density, 0.0)
-
-    def sample(self, n, seed):
-        """Draw n points uniformly inside the box; seed may be an int or a
-        numpy Generator."""
-        if n < 1:
-            raise ValueError("n must be positive")
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        z = rng.uniform(
-            self.box.limits[:, 0], self.box.limits[:, 1], size=(n, self.box.dimension)
-        )
-        return self.box.from_rotated(z)
 
 
 def build_box(distance, result, eps, settings, curvature=None, objective=None):
@@ -248,49 +236,3 @@ def build_box(distance, result, eps, settings, curvature=None, objective=None):
         limits[m, 0] = -neg
         limits[m, 1] = pos
     return BoundingBox(axes, center, limits)
-
-
-@dataclass
-class RegionPlotData:
-    """Plot-ready geometry: box corners, a closed outline, and distance
-    values on a rotated grid around the box."""
-
-    corners: np.ndarray
-    polyline: np.ndarray
-    grid_points: np.ndarray
-    grid_values: np.ndarray
-
-
-def region_plot_data(region, distance, grid=64, margin=0.2):
-    """Corners and a distance field for visual checks in 1 or 2 dimensions."""
-    box = region.box
-    d = box.dimension
-    if d > 2:
-        raise UnsupportedDimension("plot data is only available for D <= 2")
-    lo, hi = box.limits[:, 0], box.limits[:, 1]
-    if d == 1:
-        corners_z = np.array([[lo[0]], [hi[0]]])
-        polyline_z = corners_z
-    else:
-        corners_z = np.array(
-            [[lo[0], lo[1]], [hi[0], lo[1]], [hi[0], hi[1]], [lo[0], hi[1]]]
-        )
-        polyline_z = np.vstack([corners_z, corners_z[:1]])
-    widths = hi - lo
-    axes_1d = [
-        np.linspace(lo[m] - margin * widths[m], hi[m] + margin * widths[m], grid)
-        for m in range(d)
-    ]
-    if d == 1:
-        grid_z = axes_1d[0][:, None]
-    else:
-        za, zb = np.meshgrid(axes_1d[0], axes_1d[1], indexing="ij")
-        grid_z = np.column_stack([za.ravel(), zb.ravel()])
-    grid_points = box.from_rotated(grid_z)
-    grid_values = evaluate_distance_batch(distance, grid_points)
-    return RegionPlotData(
-        corners=box.from_rotated(corners_z),
-        polyline=box.from_rotated(polyline_z),
-        grid_points=grid_points,
-        grid_values=grid_values,
-    )

@@ -1,8 +1,8 @@
 """Cheap local stand-ins for the per-seed distances.
 
 After regions exist, each distance can be replaced by a quadratic fitted
-on points drawn inside its region, which makes posterior evaluation and
-weighting orders of magnitude cheaper for expensive simulators.
+on points drawn inside its bounding box, which makes posterior evaluation
+and weighting orders of magnitude cheaper for expensive simulators.
 InferenceBundle.distance picks, per problem, which stand-in inference
 uses: fitted quadratic first, then Gaussian-process mean, then the true
 objective.
@@ -49,19 +49,22 @@ class QuadraticSurrogate:
             raise ValueError("quad must be square and match linear")
         self.quad = (quad + quad.T) / 2.0
 
-    def predict(self, theta):
-        theta = np.asarray(theta, dtype=np.float64)
-        return float(self.intercept + self.linear @ theta + theta @ self.quad @ theta)
-
     def evaluate_batch(self, thetas):
+        """c + b.theta + theta.Q.theta per row, elementwise with no matrix
+        product, so a row's value does not depend on the batch around it."""
         thetas = np.asarray(thetas, dtype=np.float64)
-        return (
-            self.intercept
-            + thetas @ self.linear
-            + np.sum((thetas @ self.quad) * thetas, axis=1)
-        )
+        d = self.linear.size
+        out = np.full(thetas.shape[0], self.intercept)
+        for a in range(d):
+            out += self.linear[a] * thetas[:, a]
+        for a in range(d):
+            for b in range(d):
+                out += self.quad[a, b] * thetas[:, a] * thetas[:, b]
+        return out
 
-    __call__ = predict
+    def __call__(self, theta):
+        theta = np.asarray(theta, dtype=np.float64)
+        return float(self.evaluate_batch(theta[None, :])[0])
 
     def to_record(self):
         return {
@@ -75,15 +78,15 @@ class QuadraticSurrogate:
         return cls(record["intercept"], record["linear"], record["quad"])
 
 
-def fit_quadratic(distance, region, n_train=None, seed=0):
-    """Least-squares quadratic fit of a distance over one proposal region.
+def fit_quadratic(distance, box, n_train=None, seed=0):
+    """Least-squares quadratic fit of a distance over one bounding box.
 
-    Training points are drawn uniformly inside the region; the distance is
+    Training points are drawn uniformly inside the box; the distance is
     evaluated exactly n_train times.  n_train defaults to 20 design points
     per feature, capped at 500, and must cover the feature count.  Falls
     back to a tiny ridge penalty when the design is rank deficient.
     """
-    d = region.box.dimension
+    d = box.dimension
     n_features = quadratic_feature_count(d)
     if n_train is None:
         n_train = min(20 * n_features, 500)
@@ -91,7 +94,7 @@ def fit_quadratic(distance, region, n_train=None, seed=0):
         raise ValueError(
             f"n_train must be at least the feature count ({n_features})"
         )
-    thetas = region.sample(n_train, seed)
+    thetas = box.sample(n_train, seed)
     values = evaluate_distance_batch(distance, thetas)
     design = _features(thetas)
     coef, _, rank, _ = np.linalg.lstsq(design, values, rcond=None)

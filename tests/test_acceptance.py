@@ -213,7 +213,7 @@ def _check_region_suite():
     solve = solve_problems(make_toy_model(), n1=40, seed=7)
     bundle = estimate_regions(solve, eps=0.75)
     for entry in bundle.entries:
-        box = entry.region.box
+        box = entry.region
         np.testing.assert_allclose(
             box.rotation.T @ box.rotation, np.eye(box.dimension), atol=1e-10
         )
@@ -258,7 +258,7 @@ def _check_weight_suite():
         region, distance = by_index[int(result.problem_indices[j])]
         expected = 0.0
         if distance(theta) <= posterior.eps:
-            expected = posterior.prior.pdf(theta) * region.box.volume
+            expected = posterior.prior.pdf(theta) * region.volume
         assert result.weights[j] == pytest.approx(expected, rel=1e-12)
 
     points, volume = midpoint_grid(posterior.prior.bounds, 0.05)

@@ -75,7 +75,7 @@ class TestSolutionsArtifact:
 
         output = SolveOutput(
             model=make_toy_model(), n1=2, master_seed=0, use_bo=False,
-            options={"master_seed": 0},
+            options={},
             records=[
                 ProblemRecord(index=0, seed=11, error="went sideways"),
                 ProblemRecord(index=1, seed=12, error=None),
@@ -110,10 +110,8 @@ class TestRegionsArtifact:
         assert loaded.fit_models == bundle.fit_models
         assert loaded.accepted == bundle.accepted
         for a, b in zip(loaded.entries, bundle.entries):
-            np.testing.assert_array_equal(a.region.box.rotation,
-                                          b.region.box.rotation)
-            np.testing.assert_array_equal(a.region.box.limits,
-                                          b.region.box.limits)
+            np.testing.assert_array_equal(a.region.rotation, b.region.rotation)
+            np.testing.assert_array_equal(a.region.limits, b.region.limits)
             np.testing.assert_array_equal(a.quadratic.quad, b.quadratic.quad)
             assert a.curvature_source == b.curvature_source
 

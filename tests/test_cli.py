@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from romc import artifacts
-from romc.cli import _write_marginals, main
+from romc.cli import main
 from romc.inference import PosteriorApproximation
 
 
@@ -181,14 +181,14 @@ class TestMarginals:
             pipeline_dir / "samples.csv", pipeline_dir / "samples_meta.json"
         )
         path = tmp_path / "samples_marginals.csv"
-        _write_marginals(path, result)
+        artifacts.write_marginals(path, result)
         before = path.read_bytes()
         # new rows for theta_1 are written before theta_2 raises IndexError
         broken = SimpleNamespace(
             thetas=2.0 * result.thetas, weights=result.weights, dimension=2
         )
         with pytest.raises(IndexError):
-            _write_marginals(path, broken)
+            artifacts.write_marginals(path, broken)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 

@@ -17,7 +17,6 @@ from romc import (
 )
 from romc.inference import PosteriorApproximation, sample
 from romc.model import BoxUniformPrior
-from romc.regions import ProposalRegion
 
 
 class TestMidpointGrid:
@@ -70,7 +69,7 @@ def two_bump_posterior(eps=0.04):
     for center in (0.3, -0.3):
         box = BoundingBox(np.eye(1), np.array([center]),
                           np.array([[-0.25, 0.25]]))
-        regions.append(ProposalRegion(box))
+        regions.append(box)
         distances.append(
             lambda t, c=center: float((np.asarray(t).ravel()[0] - c) ** 2)
         )
@@ -153,13 +152,12 @@ class TestPosteriorApproximation:
     def test_alignment_validation(self):
         prior = BoxUniformPrior([[-1.0, 1.0]])
         box = BoundingBox(np.eye(1), np.zeros(1), np.array([[-0.5, 0.5]]))
-        region = ProposalRegion(box)
         with pytest.raises(ValueError):
             PosteriorApproximation(prior, 0.1, [], [])
         with pytest.raises(ValueError):
-            PosteriorApproximation(prior, 0.1, [region], [])
+            PosteriorApproximation(prior, 0.1, [box], [])
         with pytest.raises(ValueError):
-            PosteriorApproximation(prior, 0.1, [region], [lambda t: 0.0],
+            PosteriorApproximation(prior, 0.1, [box], [lambda t: 0.0],
                                    problem_indices=[1, 2])
 
 
@@ -175,7 +173,7 @@ class TestSample:
             region, distance = by_index[int(result.problem_indices[j])]
             expected = 0.0
             if distance(theta) <= posterior.eps:
-                expected = posterior.prior.pdf(theta) * region.box.volume
+                expected = posterior.prior.pdf(theta) * region.volume
             assert result.weights[j] == pytest.approx(expected, rel=1e-12)
 
     def test_zero_weight_draws_are_kept(self):
@@ -211,7 +209,7 @@ class TestSample:
         by_index = dict(zip(posterior.problem_indices, posterior.regions))
         for pi, region in by_index.items():
             block = result.thetas[result.problem_indices == pi]
-            assert region.box.contains(block).all()
+            assert region.contains(block).all()
 
     def test_draw_indices_run_per_region(self):
         posterior = two_bump_posterior()

@@ -193,6 +193,46 @@ class TestGaussianProcessSurrogate:
         np.testing.assert_allclose(mean, ref_mean, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(var, ref_var, rtol=1e-10)
 
+    def test_hessian_matches_central_difference_of_mean(self, gps, probes):
+        h = 1e-4
+        for gp in gps:
+            for theta in probes[:20]:
+                hess = gp.hessian(theta)
+                fd = np.empty((2, 2))
+                for a in range(2):
+                    ea = np.zeros(2)
+                    ea[a] = h
+                    for b in range(2):
+                        eb = np.zeros(2)
+                        eb[b] = h
+                        fd[a, b] = (
+                            gp(theta + ea + eb) - gp(theta + ea - eb)
+                            - gp(theta - ea + eb) + gp(theta - ea - eb)
+                        ) / (4.0 * h * h)
+                assert np.linalg.norm(hess - fd) <= 1e-3 * np.linalg.norm(hess)
+
+    def test_hessian_is_exactly_symmetric(self, gps, probes):
+        for gp in gps:
+            for theta in probes[:50]:
+                hess = gp.hessian(theta)
+                np.testing.assert_array_equal(hess, hess.T)
+
+    def test_hessian_hand_case_1d(self):
+        # two points at 0 and 1, lengthscale 0.5, variance 2, no noise
+        # offset: mean of values; alpha = K^-1 (values - offset)
+        gp = GaussianProcessSurrogate([[0.0], [1.0]], [1.0, 3.0], [0.5], 2.0,
+                                      0.0)
+        k01 = 2.0 * np.exp(-0.5 * 4.0)
+        alpha = np.linalg.solve([[2.0, k01], [k01, 2.0]], [-1.0, 1.0])
+        theta = 0.3
+        expected = 0.0
+        for x_j, a_j in zip((0.0, 1.0), alpha):
+            u = (theta - x_j) / 0.5
+            k = 2.0 * np.exp(-0.5 * u * u)
+            expected += a_j * k * (u * u - 1.0) / 0.25
+        np.testing.assert_allclose(gp.hessian([theta]), [[expected]],
+                                   rtol=1e-12)
+
     def test_record_round_trip(self):
         gp, inputs, _ = self.make_gp()
         clone = GaussianProcessSurrogate.from_record(gp.to_record())

@@ -29,8 +29,8 @@ def _shifted_region_builder(distance, result, eps, settings):
     return build_box(distance, result, eps, settings)
 
 
-def _tiny_surrogate_fitter(distance, region, n_train, seed):
-    return fit_quadratic(distance, region, n_train=12, seed=seed)
+def _tiny_surrogate_fitter(distance, box, n_train, seed):
+    return fit_quadratic(distance, box, n_train=12, seed=seed)
 
 
 @pytest.fixture(scope="module")
@@ -133,7 +133,7 @@ class TestEstimateRegions:
     def test_minimizers_inside_their_regions(self, toy_solve):
         bundle = estimate_regions(toy_solve, quantile=0.8)
         for entry in bundle.entries:
-            assert entry.region.box.contains(entry.result.x_min)
+            assert entry.region.contains(entry.result.x_min)
             assert entry.curvature_source in ("hess_appr", "jacobian",
                                               "identity")
 

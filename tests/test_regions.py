@@ -11,16 +11,14 @@ semi-axes (1, 0.5).
 import numpy as np
 import pytest
 
-from romc import BoundingBox, OptimisationResult, UnsupportedDimension
+from romc import BoundingBox, OptimisationResult
 from romc.regions import (
-    ProposalRegion,
     RegionSettings,
     build_box,
     choose_curvature,
     curvature_axes,
     jacobian_curvature,
     line_search_extent,
-    region_plot_data,
 )
 
 
@@ -235,41 +233,34 @@ class TestBoundingBox:
 
 
 class TestProposalRegion:
-    def make_region(self):
-        box = BoundingBox(np.eye(2), np.zeros(2),
-                          np.array([[-0.5, 0.5], [-2.0, 2.0]]))
-        return ProposalRegion(box)
+    """A problem's proposal is uniform on its box: BoundingBox.sample."""
 
-    def test_density_is_inverse_volume(self):
-        region = self.make_region()
-        assert region.density == pytest.approx(1.0 / 4.0)
-        assert region.pdf(np.array([0.0, 1.0])) == pytest.approx(0.25)
-        assert region.pdf(np.array([0.9, 0.0])) == 0.0
-
-    def test_pdf_batch_matches_scalar(self):
-        region = self.make_region()
-        thetas = np.random.default_rng(3).uniform(-3, 3, size=(50, 2))
-        batch = region.pdf_batch(thetas)
-        np.testing.assert_array_equal(
-            batch, [region.pdf(t) for t in thetas]
-        )
+    def make_box(self):
+        rotation = np.array([[0.6, -0.8], [0.8, 0.6]])
+        return BoundingBox(rotation, np.array([0.3, -1.0]),
+                           np.array([[-0.5, 0.5], [-2.0, 2.0]]))
 
     def test_samples_inside_and_deterministic(self):
-        region = self.make_region()
-        draws = region.sample(200, 5)
+        box = self.make_box()
+        draws = box.sample(200, 5)
         assert draws.shape == (200, 2)
-        assert region.box.contains(draws).all()
-        np.testing.assert_array_equal(draws, region.sample(200, 5))
+        assert box.contains(draws).all()
+        np.testing.assert_array_equal(draws, box.sample(200, 5))
+        z = box.to_rotated(draws)
+        # uniform in rotated coordinates: both limits are approached
+        np.testing.assert_allclose(z.min(axis=0), box.limits[:, 0], atol=0.1)
+        np.testing.assert_allclose(z.max(axis=0), box.limits[:, 1], atol=0.1)
 
     def test_generator_seed_supported(self):
-        region = self.make_region()
-        a = region.sample(10, np.random.default_rng(4))
-        b = region.sample(10, np.random.default_rng(4))
+        box = self.make_box()
+        a = box.sample(10, np.random.default_rng(4))
+        b = box.sample(10, np.random.default_rng(4))
         np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(a, box.sample(10, 4))
 
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
-            self.make_region().sample(0, 1)
+            self.make_box().sample(0, 1)
 
 
 class TestBuildBox:
@@ -329,30 +320,3 @@ class TestBuildBox:
                         curvature=np.diag([2.0, 8.0]))
         np.testing.assert_allclose(np.abs(box.rotation[:, 0]), [0.0, 1.0],
                                    atol=1e-12)
-
-
-class TestRegionPlotData:
-    def make_region(self, d):
-        limits = np.tile([-1.0, 1.0], (d, 1))
-        return ProposalRegion(BoundingBox(np.eye(d), np.zeros(d), limits))
-
-    def test_2d_shapes(self):
-        data = region_plot_data(self.make_region(2),
-                                lambda t: float(np.sum(np.asarray(t) ** 2)),
-                                grid=16)
-        assert data.corners.shape == (4, 2)
-        assert data.polyline.shape == (5, 2)
-        np.testing.assert_array_equal(data.polyline[0], data.polyline[-1])
-        assert data.grid_points.shape == (256, 2)
-        assert data.grid_values.shape == (256,)
-
-    def test_1d_shapes(self):
-        data = region_plot_data(self.make_region(1),
-                                lambda t: float(np.asarray(t)[0] ** 2),
-                                grid=16)
-        assert data.corners.shape == (2, 1)
-        assert data.grid_points.shape == (16, 1)
-
-    def test_rejects_high_dimension(self):
-        with pytest.raises(UnsupportedDimension):
-            region_plot_data(self.make_region(3), lambda t: 0.0)

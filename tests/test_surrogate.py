@@ -1,11 +1,10 @@
-"""Quadratic surrogates fitted over proposal regions."""
+"""Quadratic surrogates fitted over bounding boxes."""
 
 import numpy as np
 import pytest
 
 from conftest import CountingDistance
 from romc import BoundingBox
-from romc.regions import ProposalRegion
 from romc.surrogate import (
     QuadraticSurrogate,
     fit_quadratic,
@@ -15,7 +14,7 @@ from romc.surrogate import (
 
 def unit_region(d=2, half_width=1.0):
     limits = np.tile([-half_width, half_width], (d, 1))
-    return ProposalRegion(BoundingBox(np.eye(d), np.zeros(d), limits))
+    return BoundingBox(np.eye(d), np.zeros(d), limits)
 
 
 def test_feature_count_hand_values():
@@ -32,16 +31,31 @@ class TestQuadraticSurrogate:
         model = QuadraticSurrogate(2.0, [1.0, -1.0], [[3.0, 0.5], [0.5, 1.0]])
         theta = np.array([1.0, 2.0])
         # 2 + (1 - 2) + (3 + 2*0.5*2 + 4) = 2 - 1 + 9
-        assert model.predict(theta) == pytest.approx(10.0)
+        assert model(theta) == pytest.approx(10.0)
 
     def test_batch_matches_scalar(self):
         model = QuadraticSurrogate(0.5, [2.0, 0.0], [[1.0, 0.0], [0.0, 4.0]])
         thetas = np.random.default_rng(0).uniform(-2, 2, size=(30, 2))
+        reference = [
+            model.intercept + model.linear @ t + t @ model.quad @ t
+            for t in thetas
+        ]
         np.testing.assert_allclose(
-            model.evaluate_batch(thetas),
-            [model.predict(t) for t in thetas],
-            rtol=1e-12,
+            model.evaluate_batch(thetas), reference, rtol=1e-12
         )
+        np.testing.assert_allclose(
+            [model(t) for t in thetas], reference, rtol=1e-12
+        )
+
+    def test_one_row_call_is_bitwise_its_batch_row(self):
+        rng = np.random.default_rng(5)
+        m = rng.standard_normal((3, 3))
+        model = QuadraticSurrogate(rng.standard_normal(), rng.standard_normal(3),
+                                   m @ m.T)
+        thetas = rng.uniform(-3.0, 3.0, size=(4096, 3))
+        batch = model.evaluate_batch(thetas)
+        rows = np.array([model(theta) for theta in thetas])
+        np.testing.assert_array_equal(rows, batch)
 
     def test_symmetrizes_quad(self):
         model = QuadraticSurrogate(0.0, [0.0, 0.0], [[1.0, 1.0], [0.0, 1.0]])
