@@ -67,6 +67,14 @@ class _ToyBatch:
     def __call__(self, thetas):
         return kernels.toy_distance_batch(np.asarray(thetas)[:, 0], self.u, self.y_obs)
 
+    @property
+    def args(self):
+        return self.u, self.y_obs
+
+    @staticmethod
+    def kernel(thetas, u, y_obs):
+        return kernels.toy_distance_batch(np.asarray(thetas)[:, 0], u, y_obs)
+
 
 def make_toy_model():
     return Model(
@@ -198,6 +206,14 @@ class _Ma2Batch:
 
     def __call__(self, thetas):
         return kernels.ma2_distance_batch(thetas, self.gram, self.s1_obs, self.s2_obs)
+
+    @property
+    def args(self):
+        return self.gram, self.s1_obs, self.s2_obs
+
+    @staticmethod
+    def kernel(thetas, gram, s1_obs, s2_obs):
+        return kernels.ma2_distance_batch(thetas, gram, s1_obs, s2_obs)
 
 
 def make_ma2_model(n_obs=DEFAULT_MA2_N_OBS, theta_true=DEFAULT_MA2_THETA_TRUE,

@@ -64,9 +64,12 @@ def ma2_gram(noise):
 
 
 def _ma2_residual(coeffs, s_obs, t1, t2):
-    """s_k - s_obs in Horner form; t1, t2 are floats or equal-length arrays.
+    """s_k - s_obs in Horner form.
 
-    The one expression serves both, so a row gives the same bits either way.
+    t1, t2 are floats or equal-length arrays; the coefficients and s_obs
+    are floats shared by every row or arrays with one entry per row.  The
+    one expression serves all of them, so a row gives the same bits either
+    way.
     """
     c0, c1, c2, c11, c12, c22 = coeffs
     return (c0 - s_obs) + t1 * (c1 + t1 * c11 + t2 * c12) + t2 * (c2 + t2 * c22)
@@ -77,14 +80,15 @@ def ma2_distance_batch(thetas, gram, s1_obs, s2_obs):
 
     thetas: (n, 2) array; gram: the ma2_gram of the seed's noise, as an
     array or as nested lists of floats (plain floats make one-row calls
-    cheaper).  Returns (n,) distances against the observed summaries
-    (s1_obs, s2_obs).  Each row is computed elementwise, so its value does
-    not depend on the batch it is part of.
+    cheaper), or a (2, 6, n) array holding each row's own coefficients,
+    with s1_obs and s2_obs then (n,) arrays too.  Returns (n,) distances
+    against the observed summaries (s1_obs, s2_obs).  Each row is computed
+    elementwise, so its value depends neither on the batch it is part of
+    nor on whether its coefficients are shared or its own.
     """
     th = np.asarray(thetas, dtype=np.float64)
     lag1, lag2 = gram
-    one_row = th.shape[0] == 1
-    if one_row:
+    if th.shape[0] == 1:
         # plain floats skip numpy's per-operation overhead on a single row
         (t1, t2), = th.tolist()
     else:
@@ -92,7 +96,7 @@ def ma2_distance_batch(thetas, gram, s1_obs, s2_obs):
     r1 = _ma2_residual(lag1, s1_obs, t1, t2)
     r2 = _ma2_residual(lag2, s2_obs, t1, t2)
     d = r1 * r1 + r2 * r2
-    return np.array([d]) if one_row else d
+    return np.array([d]) if isinstance(d, float) else d
 
 
 def toy_location(theta):
@@ -108,7 +112,8 @@ def toy_distance_batch(thetas, u, y_obs):
     """Squared distance for a batch of 1d benchmark parameters.
 
     thetas: (n,) array of scalar parameters; u is the fixed standard-normal
-    draw; y_obs the scalar observation.
+    draw and y_obs the scalar observation, both floats shared by every row
+    or (n,) arrays with each row's own.
     """
     t = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
     return (toy_location(t) + u - y_obs) ** 2

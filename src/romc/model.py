@@ -18,8 +18,6 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from .errors import NumericalFailure
-
 SEED_MAX = 2**32
 
 # Named sub-streams used when deriving per-problem generators, so the
@@ -264,25 +262,61 @@ def evaluate_distance_batch(distance, thetas):
     return np.array([float(distance(t)) for t in thetas])
 
 
-def finite_difference_gradient(func, theta, step=1e-5):
-    """Central finite-difference gradient with per-coordinate steps.
+class ObjectiveStack:
+    """The objectives of several runs, evaluated together.
 
-    The step along coordinate m is step * max(1, |theta_m|).  Uses exactly
-    2 * D function evaluations; raises NumericalFailure at the probed point
-    if any evaluation is non-finite.
+    stack(thetas, runs)[i] is the value of row i of thetas under the
+    objective of run runs[i], bit for bit what that objective returns for
+    the row alone.  When the objectives' batch kernels are all of one class
+    that exposes its coefficients as args and its function as a static
+    kernel(thetas, *args), a call is one kernel call with each argument
+    given a trailing axis of one entry per row; the kernel must compute
+    every row elementwise.  Otherwise the rows are evaluated one at a time.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    grad = np.empty_like(theta)
-    for m in range(theta.shape[0]):
-        h = step * max(1.0, abs(theta[m]))
-        probe = theta.copy()
-        probe[m] = theta[m] + h
-        f_plus = func(probe)
-        probe[m] = theta[m] - h
-        f_minus = func(probe)
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise NumericalFailure(
-                f"non-finite objective near coordinate {m}", point=probe
-            )
-        grad[m] = (f_plus - f_minus) / (2.0 * h)
-    return grad
+
+    def __init__(self, objectives):
+        self.objectives = list(objectives)
+        batches = [getattr(o, "batch", None) for o in self.objectives]
+        kind = type(batches[0])
+        self.kernel = None
+        if hasattr(kind, "kernel") and all(type(b) is kind for b in batches):
+            self.kernel = kind.kernel
+            self.args = [np.moveaxis(np.array(column), 0, -1)
+                         for column in zip(*(b.args for b in batches))]
+
+    def __call__(self, thetas, runs):
+        if self.kernel is None:
+            return np.array([float(self.objectives[r](theta))
+                             for r, theta in zip(runs, thetas)])
+        return self.kernel(thetas, *[arg[..., runs] for arg in self.args])
+
+
+def finite_difference_gradient(func, thetas, runs, step=1e-5):
+    """Central finite-difference gradients at every row of thetas.
+
+    func(points, runs) evaluates each point under the objective of its
+    run (an ObjectiveStack); the probes of row i go to runs[i], in one
+    call per coordinate.  The step along coordinate m is
+    step * max(1, |theta_m|).  Returns (grads, finite): finite[i] is False
+    when a probe of row i was non-finite, and its gradient row is then
+    meaningless.
+    """
+    thetas = np.asarray(thetas, dtype=np.float64)
+    n, d = thetas.shape
+    owners = np.concatenate([runs, runs])
+    grads = np.empty_like(thetas)
+    finite = np.ones(n, dtype=bool)
+    # a failed row may subtract infinities; its result is discarded
+    with np.errstate(invalid="ignore", over="ignore"):
+        for m in range(d):
+            col = thetas[:, m]
+            size = np.abs(col)
+            h = step * np.where(size > 1.0, size, 1.0)
+            probes = np.concatenate([thetas, thetas])
+            probes[:n, m] = col + h
+            probes[n:, m] = col - h
+            values = func(probes, owners)
+            f_plus, f_minus = values[:n], values[n:]
+            finite &= np.isfinite(f_plus) & np.isfinite(f_minus)
+            grads[:, m] = (f_plus - f_minus) / (2.0 * h)
+    return grads, finite

@@ -1,11 +1,12 @@
 """Per-seed optimizers and acceptance filtering.
 
 Each deterministic objective is minimized independently, either with a
-quasi-Newton method on finite-difference gradients or, for expensive
-simulators, with Bayesian optimization on a Gaussian-process fit of the
-distance.  Both report a curvature at the minimizer, the BFGS estimate or
-the exact Hessian of the surrogate mean, which the region builder turns
-into box axes.
+quasi-Newton method on finite-difference gradients, whose descents for
+many objectives run in lockstep, or, for expensive simulators, with
+Bayesian optimization on a Gaussian-process fit of the distance.  Both
+report a curvature at the minimizer, the BFGS estimate or the exact
+Hessian of the surrogate mean, which the region builder turns into box
+axes.
 """
 
 import logging
@@ -13,10 +14,9 @@ import logging
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 from scipy.special import ndtr
-from scipy.stats import qmc
 
 from .errors import NumericalFailure
-from .model import finite_difference_gradient
+from .model import ObjectiveStack, finite_difference_gradient
 
 logger = logging.getLogger(__name__)
 
@@ -56,75 +56,108 @@ class OptimisationResult:
         )
 
 
-def _step_cap(x, p, lo, hi):
-    """Largest t >= 0 with x + t*p inside the box [lo, hi] componentwise."""
-    cap = np.inf
-    for m in range(x.size):
-        if p[m] > 0:
-            cap = min(cap, (hi[m] - x[m]) / p[m])
-        elif p[m] < 0:
-            cap = min(cap, (lo[m] - x[m]) / p[m])
-    return max(cap, 0.0)
+def _rows_dot(a, b):
+    """Row-wise dot products as a stack of 1-by-D by D-by-1 matmuls, which
+    make the same BLAS call per row as a 1-D a_i @ b_i."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _bfgs(func, grad, x0, bounds, max_iters, gtol):
-    """Quasi-Newton descent with Armijo backtracking, kept inside bounds.
+def _bfgs(func, x0, bounds, max_iters, gtol, step):
+    """Quasi-Newton descent with Armijo backtracking, kept inside bounds,
+    for P independent runs in lockstep.
 
-    Returns (x, f, inverse_hessian, iterations).  Non-finite objective
-    values during line search simply shrink the step; non-finite gradients
-    propagate NumericalFailure from the gradient routine.
+    func(thetas, runs) evaluates row i of thetas under the objective of
+    run runs[i] (an ObjectiveStack); x0 holds one start point per run.
+    Each iteration moves the runs still active, each with its own step
+    cap, backtracking and inverse-Hessian update, so every run takes
+    exactly the steps it would take alone.  A run stops at its first exit:
+    gradient within gtol, an ascent direction even after a restart from
+    steepest descent, no room inside the bounds, backtracking exhausted, a
+    tiny step, or max_iters.  Non-finite values during line search shrink
+    the step; a run whose start value or gradient probe is non-finite
+    fails.
+
+    Returns (x, f, h_inv, total, iterations): the (P, D) final points,
+    clipped to the bounds, their (P,) values (NaN for a failed run), the
+    (P, D, D) inverse-Hessian estimates, the iterations summed over the
+    runs that did not fail (one int), and the (P,) iterations per run.
     """
     lo, hi = bounds[:, 0], bounds[:, 1]
     x = np.clip(np.asarray(x0, dtype=np.float64), lo, hi)
-    f = func(x)
-    if not np.isfinite(f):
-        raise NumericalFailure("non-finite objective at the start point", point=x)
-    g = grad(x)
-    d = x.size
-    h_inv = np.eye(d)
+    n_runs, d = x.shape
     identity = np.eye(d)
-    iterations = 0
-    while iterations < max_iters:
-        if np.max(np.abs(g)) <= gtol:
+    h_inv = np.tile(identity, (n_runs, 1, 1))
+    iterations = np.zeros(n_runs, dtype=np.int64)
+    g, p, x_new = np.zeros_like(x), np.zeros_like(x), np.zeros_like(x)
+    slope, t, f_new = np.zeros(n_runs), np.zeros(n_runs), np.zeros(n_runs)
+    f = func(x, np.arange(n_runs))
+    failed = ~np.isfinite(f)
+    active = np.flatnonzero(~failed)
+    g[active], finite = finite_difference_gradient(func, x[active], active,
+                                                   step=step)
+    failed[active[~finite]] = True
+    active = active[finite]
+    for _ in range(max_iters):
+        active = active[~(np.max(np.abs(g[active]), axis=1) <= gtol)]
+        if not active.size:
             break
-        p = -h_inv @ g
-        slope = float(g @ p)
-        if slope >= 0.0:
-            # stale curvature produced an ascent direction; restart from steepest descent
-            h_inv = np.eye(d)
-            p = -g
-            slope = float(g @ p)
-            if slope >= 0.0:
-                break
-        cap = _step_cap(x, p, lo, hi)
-        if cap <= 0.0:
-            break
-        t = min(1.0, cap)
-        accepted = False
+        p[active] = (-h_inv[active] @ g[active][:, :, None])[:, :, 0]
+        slope[active] = _rows_dot(g[active], p[active])
+        # stale curvature produced an ascent direction; restart from
+        # steepest descent, and stop where that ascends too
+        ascent = active[slope[active] >= 0.0]
+        h_inv[ascent] = identity
+        p[ascent] = -g[ascent]
+        slope[ascent] = _rows_dot(g[ascent], p[ascent])
+        active = active[~(slope[active] >= 0.0)]
+
+        # largest t >= 0 with x + t*p inside the box, one axis at a time
+        cap = np.full(active.size, np.inf)
+        for m in range(d):
+            pm = p[active, m]
+            limit = np.where(pm > 0.0, hi[m], lo[m])
+            cap = np.minimum(cap, np.divide(
+                limit - x[active, m], pm, out=np.full(active.size, np.inf),
+                where=(pm > 0.0) | (pm < 0.0)))
+        active, cap = active[cap > 0.0], cap[cap > 0.0]
+        t[active] = np.minimum(1.0, cap)
+
+        pending = active
         for _ in range(MAX_BACKTRACKS):
-            x_new = x + t * p
-            f_new = func(x_new)
-            if np.isfinite(f_new) and f_new <= f + ARMIJO_C1 * t * slope:
-                accepted = True
+            x_new[pending] = x[pending] + t[pending, None] * p[pending]
+            f_new[pending] = func(x_new[pending], pending)
+            armijo = (f_new[pending]
+                      <= f[pending] + ARMIJO_C1 * t[pending] * slope[pending])
+            pending = pending[~(np.isfinite(f_new[pending]) & armijo)]
+            if not pending.size:
                 break
-            t *= 0.5
-        if not accepted:
-            break
-        s = x_new - x
-        g_new = grad(x_new)
-        y = g_new - g
-        sy = float(s @ y)
-        if sy > 1e-12 * (np.linalg.norm(s) * np.linalg.norm(y) + 1e-300):
-            rho = 1.0 / sy
-            v = identity - rho * np.outer(s, y)
-            h_inv = v @ h_inv @ v.T + rho * np.outer(s, s)
-        x, f, g = x_new, f_new, g_new
-        iterations += 1
-        if np.linalg.norm(s) <= 1e-12 * (1.0 + np.linalg.norm(x)):
-            break
+            t[pending] *= 0.5
+        active = active[~np.isin(active, pending)]
+
+        g_new, finite = finite_difference_gradient(func, x_new[active], active,
+                                                   step=step)
+        failed[active[~finite]] = True
+        active, g_new = active[finite], g_new[finite]
+        s = x_new[active] - x[active]
+        y = g_new - g[active]
+        sy = _rows_dot(s, y)
+        s_norm = np.sqrt(_rows_dot(s, s))
+        y_norm = np.sqrt(_rows_dot(y, y))
+        update = sy > 1e-12 * (s_norm * y_norm + 1e-300)
+        rows, s_up, y_up = active[update], s[update], y[update]
+        rho = (1.0 / sy[update])[:, None, None]
+        v = identity - rho * (s_up[:, :, None] * y_up[:, None, :])
+        h_inv[rows] = (v @ h_inv[rows] @ v.transpose(0, 2, 1)
+                       + rho * (s_up[:, :, None] * s_up[:, None, :]))
+        x[active], f[active], g[active] = x_new[active], f_new[active], g_new
+        iterations[active] += 1
+        x_norm = np.sqrt(_rows_dot(x[active], x[active]))
+        active = active[~(s_norm <= 1e-12 * (1.0 + x_norm))]
     x = np.clip(x, lo, hi)
-    f = func(x)
-    return x, f, h_inv, iterations
+    done = np.flatnonzero(~failed)
+    f[done] = func(x[done], done)
+    f[failed] = np.nan
+    return x, f, h_inv, int(iterations[done].sum()), iterations
 
 
 def _inverse(matrix):
@@ -138,43 +171,50 @@ def _inverse(matrix):
     return inv
 
 
-def solve_gradient(objective, prior, restarts=1, max_iters=200, seed=0,
-                   step=1e-5, gtol=1e-8):
-    """Minimize one objective with BFGS from prior-drawn start points.
+def solve_gradients(objectives, prior, seeds, restarts=1, max_iters=200,
+                    step=1e-5, gtol=1e-8):
+    """Minimize several objectives with BFGS from prior-drawn start points.
 
-    Runs `restarts` independent descents and keeps the lowest minimum.
-    Returns an OptimisationResult whose x_min lies inside the prior bounds
-    and whose f_min is the objective value there, or None when every
-    restart fails numerically.
+    Objective k runs `restarts` independent descents from start points
+    drawn with seeds[k] and keeps the lowest minimum (the first, on ties).
+    All descents of all objectives run in lockstep, and each gives the
+    same bits as it would alone, so a result does not depend on which
+    other objectives were solved with it.  Returns one entry per
+    objective: an OptimisationResult whose x_min lies inside the prior
+    bounds and whose f_min is the objective value there, or None when
+    every restart fails numerically.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    rng = np.random.default_rng(seed)
-    bounds = prior.bounds
+    starts = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        starts.extend(prior.sample(rng) for _ in range(restarts))
+    runs = ObjectiveStack(o for o in objectives for _ in range(restarts))
+    x, f, h_inv, _, iterations = _bfgs(runs, np.array(starts), prior.bounds,
+                                       max_iters, gtol, step)
+    results = []
+    for first in range(0, len(starts), restarts):
+        best = None
+        for r in range(first, first + restarts):
+            if np.isfinite(f[r]) and (best is None or f[r] < f[best]):
+                best = r
+        results.append(None if best is None else OptimisationResult(
+            x[best], f[best], _inverse(h_inv[best]),
+            iterations=int(iterations[best]),
+        ))
+    return results
 
-    def grad(x):
-        return finite_difference_gradient(objective, x, step=step)
 
-    best = None
-    for attempt in range(restarts):
-        x0 = prior.sample(rng)
-        try:
-            x, f, h_inv, iterations = _bfgs(
-                objective, grad, x0, bounds, max_iters, gtol
-            )
-        except NumericalFailure as exc:
-            logger.debug("restart %d failed: %s", attempt, exc)
-            continue
-        if not np.isfinite(f):
-            continue
-        if best is None or f < best[1]:
-            best = (x, f, h_inv, iterations)
-    if best is None:
-        return None
-    x, f, h_inv, iterations = best
-    return OptimisationResult(x, f, _inverse(h_inv), iterations=iterations)
+def solve_gradient(objective, prior, restarts=1, max_iters=200, seed=0,
+                   step=1e-5, gtol=1e-8):
+    """Minimize one objective with BFGS from `restarts` prior-drawn start
+    points: solve_gradients for this objective alone, so the result (or
+    None when every restart fails) is the one it gets in any batch."""
+    return solve_gradients([objective], prior, [seed], restarts=restarts,
+                           max_iters=max_iters, step=step, gtol=gtol)[0]
 
 
 class GaussianProcessSurrogate:
@@ -323,6 +363,24 @@ def _expected_improvement(mean, var, f_best):
     return np.maximum(ei, 0.0)
 
 
+def _latin_hypercube(rng, n, lo, hi):
+    """n points of a Latin-hypercube design in the box [lo, hi] (McKay et
+    al., Technometrics 1979): each axis is cut into n equal strata and
+    every stratum holds one point.
+
+    Draws from a child generator spawned from rng, so the points and rng's
+    own later draws equal those of
+    qmc.scale(scipy.stats.qmc.LatinHypercube(d, seed=rng).random(n), lo, hi),
+    bit for bit, without importing scipy.stats.
+    """
+    child = rng.spawn(1)[0]
+    u = child.uniform(size=(n, lo.size))
+    perms = np.tile(np.arange(1, n + 1), (lo.size, 1))
+    for row in perms:
+        child.shuffle(row)
+    return (perms.T - u) / n * (hi - lo) + lo
+
+
 def solve_bayesian(objective, prior, budget=64, init_points=10, seed=0,
                    n_candidates=512):
     """Minimize one objective with expected-improvement Bayesian optimization.
@@ -342,9 +400,7 @@ def solve_bayesian(objective, prior, budget=64, init_points=10, seed=0,
     lo, hi = bounds[:, 0], bounds[:, 1]
     d = prior.dimension
 
-    sampler = qmc.LatinHypercube(d=d, seed=rng)
-    unit = sampler.random(init_points)
-    inputs = list(qmc.scale(unit, lo, hi))
+    inputs = list(_latin_hypercube(rng, init_points, lo, hi))
     values = [float(objective(x)) for x in inputs]
     if not np.all(np.isfinite(values)):
         return None

@@ -36,8 +36,9 @@ from .optimize import (
     filter_solutions,
     solve_bayesian,
     solve_gradient,
+    solve_gradients,
 )
-from .parallel import run_tasks
+from .parallel import effective_workers, run_tasks
 from .regions import BoundingBox, RegionSettings, build_box, choose_curvature
 from .surrogate import fit_quadratic
 
@@ -84,6 +85,52 @@ def _solve_task(payload):
     return out, None
 
 
+def _solve_chunk_task(payloads):
+    """Gradient solves of a run of problems in one lockstep descent; each
+    payload is that of _solve_task."""
+    model, _, _, master_seed, options, _ = payloads[0]
+    results = solve_gradients(
+        [make_objective(model, seed, index) for _, seed, index, *_ in payloads],
+        model.prior,
+        [[master_seed, index, STREAM_SOLVE] for _, _, index, *_ in payloads],
+        restarts=options["restarts"],
+        max_iters=options["max_iters"],
+        step=options["gradient_step"],
+    )
+    return [(result, None) for result in results]
+
+
+def _solve_in_chunks(tasks, workers):
+    """run_tasks for gradient solves, one contiguous chunk of problems per
+    worker.  Each result equals a solve of its problem alone, so the
+    output does not depend on the chunking.  A problem's seconds are its
+    chunk's wall time divided by the chunk's size.  A chunk that raises is
+    solved again one problem at a time, so the failure stays with the
+    problem that raised it."""
+    n_chunks = min(effective_workers(workers), len(tasks))
+    edges = [len(tasks) * k // n_chunks for k in range(n_chunks + 1)]
+    chunks = [tasks[a:b] for a, b in zip(edges, edges[1:])]
+    outputs, failed, chunk_seconds = run_tasks(
+        _solve_chunk_task,
+        [(k, [payload for _, payload in chunk]) for k, chunk in enumerate(chunks)],
+        workers=workers,
+    )
+    results, failures, seconds = {}, {}, {}
+    retry = []
+    for k, chunk in enumerate(chunks):
+        if k in failed:
+            retry.extend(chunk)
+            continue
+        for (key, _), value in zip(chunk, outputs[k]):
+            results[key] = value
+            seconds[key] = chunk_seconds[k] / len(chunk)
+    if retry:
+        again = run_tasks(_solve_task, retry, workers=workers)
+        for merged, part in zip((results, failures, seconds), again):
+            merged.update(part)
+    return results, failures, seconds
+
+
 @dataclass
 class SolveOutput:
     """All optimization outcomes plus the configuration that made them."""
@@ -122,8 +169,9 @@ def solve_problems(model, n1, seed, use_bo=False, restarts=1, max_iters=200,
 
     solver optionally replaces the built-in optimizers; it must be a
     picklable callable (objective, prior, seed) -> OptimisationResult,
-    (result, surrogate) or None.  Failures are recorded per problem, not
-    raised.
+    (result, surrogate) or None, called once per problem.  The built-in
+    gradient solve runs every problem of a worker's chunk in lockstep.
+    Failures are recorded per problem, not raised.
     """
     seeds = draw_nuisance_seeds(n1, seed)
     options = {
@@ -137,7 +185,11 @@ def solve_problems(model, n1, seed, use_bo=False, restarts=1, max_iters=200,
     tasks = [
         (i, (model, seeds[i], i, int(seed), options, solver)) for i in range(n1)
     ]
-    results, failures, seconds = run_tasks(_solve_task, tasks, workers=workers)
+    if solver is None and not use_bo:
+        results, failures, seconds = _solve_in_chunks(tasks, workers)
+    else:
+        results, failures, seconds = run_tasks(_solve_task, tasks,
+                                               workers=workers)
     records = []
     for i in range(n1):
         record = ProblemRecord(index=i, seed=seeds[i], seconds=seconds[i])

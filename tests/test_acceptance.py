@@ -27,7 +27,7 @@ from romc import (
     solve_problems,
 )
 from romc.inference import PosteriorApproximation
-from romc.model import BoxUniformPrior, finite_difference_gradient
+from romc.model import BoxUniformPrior, ObjectiveStack, finite_difference_gradient
 from romc.optimize import compute_eps, solve_gradient
 from romc.regions import RegionSettings, build_box, line_search_extent
 
@@ -288,7 +288,9 @@ def _check_optimization_suite():
 
     point = np.array([0.7, -1.2])
     analytic = 2.0 * quad @ (point - center)
-    numeric = finite_difference_gradient(objective, point)
+    (numeric,), _ = finite_difference_gradient(
+        ObjectiveStack([objective]), point[None, :], [0]
+    )
     assert np.abs(numeric - analytic).max() <= 1e-4 * np.abs(analytic).max()
 
     values = [5.0, 1.0, 3.0, 2.0, 4.0]

@@ -5,6 +5,7 @@ field must survive write/load exactly; rewriting an artifact from its
 loaded form must reproduce the original file byte for byte.
 """
 
+import csv
 import json
 
 import numpy as np
@@ -15,6 +16,7 @@ from romc import (
     Model,
     artifacts,
     estimate_regions,
+    make_ma2_model,
     make_toy_model,
     solve_problems,
 )
@@ -185,6 +187,20 @@ class TestTelemetry:
         lines = path.read_text().splitlines()
         assert lines[0] == "index,status,f_min,iterations,seconds"
         assert len(lines) == 1 + solve_output.n1
+
+    def test_chunked_solve_telemetry_has_finite_seconds_per_problem(
+            self, tmp_path):
+        # the gradient solve runs its problems as one chunk, and each
+        # problem reports the chunk's wall time divided by its size
+        out = solve_problems(make_ma2_model(), n1=12, seed=4, restarts=2)
+        path = tmp_path / "telemetry.csv"
+        artifacts.write_solve_telemetry(path, out)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(row["index"]) for row in rows] == list(range(12))
+        seconds = np.array([float(row["seconds"]) for row in rows])
+        assert np.all(np.isfinite(seconds)) and np.all(seconds >= 0.0)
+        assert np.all(seconds == seconds[0])
 
     def test_region_telemetry_rows(self, bundle, tmp_path):
         path = tmp_path / "telemetry.csv"

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CountingDistance
-from romc import NumericalFailure, make_toy_model
+from romc import make_ma2_model, make_toy_model
 from romc.model import (
     BoxUniformPrior,
     IdentitySummary,
+    ObjectiveStack,
     derive_rng,
     draw_nuisance_seeds,
     evaluate_distance_batch,
@@ -176,6 +177,46 @@ def test_evaluate_distance_batch_falls_back_to_row_loop():
     )
 
 
+class TestObjectiveStack:
+    @pytest.mark.parametrize("make_model", [make_toy_model, make_ma2_model])
+    def test_rows_equal_each_objective_alone_bitwise(self, make_model):
+        model = make_model()
+        objectives = [make_objective(model, seed, i)
+                      for i, seed in enumerate(draw_nuisance_seeds(40, 3))]
+        stack = ObjectiveStack(objectives)
+        assert stack.kernel is not None
+        rng = np.random.default_rng(5)
+        runs = rng.integers(0, 40, size=300)
+        thetas = np.array([model.prior.sample(rng) for _ in runs])
+        alone = np.array([objectives[r](t) for r, t in zip(runs, thetas)])
+        got = stack(thetas, runs)
+        np.testing.assert_array_equal(got.view(np.uint64), alone.view(np.uint64))
+        for j in (0, 7):
+            one = stack(thetas[j:j + 1], runs[j:j + 1])
+            assert one.shape == (1,) and one[0] == alone[j]
+
+    def test_objectives_without_a_stackable_kernel_go_row_by_row(self, toy_model):
+        counters = [CountingDistance(lambda x: float(x[0])),
+                    CountingDistance(lambda x: 2.0 * float(x[0]))]
+        stack = ObjectiveStack(counters)
+        assert stack.kernel is None
+        got = stack(np.array([[1.0], [1.5], [3.0]]), [1, 0, 1])
+        np.testing.assert_array_equal(got, [2.0, 1.5, 6.0])
+        assert [c.calls for c in counters] == [1, 2]
+        # one objective with a kernel among plain callables also goes row by row
+        mixed = ObjectiveStack([make_objective(toy_model, 4, 0), counters[0]])
+        assert mixed.kernel is None
+
+
+def _gradient(func, x):
+    """Gradient of one scalar function at one point."""
+    grads, finite = finite_difference_gradient(
+        ObjectiveStack([func]), np.asarray(x, dtype=np.float64)[None, :], [0]
+    )
+    assert finite[0]
+    return grads[0]
+
+
 class TestFiniteDifferenceGradient:
     def test_matches_analytic_gradient(self):
         def f(x):
@@ -187,27 +228,48 @@ class TestFiniteDifferenceGradient:
         rng = np.random.default_rng(2)
         for _ in range(20):
             x = rng.uniform(-3, 3, size=2)
-            g = finite_difference_gradient(f, x)
+            g = _gradient(f, x)
             exact = grad(x)
             scale = max(1.0, float(np.max(np.abs(exact))))
             assert np.max(np.abs(g - exact)) / scale <= 1e-4
 
     def test_exact_for_linear_functions(self):
-        g = finite_difference_gradient(lambda x: 2.0 * x[0] - 7.0 * x[1], np.zeros(2))
+        g = _gradient(lambda x: 2.0 * x[0] - 7.0 * x[1], np.zeros(2))
         np.testing.assert_allclose(g, [2.0, -7.0], atol=1e-9)
 
     def test_uses_exactly_two_evals_per_coordinate(self):
         counter = CountingDistance(lambda x: float(np.sum(x**2)))
-        finite_difference_gradient(counter, np.array([1.0, 2.0, 3.0]))
+        finite_difference_gradient(
+            ObjectiveStack([counter]), np.array([[1.0, 2.0, 3.0]]), [0]
+        )
         assert counter.calls == 6
 
-    def test_nonfinite_raises_with_point(self):
+    def test_one_call_per_coordinate_for_all_rows(self):
+        calls = []
+
+        def stacked(points, runs):
+            calls.append((len(points), list(runs)))
+            return np.sum(points**2, axis=1) * (1.0 + np.asarray(runs))
+
+        thetas = np.random.default_rng(4).uniform(-3, 3, size=(5, 3))
+        runs = np.array([4, 0, 2, 2, 1])
+        grads, finite = finite_difference_gradient(stacked, thetas, runs)
+        # forward probes of every row, then the backward ones
+        assert calls == [(10, [4, 0, 2, 2, 1] * 2)] * 3
+        assert finite.all()
+        for theta, run, grad in zip(thetas, runs, grads):
+            alone, _ = finite_difference_gradient(stacked, theta[None, :], [run])
+            np.testing.assert_array_equal(grad, alone[0])
+
+    def test_nonfinite_probe_fails_only_its_row(self):
         def f(x):
             return np.nan if x[0] > 1.0 else float(x[0])
 
-        with pytest.raises(NumericalFailure) as excinfo:
-            finite_difference_gradient(f, np.array([1.0]))
-        assert excinfo.value.point is not None
+        grads, finite = finite_difference_gradient(
+            ObjectiveStack([f]), np.array([[1.0], [0.5]]), [0, 0]
+        )
+        np.testing.assert_array_equal(finite, [False, True])
+        assert grads[1, 0] == pytest.approx(1.0)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -219,7 +281,7 @@ class TestFiniteDifferenceGradient:
         def f(x):
             return a * x[0] ** 2 + b * x[1] ** 2
 
-        g = finite_difference_gradient(f, np.array([x0, x1]))
+        g = _gradient(f, np.array([x0, x1]))
         exact = np.array([2 * a * x0, 2 * b * x1])
         assert np.max(np.abs(g - exact)) <= 1e-4 * max(1.0, np.max(np.abs(exact)))
 

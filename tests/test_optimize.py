@@ -5,6 +5,10 @@ both optimization routes; compute_eps is checked against hand-sorted
 order statistics and an order-statistic counting property.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +25,7 @@ from romc.optimize import (
     solve_bayesian,
     solve_gradient,
 )
-from romc.optimize import _fit_gp
+from romc.optimize import _fit_gp, _latin_hypercube
 
 
 def quadratic(target, scale):
@@ -300,6 +304,29 @@ class TestSolveBayesian:
         out = solve_bayesian(lambda x: np.nan, unit_square_prior, budget=16,
                              init_points=4, seed=0)
         assert out is None
+
+    @pytest.mark.parametrize("seed", [[21, 5, 1], [3, 0, 1], 7, [101, 199, 1]])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_latin_hypercube_equals_scipy_qmc_bitwise(self, seed, d):
+        from scipy.stats import qmc
+
+        lo, hi = np.linspace(-2.0, -1.0, d), np.linspace(1.0, 3.0, d)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _latin_hypercube(ours, 10, lo, hi)
+        expected = qmc.scale(qmc.LatinHypercube(d=d, seed=theirs).random(10),
+                             lo, hi)
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      expected.view(np.uint64))
+        # the parent generator is left where scipy leaves it
+        assert ours.uniform() == theirs.uniform()
+
+    def test_import_does_not_load_scipy_stats(self):
+        code = "import sys, romc; print('scipy.stats' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120,
+                              check=True)
+        assert done.stdout.strip() == "False"
 
     def test_validation(self, unit_square_prior):
         f = quadratic([0.0, 0.0], [1.0, 1.0])
