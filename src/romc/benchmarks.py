@@ -61,15 +61,7 @@ class _ToyBatchFactory:
 
 class _ToyBatch:
     def __init__(self, u, y_obs):
-        self.u = u
-        self.y_obs = y_obs
-
-    def __call__(self, thetas):
-        return kernels.toy_distance_batch(np.asarray(thetas)[:, 0], self.u, self.y_obs)
-
-    @property
-    def args(self):
-        return self.u, self.y_obs
+        self.args = (u, y_obs)
 
     @staticmethod
     def kernel(thetas, u, y_obs):
@@ -200,16 +192,7 @@ class _Ma2BatchFactory:
 
 class _Ma2Batch:
     def __init__(self, gram, s1_obs, s2_obs):
-        self.gram = gram
-        self.s1_obs = s1_obs
-        self.s2_obs = s2_obs
-
-    def __call__(self, thetas):
-        return kernels.ma2_distance_batch(thetas, self.gram, self.s1_obs, self.s2_obs)
-
-    @property
-    def args(self):
-        return self.gram, self.s1_obs, self.s2_obs
+        self.args = (gram, s1_obs, s2_obs)
 
     @staticmethod
     def kernel(thetas, gram, s1_obs, s2_obs):

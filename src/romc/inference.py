@@ -10,7 +10,7 @@ averages and zero-weight draws stay in the output for diagnostics.
 import numpy as np
 
 from .errors import DegenerateResult, UnsupportedDimension
-from .model import STREAM_SAMPLE, derive_rng, evaluate_distance_batch
+from .model import STREAM_SAMPLE, DistanceStack, derive_rng
 
 GRID_CELLS_PER_AXIS = 200
 GRID_MAX_DIMENSION = 3
@@ -96,7 +96,7 @@ class PosteriorApproximation:
             counts = np.zeros(int(active.sum()))
             subset = thetas[active]
             for distance in self.distances:
-                counts += evaluate_distance_batch(distance, subset) <= self.eps
+                counts += distance.evaluate_batch(subset) <= self.eps
             out[active] = pdf[active] * counts
         return out
 
@@ -227,26 +227,22 @@ def sample(posterior, n2, seed):
     Each region i gets its own generator derived from (seed, problem
     index), so results do not depend on evaluation order.  Weights are
     indicator(distance <= eps) * prior(theta) * box volume, the box volume
-    being 1 / proposal density.
+    being 1 / proposal density; the k * n2 draws are evaluated in one
+    DistanceStack call and one pdf_batch.
     """
     if n2 < 1:
         raise ValueError("n2 must be positive")
     k = posterior.n_regions
-    d = posterior.regions[0].dimension
-    thetas = np.empty((k * n2, d))
-    weights = np.empty(k * n2)
-    problem_indices = np.empty(k * n2, dtype=np.int64)
+    thetas = np.concatenate([
+        region.sample(n2, derive_rng(seed, pi, STREAM_SAMPLE))
+        for pi, region in zip(posterior.problem_indices, posterior.regions)
+    ])
+    owners = np.repeat(np.arange(k), n2)
+    dist = DistanceStack(posterior.distances)(thetas, owners)
+    pdf = np.asarray(posterior.prior.pdf_batch(thetas), dtype=np.float64)
+    volumes = np.array([region.volume for region in posterior.regions])[owners]
+    weights = np.where(dist <= posterior.eps, pdf * volumes, 0.0)
+    problem_indices = np.array(posterior.problem_indices, dtype=np.int64)[owners]
     draw_indices = np.tile(np.arange(n2, dtype=np.int64), k)
-    for pos, (pi, region, distance) in enumerate(
-        zip(posterior.problem_indices, posterior.regions, posterior.distances)
-    ):
-        rng = derive_rng(seed, pi, STREAM_SAMPLE)
-        block = slice(pos * n2, (pos + 1) * n2)
-        draws = region.sample(n2, rng)
-        dist = evaluate_distance_batch(distance, draws)
-        pdf = np.asarray(posterior.prior.pdf_batch(draws), dtype=np.float64)
-        thetas[block] = draws
-        weights[block] = np.where(dist <= posterior.eps, pdf * region.volume, 0.0)
-        problem_indices[block] = pi
     return InferenceResult(thetas, weights, problem_indices, draw_indices,
                            posterior.eps, seed)

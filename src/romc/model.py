@@ -172,9 +172,9 @@ class _SeedBound:
 class DeterministicObjective:
     """Distance to the observed summaries under one fixed simulator seed.
 
-    Scalar evaluation routes through the batch path when one is available
-    so that a point evaluated alone and the same point evaluated inside a
-    batch give bit-identical values.
+    batch, when given, holds the seed's coefficients as `args` and the
+    distance as a static `kernel(thetas, *args)`; a point evaluated alone
+    goes through the same kernel as a batch, so both give the same bits.
     """
 
     def __init__(self, simulate, summary, observed_summary, distance, seed, index,
@@ -200,7 +200,7 @@ class DeterministicObjective:
                 f"theta must have shape ({self.dimension},), got {theta.shape}"
             )
         if self.batch is not None:
-            return float(self.batch(theta[None, :])[0])
+            return float(self.batch.kernel(theta[None, :], *self.batch.args)[0])
         return float(self.distance(self.summaries(theta), self.observed_summary))
 
     def evaluate_batch(self, thetas):
@@ -210,7 +210,7 @@ class DeterministicObjective:
                 f"thetas must have shape (n, {self.dimension}), got {thetas.shape}"
             )
         if self.batch is not None:
-            return np.asarray(self.batch(thetas), dtype=np.float64)
+            return self.batch.kernel(thetas, *self.batch.args)
         return np.array([self.evaluate(t) for t in thetas])
 
     __call__ = evaluate
@@ -250,33 +250,21 @@ def make_objective(model, seed, index, observed=None):
     )
 
 
-def evaluate_distance_batch(distance, thetas):
-    """Evaluate any distance-like callable on rows of thetas.
+class DistanceStack:
+    """Several distances, evaluated together.
 
-    Objects exposing evaluate_batch (objectives, surrogates) use it; plain
-    scalar callables are applied row by row.
-    """
-    thetas = np.asarray(thetas, dtype=np.float64)
-    if hasattr(distance, "evaluate_batch"):
-        return np.asarray(distance.evaluate_batch(thetas), dtype=np.float64)
-    return np.array([float(distance(t)) for t in thetas])
-
-
-class ObjectiveStack:
-    """The objectives of several runs, evaluated together.
-
-    stack(thetas, runs)[i] is the value of row i of thetas under the
-    objective of run runs[i], bit for bit what that objective returns for
-    the row alone.  When the objectives' batch kernels are all of one class
-    that exposes its coefficients as args and its function as a static
-    kernel(thetas, *args), a call is one kernel call with each argument
-    given a trailing axis of one entry per row; the kernel must compute
-    every row elementwise.  Otherwise the rows are evaluated one at a time.
+    A distance is any object with evaluate_batch(thetas) whose rows do not
+    depend on the batch.  stack(thetas, owners)[i] is row i of thetas under
+    distance owners[i], bit for bit its value alone.  When every distance
+    is an objective whose batch is of one class with coefficients args and
+    a static, elementwise kernel(thetas, *args), a call is one kernel call,
+    each argument given a trailing axis of one entry per row.  Otherwise a
+    call is one evaluate_batch per owner present.
     """
 
-    def __init__(self, objectives):
-        self.objectives = list(objectives)
-        batches = [getattr(o, "batch", None) for o in self.objectives]
+    def __init__(self, distances):
+        self.distances = list(distances)
+        batches = [getattr(d, "batch", None) for d in self.distances]
         kind = type(batches[0])
         self.kernel = None
         if hasattr(kind, "kernel") and all(type(b) is kind for b in batches):
@@ -284,18 +272,22 @@ class ObjectiveStack:
             self.args = [np.moveaxis(np.array(column), 0, -1)
                          for column in zip(*(b.args for b in batches))]
 
-    def __call__(self, thetas, runs):
-        if self.kernel is None:
-            return np.array([float(self.objectives[r](theta))
-                             for r, theta in zip(runs, thetas)])
-        return self.kernel(thetas, *[arg[..., runs] for arg in self.args])
+    def __call__(self, thetas, owners):
+        if self.kernel is not None:
+            return self.kernel(thetas, *[arg[..., owners] for arg in self.args])
+        owners = np.asarray(owners)
+        out = np.empty(len(owners))
+        for owner in np.unique(owners):
+            rows = owners == owner
+            out[rows] = self.distances[owner].evaluate_batch(thetas[rows])
+        return out
 
 
 def finite_difference_gradient(func, thetas, runs, step=1e-5):
     """Central finite-difference gradients at every row of thetas.
 
     func(points, runs) evaluates each point under the objective of its
-    run (an ObjectiveStack); the probes of row i go to runs[i], in one
+    run (a DistanceStack); the probes of row i go to runs[i], in one
     call per coordinate.  The step along coordinate m is
     step * max(1, |theta_m|).  Returns (grads, finite): finite[i] is False
     when a probe of row i was non-finite, and its gradient row is then

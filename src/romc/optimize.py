@@ -16,7 +16,7 @@ from scipy.linalg import cho_solve, solve_triangular
 from scipy.special import ndtr
 
 from .errors import NumericalFailure
-from .model import ObjectiveStack, finite_difference_gradient
+from .model import DistanceStack, finite_difference_gradient
 
 logger = logging.getLogger(__name__)
 
@@ -67,7 +67,7 @@ def _bfgs(func, x0, bounds, max_iters, gtol, step):
     for P independent runs in lockstep.
 
     func(thetas, runs) evaluates row i of thetas under the objective of
-    run runs[i] (an ObjectiveStack); x0 holds one start point per run.
+    run runs[i] (a DistanceStack); x0 holds one start point per run.
     Each iteration moves the runs still active, each with its own step
     cap, backtracking and inverse-Hessian update, so every run takes
     exactly the steps it would take alone.  A run stops at its first exit:
@@ -192,7 +192,7 @@ def solve_gradients(objectives, prior, seeds, restarts=1, max_iters=200,
     for seed in seeds:
         rng = np.random.default_rng(seed)
         starts.extend(prior.sample(rng) for _ in range(restarts))
-    runs = ObjectiveStack(o for o in objectives for _ in range(restarts))
+    runs = DistanceStack(o for o in objectives for _ in range(restarts))
     x, f, h_inv, _, iterations = _bfgs(runs, np.array(starts), prior.bounds,
                                        max_iters, gtol, step)
     results = []
@@ -282,10 +282,6 @@ class GaussianProcessSurrogate:
         for rows, _, block_mean in self._blocks(thetas):
             mean[rows] = block_mean
         return mean
-
-    def __call__(self, theta):
-        theta = np.asarray(theta, dtype=np.float64)
-        return float(self.evaluate_batch(theta[None, :])[0])
 
     def hessian(self, theta):
         """Exact Hessian of the posterior mean at one point:

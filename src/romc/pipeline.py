@@ -3,7 +3,8 @@
 solve_problems draws one nuisance seed per problem and minimizes every
 deterministic objective; estimate_regions picks the acceptance threshold,
 builds a bounding box per accepted problem and optionally fits local
-quadratic models.  The resulting InferenceBundle knows how to hand out
+quadratic models.  The built-in gradient solve and box construction run
+each worker's chunk of problems in lockstep.  The resulting InferenceBundle knows how to hand out
 the per-problem distance, the posterior approximation and weighted
 samples.
 
@@ -24,6 +25,7 @@ from .inference import sample as sample_posterior
 from .model import (
     STREAM_FIT,
     STREAM_SOLVE,
+    DistanceStack,
     Model,
     draw_nuisance_seeds,
     make_objective,
@@ -39,7 +41,13 @@ from .optimize import (
     solve_gradients,
 )
 from .parallel import effective_workers, run_tasks
-from .regions import BoundingBox, RegionSettings, build_box, choose_curvature
+from .regions import (
+    BoundingBox,
+    RegionSettings,
+    build_box,
+    build_boxes,
+    choose_curvature,
+)
 from .surrogate import fit_quadratic
 
 
@@ -100,18 +108,20 @@ def _solve_chunk_task(payloads):
     return [(result, None) for result in results]
 
 
-def _solve_in_chunks(tasks, workers):
-    """run_tasks for gradient solves, one contiguous chunk of problems per
-    worker.  Each result equals a solve of its problem alone, so the
-    output does not depend on the chunking.  A problem's seconds are its
+def _run_in_chunks(chunk_task, item_task, tasks, workers):
+    """run_tasks with one contiguous chunk of tasks per worker.
+
+    chunk_task takes a list of payloads and returns one value per payload,
+    each equal to what item_task returns for that payload alone, so the
+    output does not depend on the chunking.  An item's seconds are its
     chunk's wall time divided by the chunk's size.  A chunk that raises is
-    solved again one problem at a time, so the failure stays with the
-    problem that raised it."""
+    run again one item at a time with item_task, so the failure stays with
+    the item that raised it."""
     n_chunks = min(effective_workers(workers), len(tasks))
     edges = [len(tasks) * k // n_chunks for k in range(n_chunks + 1)]
     chunks = [tasks[a:b] for a, b in zip(edges, edges[1:])]
     outputs, failed, chunk_seconds = run_tasks(
-        _solve_chunk_task,
+        chunk_task,
         [(k, [payload for _, payload in chunk]) for k, chunk in enumerate(chunks)],
         workers=workers,
     )
@@ -125,7 +135,7 @@ def _solve_in_chunks(tasks, workers):
             results[key] = value
             seconds[key] = chunk_seconds[k] / len(chunk)
     if retry:
-        again = run_tasks(_solve_task, retry, workers=workers)
+        again = run_tasks(item_task, retry, workers=workers)
         for merged, part in zip((results, failures, seconds), again):
             merged.update(part)
     return results, failures, seconds
@@ -186,7 +196,8 @@ def solve_problems(model, n1, seed, use_bo=False, restarts=1, max_iters=200,
         (i, (model, seeds[i], i, int(seed), options, solver)) for i in range(n1)
     ]
     if solver is None and not use_bo:
-        results, failures, seconds = _solve_in_chunks(tasks, workers)
+        results, failures, seconds = _run_in_chunks(
+            _solve_chunk_task, _solve_task, tasks, workers)
     else:
         results, failures, seconds = run_tasks(_solve_task, tasks,
                                                workers=workers)
@@ -223,6 +234,20 @@ def _region_task(payload):
         curvature, source = choose_curvature(result, objective=objective)
         box = build_box(distance, result, eps, settings, curvature=curvature)
     return box, source
+
+
+def _region_chunk_task(payloads):
+    """Boxes of a run of accepted problems from one lockstep walk; each
+    payload is that of _region_task with no region_builder."""
+    distances, results, chosen = [], [], []
+    for model, seed, index, result, gp, eps, settings, _ in payloads:
+        objective = make_objective(model, seed, index)
+        distances.append(gp if gp is not None else objective)
+        results.append(result)
+        chosen.append(choose_curvature(result, objective=objective))
+    boxes = build_boxes(DistanceStack(distances), results,
+                        [curvature for curvature, _ in chosen], eps, settings)
+    return [(box, source) for box, (_, source) in zip(boxes, chosen)]
 
 
 def _fit_task(payload):
@@ -324,7 +349,10 @@ def estimate_regions(solve_output, eps=None, quantile=None, fraction=0.05,
     the distance the regions and inference run on: None follows the solve
     phase (surrogate means after Bayesian optimization), True forces the
     surrogate means, False forces the real objectives.  fit_models adds a
-    quadratic fit of that distance over each region.
+    quadratic fit of that distance over each region.  The boxes of a
+    worker's chunk come from one lockstep walk; region_builder, a picklable
+    callable (distance, result, eps, settings) -> BoundingBox, replaces
+    that walk and is called once per region.
     """
     if eps is not None and quantile is not None:
         raise ValueError("give either eps or quantile, not both")
@@ -360,9 +388,12 @@ def estimate_regions(solve_output, eps=None, quantile=None, fraction=0.05,
             (i, (model, record.seed, i, record.result, gp, eps, settings,
                  region_builder))
         )
-    results, failures, region_seconds = run_tasks(
-        _region_task, tasks, workers=workers
-    )
+    if region_builder is None:
+        results, failures, region_seconds = _run_in_chunks(
+            _region_chunk_task, _region_task, tasks, workers)
+    else:
+        results, failures, region_seconds = run_tasks(
+            _region_task, tasks, workers=workers)
 
     entries = []
     for i in accepted:

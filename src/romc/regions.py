@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure
+from .model import DistanceStack
 
 ORTHO_TOL = 1e-8
 
@@ -109,35 +110,49 @@ class RegionSettings:
         return cls(eta_start=eta, refinements=refinements, max_steps=max_steps)
 
 
-def line_search_extent(distance, center, direction, eps, settings):
-    """Distance from center to the acceptance boundary along a unit direction.
+def line_search_extents(func, centers, directions, owners, eps, settings):
+    """Distance from each center to the acceptance boundary along its unit
+    direction, every row in one lockstep walk.
 
-    Each pass walks outward in steps of eta until the distance exceeds eps
-    or max_steps steps have been taken, retreats one step, halves eta, and
-    repeats for `refinements` passes.  If no step was ever kept the extent
-    falls back to half the final step size, so the result is always
-    positive.
+    func(points, owners) evaluates each point under its owner's distance
+    (a DistanceStack).  Each pass walks outward in steps of eta until the
+    distance exceeds eps or max_steps steps have been taken, retreats one
+    step, halves eta, and repeats for `refinements` passes.  The rows share
+    the eta schedule and each step is one call for the rows still walking,
+    so a row gets the extent it gets alone.  A row that never kept a step
+    falls back to half the final step size, so every extent is positive.
     """
+    centers = np.asarray(centers, dtype=np.float64)
+    directions = np.asarray(directions, dtype=np.float64)
+    owners = np.asarray(owners)
+    offset = np.zeros(len(owners))
+    eta = settings.eta_start
+    for _ in range(settings.refinements):
+        walking = np.arange(len(owners))
+        for _ in range(settings.max_steps):
+            offset[walking] += eta
+            values = func(centers[walking]
+                          + offset[walking, None] * directions[walking],
+                          owners[walking])
+            outside = values > eps
+            offset[walking[outside]] -= eta
+            walking = walking[~outside]
+            if not walking.size:
+                break
+        eta /= 2.0
+    offset[offset == 0.0] = settings.eta_start / 2.0**settings.refinements
+    return offset
+
+
+def line_search_extent(distance, center, direction, eps, settings):
+    """line_search_extents for one row: the extent of one distance from
+    one center along one unit direction."""
     direction = np.asarray(direction, dtype=np.float64)
     if abs(np.linalg.norm(direction) - 1.0) > 1e-8:
         raise ValueError("direction must be a unit vector")
     center = np.asarray(center, dtype=np.float64)
-    offset = 0.0
-    eta = settings.eta_start
-    for _ in range(settings.refinements):
-        steps = 0
-        while True:
-            offset += eta
-            steps += 1
-            value = float(distance(center + offset * direction))
-            if value > eps or steps >= settings.max_steps:
-                break
-        if value > eps:
-            offset -= eta
-        eta /= 2.0
-    if offset == 0.0:
-        offset = settings.eta_start / 2.0**settings.refinements
-    return offset
+    return float(line_search_extents(DistanceStack([distance]), center[None],
+                                     direction[None], [0], eps, settings)[0])
 
 
 class BoundingBox:
@@ -214,25 +229,33 @@ class BoundingBox:
         return cls(record["rotation"], record["center"], record["limits"])
 
 
-def build_box(distance, result, eps, settings, curvature=None, objective=None):
-    """Bounding box of the acceptance set around one minimizer.
+def build_boxes(func, results, curvatures, eps, settings):
+    """Bounding boxes around several minimizers from one lockstep walk.
 
-    Axes are the curvature eigenvectors (choose_curvature decides the
-    matrix unless one is given); extents come from a pair of line searches
-    per axis.  Requires result.f_min <= eps so the center is acceptable.
+    func(points, owners) evaluates points under the distance of result
+    owners (a DistanceStack indexed like results); box k takes its axes
+    from curvatures[k] and its extents from a pair of line searches per
+    axis.  Requires every f_min <= eps so each center is acceptable.
     """
-    if result.f_min > eps:
+    if any(result.f_min > eps for result in results):
         raise ValueError("cannot build a region around a rejected minimizer")
+    axes = [curvature_axes(curvature) for curvature in curvatures]
+    d = results[0].x_min.size
+    # row (k, m, 0) walks box k along +axis m, row (k, m, 1) along -axis m
+    directions = np.stack([np.stack([a.T, -a.T], axis=1) for a in axes])
+    centers = np.stack([result.x_min for result in results])
+    extents = line_search_extents(
+        func, np.repeat(centers, 2 * d, axis=0), directions.reshape(-1, d),
+        np.repeat(np.arange(len(results)), 2 * d), eps, settings,
+    ).reshape(len(results), d, 2)
+    return [BoundingBox(a, result.x_min, np.stack([-e[:, 1], e[:, 0]], axis=1))
+            for a, result, e in zip(axes, results, extents)]
+
+
+def build_box(distance, result, eps, settings, curvature=None, objective=None):
+    """build_boxes for one minimizer; choose_curvature picks the curvature
+    matrix unless one is given."""
     if curvature is None:
         curvature, _ = choose_curvature(result, objective=objective)
-    axes = curvature_axes(curvature)
-    center = result.x_min
-    d = center.size
-    limits = np.empty((d, 2))
-    for m in range(d):
-        direction = axes[:, m]
-        pos = line_search_extent(distance, center, direction, eps, settings)
-        neg = line_search_extent(distance, center, -direction, eps, settings)
-        limits[m, 0] = -neg
-        limits[m, 1] = pos
-    return BoundingBox(axes, center, limits)
+    return build_boxes(DistanceStack([distance]), [result], [curvature], eps,
+                       settings)[0]

@@ -12,8 +12,6 @@ import logging
 
 import numpy as np
 
-from .model import evaluate_distance_batch
-
 logger = logging.getLogger(__name__)
 
 RIDGE_LAMBDA = 1e-8
@@ -62,10 +60,6 @@ class QuadraticSurrogate:
                 out += self.quad[a, b] * thetas[:, a] * thetas[:, b]
         return out
 
-    def __call__(self, theta):
-        theta = np.asarray(theta, dtype=np.float64)
-        return float(self.evaluate_batch(theta[None, :])[0])
-
     def to_record(self):
         return {
             "intercept": self.intercept,
@@ -95,7 +89,7 @@ def fit_quadratic(distance, box, n_train=None, seed=0):
             f"n_train must be at least the feature count ({n_features})"
         )
     thetas = box.sample(n_train, seed)
-    values = evaluate_distance_batch(distance, thetas)
+    values = np.asarray(distance.evaluate_batch(thetas), dtype=np.float64)
     design = _features(thetas)
     coef, _, rank, _ = np.linalg.lstsq(design, values, rcond=None)
     if rank < n_features:

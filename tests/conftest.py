@@ -37,13 +37,27 @@ def unit_square_prior():
     return BoxUniformPrior([[-1.0, 1.0], [-1.0, 1.0]])
 
 
-class CountingDistance:
-    """Wraps a scalar distance and counts every evaluation."""
+class BatchDistance:
+    """A scalar test function as a distance: evaluate_batch applies it to
+    each row alone, and a call applies it to one point."""
 
     def __init__(self, func):
         self.func = func
+
+    def __call__(self, theta):
+        return self.func(np.asarray(theta, dtype=np.float64))
+
+    def evaluate_batch(self, thetas):
+        return np.array([float(self(theta)) for theta in thetas])
+
+
+class CountingDistance(BatchDistance):
+    """A BatchDistance that counts every evaluated point."""
+
+    def __init__(self, func):
+        super().__init__(func)
         self.calls = 0
 
     def __call__(self, theta):
         self.calls += 1
-        return self.func(np.asarray(theta, dtype=np.float64))
+        return super().__call__(theta)

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import record_acceptance
+from conftest import BatchDistance, record_acceptance
 
 from romc import (
     OptimisationResult,
@@ -27,7 +27,7 @@ from romc import (
     solve_problems,
 )
 from romc.inference import PosteriorApproximation
-from romc.model import BoxUniformPrior, ObjectiveStack, finite_difference_gradient
+from romc.model import BoxUniformPrior, DistanceStack, finite_difference_gradient
 from romc.optimize import compute_eps, solve_gradient
 from romc.regions import RegionSettings, build_box, line_search_extent
 
@@ -224,7 +224,7 @@ def _check_region_suite():
     # ellipse d = t1^2 + 4 t2^2 at eps = 1 has semi-axes (1, 0.5)
     settings = RegionSettings(eta_start=0.1, refinements=12, max_steps=100)
     box = build_box(
-        lambda t: t[0] ** 2 + 4.0 * t[1] ** 2,
+        BatchDistance(lambda t: t[0] ** 2 + 4.0 * t[1] ** 2),
         OptimisationResult([0.0, 0.0], 0.0, [[2.0, 0.0], [0.0, 8.0]]),
         1.0, settings,
     )
@@ -238,7 +238,7 @@ def _check_region_suite():
 
     # distance above eps everywhere still yields a positive extent
     extent = line_search_extent(
-        lambda t: 1e9, np.zeros(2), np.array([1.0, 0.0]), 1e-12,
+        BatchDistance(lambda t: 1e9), np.zeros(2), np.array([1.0, 0.0]), 1e-12,
         RegionSettings(eta_start=0.2, refinements=6, max_steps=10),
     )
     assert extent == pytest.approx(0.2 / 2 ** 6)
@@ -283,13 +283,13 @@ def _check_optimization_suite():
         return float(delta @ quad @ delta)
 
     prior = BoxUniformPrior([[-2.0, 2.0], [-2.0, 2.0]])
-    result = solve_gradient(objective, prior, seed=0)
+    result = solve_gradient(BatchDistance(objective), prior, seed=0)
     assert np.abs(result.x_min - center).max() <= 1e-4
 
     point = np.array([0.7, -1.2])
     analytic = 2.0 * quad @ (point - center)
     (numeric,), _ = finite_difference_gradient(
-        ObjectiveStack([objective]), point[None, :], [0]
+        DistanceStack([BatchDistance(objective)]), point[None, :], [0]
     )
     assert np.abs(numeric - analytic).max() <= 1e-4 * np.abs(analytic).max()
 

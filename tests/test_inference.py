@@ -9,6 +9,7 @@ closed form: unnorm = 0.5 * count, mass = 0.4, posterior = count / 0.8.
 import numpy as np
 import pytest
 
+from conftest import BatchDistance
 from romc import (
     BoundingBox,
     DegenerateResult,
@@ -70,9 +71,9 @@ def two_bump_posterior(eps=0.04):
         box = BoundingBox(np.eye(1), np.array([center]),
                           np.array([[-0.25, 0.25]]))
         regions.append(box)
-        distances.append(
+        distances.append(BatchDistance(
             lambda t, c=center: float((np.asarray(t).ravel()[0] - c) ** 2)
-        )
+        ))
     return PosteriorApproximation(prior, eps, regions, distances,
                                   problem_indices=[4, 9])
 
@@ -157,7 +158,8 @@ class TestPosteriorApproximation:
         with pytest.raises(ValueError):
             PosteriorApproximation(prior, 0.1, [box], [])
         with pytest.raises(ValueError):
-            PosteriorApproximation(prior, 0.1, [box], [lambda t: 0.0],
+            PosteriorApproximation(prior, 0.1, [box],
+                                   [BatchDistance(lambda t: 0.0)],
                                    problem_indices=[1, 2])
 
 

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import BatchDistance
 from reference_bfgs import reference_bfgs, reference_gradient
 
 import romc.pipeline
@@ -21,7 +22,7 @@ from romc import make_ma2_model, make_toy_model, solve_problems
 from romc.errors import NumericalFailure
 from romc.model import (
     STREAM_SOLVE,
-    ObjectiveStack,
+    DistanceStack,
     draw_nuisance_seeds,
     make_objective,
 )
@@ -90,7 +91,7 @@ def check_against_reference(objectives, starts, bounds, max_iters=200,
     run against the reference bit for bit, and return the exits each run
     took; a run the reference fails on must come back with f = NaN."""
     x, f, h_inv, total, iterations = _bfgs(
-        ObjectiveStack(objectives), np.array(starts, dtype=np.float64),
+        DistanceStack(objectives), np.array(starts, dtype=np.float64),
         bounds, max_iters, gtol, STEP,
     )
     assert type(total) is int
@@ -120,14 +121,13 @@ def quadratic(target, scale):
         diff = np.asarray(x) - target
         return float(diff @ (scale * diff))
 
-    return f
+    return BatchDistance(f)
 
 
-def two_wells(x):
-    return float(np.minimum(
-        np.sum((np.asarray(x) - 0.5) ** 2),
-        0.5 + np.sum((np.asarray(x) + 0.5) ** 2),
-    ))
+two_wells = BatchDistance(lambda x: float(np.minimum(
+    np.sum((np.asarray(x) - 0.5) ** 2),
+    0.5 + np.sum((np.asarray(x) + 0.5) ** 2),
+)))
 
 
 def ill_conditioned(condition, angle, center=0.1):
@@ -140,7 +140,7 @@ def ill_conditioned(condition, angle, center=0.1):
         diff = np.asarray(x) - center
         return float(diff @ matrix @ diff)
 
-    return f
+    return BatchDistance(f)
 
 
 def _problem_runs(model, n_problems, master_seed, restarts):
@@ -196,7 +196,8 @@ class TestExits:
 
     def test_converged_at_start(self):
         exits = check_against_reference(
-            [lambda x: float(np.sum(np.asarray(x) ** 2))], [[0.0, 0.0]], SQUARE)
+            [BatchDistance(lambda x: float(np.sum(np.asarray(x) ** 2)))],
+            [[0.0, 0.0]], SQUARE)
         assert exits == [{"gtol"}]
 
     def test_ascent_direction_restarts_from_steepest_descent(self):
@@ -207,12 +208,13 @@ class TestExits:
     def test_ascent_after_restart_stops(self):
         # a flat objective has a zero gradient, which gtol < 0 lets through
         exits = check_against_reference(
-            [lambda x: 1.0], [[0.3, 0.3]], SQUARE, gtol=-1.0)
+            [BatchDistance(lambda x: 1.0)], [[0.3, 0.3]], SQUARE, gtol=-1.0)
         assert exits == [{"restart", "ascent"}]
 
     def test_start_on_a_bound_with_an_outward_step(self):
         exits = check_against_reference(
-            [lambda x: float(-x[0] + x[1] ** 2)], [[2.0, 0.0]], SQUARE)
+            [BatchDistance(lambda x: float(-x[0] + x[1] ** 2))], [[2.0, 0.0]],
+            SQUARE)
         assert exits == [{"cap"}]
 
     def test_backtracking_exhausted(self):
@@ -223,7 +225,8 @@ class TestExits:
         def spike(x):
             return float(x[0]) if float(x[0]) in finite_at else np.nan
 
-        exits = check_against_reference([spike], [[0.25, 0.5]], SQUARE)
+        exits = check_against_reference([BatchDistance(spike)], [[0.25, 0.5]],
+                                        SQUARE)
         assert exits == [{"backtrack"}]
 
     def test_tiny_step(self):
@@ -240,7 +243,7 @@ class TestExits:
     def test_nonfinite_start_or_probe_drops_only_its_run(self):
         def nan_right_of(edge, center):
             bowl = quadratic(center, [1.0, 1.0])
-            return lambda x: bowl(x) if x[0] <= edge else np.nan
+            return BatchDistance(lambda x: bowl(x) if x[0] <= edge else np.nan)
 
         # run 0 starts where the objective is NaN; run 2 descends toward
         # its NaN region until a gradient probe lands in it; run 1 is clean
@@ -248,14 +251,14 @@ class TestExits:
             nan_right_of(0.9, [1.0, 0.0])]
         starts = [[1.5, 0.0], [0.0, 0.0], [-0.5, 0.3]]
         x, f, _, total, iterations = _bfgs(
-            ObjectiveStack(objectives), np.array(starts), SQUARE, 200, 1e-8,
+            DistanceStack(objectives), np.array(starts), SQUARE, 200, 1e-8,
             STEP)
         assert np.isnan(f[0]) and np.isnan(f[2]) and np.isfinite(f[1])
         assert iterations[2] > 0 and total == iterations[1]
         check_against_reference(objectives, starts, SQUARE)
 
     def test_every_restart_failing_gives_none(self, unit_square_prior):
-        assert solve_gradient(lambda x: np.nan, unit_square_prior,
+        assert solve_gradient(BatchDistance(lambda x: np.nan), unit_square_prior,
                               restarts=3, seed=0) is None
 
 
@@ -303,7 +306,9 @@ class TestChunking:
             raise RuntimeError("simulator crashed")
 
         def make(model, seed, index):
-            return broken if index == 3 else build(model, seed, index)
+            if index == 3:
+                return BatchDistance(broken)
+            return build(model, seed, index)
 
         monkeypatch.setattr(romc.pipeline, "make_objective", make)
         out = solve_problems(model, n1=6, seed=2)

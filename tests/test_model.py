@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CountingDistance
+from conftest import BatchDistance, CountingDistance
 from romc import make_ma2_model, make_toy_model
 from romc.model import (
     BoxUniformPrior,
+    DistanceStack,
     IdentitySummary,
-    ObjectiveStack,
     derive_rng,
     draw_nuisance_seeds,
-    evaluate_distance_batch,
     finite_difference_gradient,
     make_objective,
     squared_distance,
@@ -158,32 +157,15 @@ class TestDeterministicObjective:
         assert base(np.array([0.0])) != shifted(np.array([0.0]))
 
 
-def test_evaluate_distance_batch_prefers_batch_method(toy_model):
-    objective = make_objective(toy_model, 9, 0)
-    thetas = np.array([[0.1], [0.9]])
-    np.testing.assert_array_equal(
-        evaluate_distance_batch(objective, thetas),
-        objective.evaluate_batch(thetas),
-    )
-
-
-def test_evaluate_distance_batch_falls_back_to_row_loop():
-    def dist(theta):
-        return float(theta[0] ** 2 + theta[1])
-
-    thetas = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_allclose(
-        evaluate_distance_batch(dist, thetas), [3.0, 13.0]
-    )
-
-
 class TestObjectiveStack:
+    """A DistanceStack of objectives, as the gradient solve builds it."""
+
     @pytest.mark.parametrize("make_model", [make_toy_model, make_ma2_model])
     def test_rows_equal_each_objective_alone_bitwise(self, make_model):
         model = make_model()
         objectives = [make_objective(model, seed, i)
                       for i, seed in enumerate(draw_nuisance_seeds(40, 3))]
-        stack = ObjectiveStack(objectives)
+        stack = DistanceStack(objectives)
         assert stack.kernel is not None
         rng = np.random.default_rng(5)
         runs = rng.integers(0, 40, size=300)
@@ -195,23 +177,35 @@ class TestObjectiveStack:
             one = stack(thetas[j:j + 1], runs[j:j + 1])
             assert one.shape == (1,) and one[0] == alone[j]
 
-    def test_objectives_without_a_stackable_kernel_go_row_by_row(self, toy_model):
-        counters = [CountingDistance(lambda x: float(x[0])),
-                    CountingDistance(lambda x: 2.0 * float(x[0]))]
-        stack = ObjectiveStack(counters)
+    def test_objectives_without_a_stackable_kernel_go_one_call_per_owner(
+            self, toy_model):
+        calls = []
+
+        class Scaled:
+            def __init__(self, scale):
+                self.scale = scale
+
+            def evaluate_batch(self, thetas):
+                calls.append((self.scale, len(thetas)))
+                return self.scale * thetas[:, 0]
+
+        stack = DistanceStack([Scaled(1.0), Scaled(2.0), Scaled(3.0)])
         assert stack.kernel is None
         got = stack(np.array([[1.0], [1.5], [3.0]]), [1, 0, 1])
         np.testing.assert_array_equal(got, [2.0, 1.5, 6.0])
-        assert [c.calls for c in counters] == [1, 2]
-        # one objective with a kernel among plain callables also goes row by row
-        mixed = ObjectiveStack([make_objective(toy_model, 4, 0), counters[0]])
+        # owners absent from the rows are not called
+        assert calls == [(1.0, 1), (2.0, 2)]
+        # one objective with a kernel among other distances also goes
+        # owner by owner
+        mixed = DistanceStack([make_objective(toy_model, 4, 0), Scaled(1.0)])
         assert mixed.kernel is None
 
 
 def _gradient(func, x):
     """Gradient of one scalar function at one point."""
     grads, finite = finite_difference_gradient(
-        ObjectiveStack([func]), np.asarray(x, dtype=np.float64)[None, :], [0]
+        DistanceStack([BatchDistance(func)]),
+        np.asarray(x, dtype=np.float64)[None, :], [0]
     )
     assert finite[0]
     return grads[0]
@@ -240,7 +234,7 @@ class TestFiniteDifferenceGradient:
     def test_uses_exactly_two_evals_per_coordinate(self):
         counter = CountingDistance(lambda x: float(np.sum(x**2)))
         finite_difference_gradient(
-            ObjectiveStack([counter]), np.array([[1.0, 2.0, 3.0]]), [0]
+            DistanceStack([counter]), np.array([[1.0, 2.0, 3.0]]), [0]
         )
         assert counter.calls == 6
 
@@ -266,7 +260,7 @@ class TestFiniteDifferenceGradient:
             return np.nan if x[0] > 1.0 else float(x[0])
 
         grads, finite = finite_difference_gradient(
-            ObjectiveStack([f]), np.array([[1.0], [0.5]]), [0, 0]
+            DistanceStack([BatchDistance(f)]), np.array([[1.0], [0.5]]), [0, 0]
         )
         np.testing.assert_array_equal(finite, [False, True])
         assert grads[1, 0] == pytest.approx(1.0)

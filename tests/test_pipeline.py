@@ -5,14 +5,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import romc.parallel
+import romc.pipeline
+from conftest import BatchDistance
 from romc import (
     DegenerateResult,
     OptimisationResult,
+    artifacts,
     estimate_regions,
+    make_ma2_model,
     make_toy_model,
     solve_problems,
 )
-from romc.model import draw_nuisance_seeds
+from romc.model import STREAM_SAMPLE, derive_rng, draw_nuisance_seeds
 from romc.regions import RegionSettings, build_box
 from romc.surrogate import fit_quadratic
 
@@ -237,3 +242,107 @@ class TestInferenceBundle:
         result = bundle.sample(200, seed=0)
         mean = result.summary()["parameters"][0]["mean"]
         assert abs(mean) < 0.3
+
+
+@pytest.fixture(scope="module")
+def ma2_gradient_solve():
+    return solve_problems(make_ma2_model(), n1=40, seed=21, restarts=2)
+
+
+@pytest.fixture(scope="module")
+def ma2_bo_solve():
+    return solve_problems(make_ma2_model(), n1=6, seed=21, use_bo=True,
+                          budget=24, init_points=8)
+
+
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestChunkedRegions:
+    """Without a region_builder, the boxes of a worker's chunk come from one
+    lockstep walk, and each equals the box built for its region alone."""
+
+    @pytest.mark.parametrize("solve", ["ma2_gradient_solve", "ma2_bo_solve"])
+    def test_chunk_equals_build_box_per_region(self, request, solve):
+        solve = request.getfixturevalue(solve)
+        chunked = estimate_regions(solve, quantile=0.97)
+        alone = estimate_regions(solve, quantile=0.97, region_builder=build_box)
+        # build_box as a hook has no objective for the Jacobian fallback
+        assert {e.curvature_source for e in chunked.entries} == {"hess_appr"}
+        assert chunked.accepted == alone.accepted
+        for a, b in zip(chunked.entries, alone.entries):
+            for name in ("rotation", "center", "limits"):
+                np.testing.assert_array_equal(_bits(getattr(a.region, name)),
+                                              _bits(getattr(b.region, name)))
+
+    @pytest.mark.parametrize("make_model, options", [
+        (make_toy_model, {"eps": 0.75}),
+        (make_ma2_model, {"quantile": 0.97}),
+    ])
+    def test_regions_artifact_equal_at_workers_1_and_2(
+            self, monkeypatch, tmp_path, make_model, options):
+        monkeypatch.setattr(romc.parallel.os, "cpu_count", lambda: 2)
+        solve = solve_problems(make_model(), n1=30, seed=13, restarts=2)
+        written = []
+        for workers in (1, 2):
+            path = tmp_path / f"regions_{workers}.json"
+            artifacts.write_regions(
+                path, estimate_regions(solve, workers=workers, **options))
+            written.append(path.read_bytes())
+        assert written[0] == written[1]
+
+    def test_raising_distance_fails_only_its_region(self, monkeypatch,
+                                                    ma2_gradient_solve):
+        clean = estimate_regions(ma2_gradient_solve, quantile=0.97)
+        broken_index = clean.accepted[2]
+        build = romc.pipeline.make_objective
+
+        def broken(theta):
+            raise RuntimeError("simulator crashed")
+
+        def make(model, seed, index):
+            if index == broken_index:
+                return BatchDistance(broken)
+            return build(model, seed, index)
+
+        monkeypatch.setattr(romc.pipeline, "make_objective", make)
+        out = estimate_regions(ma2_gradient_solve, quantile=0.97)
+        assert "simulator crashed" in out.region_failures[broken_index]
+        assert out.accepted == [i for i in clean.accepted if i != broken_index]
+        for entry in out.entries:
+            np.testing.assert_array_equal(
+                _bits(entry.region.limits),
+                _bits(clean.entry(entry.index).region.limits))
+
+
+class TestStackedSampler:
+    """sample() evaluates every region's draws in one stacked call; each
+    weight equals the one its region's distance gives on its own draws."""
+
+    @pytest.mark.parametrize("bundle", ["gradient", "bo", "quadratic"])
+    def test_equals_per_region_evaluation(self, ma2_gradient_solve,
+                                          ma2_bo_solve, toy_solve, bundle):
+        bundle = {
+            "gradient": lambda: estimate_regions(ma2_gradient_solve,
+                                                 eps=0.05),
+            "bo": lambda: estimate_regions(ma2_bo_solve, quantile=0.97),
+            "quadratic": lambda: estimate_regions(toy_solve, quantile=0.8,
+                                                  fit_models=True),
+        }[bundle]()
+        posterior = bundle.posterior()
+        result = bundle.sample(40, seed=5)
+        thetas, weights = [], []
+        for pi, region, distance in zip(posterior.problem_indices,
+                                        posterior.regions,
+                                        posterior.distances):
+            draws = region.sample(40, derive_rng(5, pi, STREAM_SAMPLE))
+            accepted = distance.evaluate_batch(draws) <= posterior.eps
+            pdf = posterior.prior.pdf_batch(draws)
+            thetas.append(draws)
+            weights.append(np.where(accepted, pdf * region.volume, 0.0))
+        np.testing.assert_array_equal(_bits(result.thetas),
+                                      _bits(np.concatenate(thetas)))
+        np.testing.assert_array_equal(_bits(result.weights),
+                                      _bits(np.concatenate(weights)))
+        assert np.any(result.weights > 0.0)

@@ -11,15 +11,21 @@ semi-axes (1, 0.5).
 import numpy as np
 import pytest
 
-from romc import BoundingBox, OptimisationResult
+from conftest import BatchDistance
+from romc import BoundingBox, OptimisationResult, make_ma2_model
+from romc.model import DistanceStack, draw_nuisance_seeds, make_objective
+from romc.optimize import _fit_gp
 from romc.regions import (
     RegionSettings,
     build_box,
+    build_boxes,
     choose_curvature,
     curvature_axes,
     jacobian_curvature,
     line_search_extent,
+    line_search_extents,
 )
+from romc.surrogate import QuadraticSurrogate
 
 
 class TestCurvatureAxes:
@@ -128,7 +134,8 @@ class TestLineSearchExtent:
         # d == 0 forever: every pass takes max_steps full steps
         settings = RegionSettings(eta_start=0.1, refinements=3, max_steps=5)
         extent = line_search_extent(
-            lambda t: 0.0, np.zeros(1), np.ones(1), 1.0, settings
+            BatchDistance(lambda t: 0.0), np.zeros(1), np.ones(1), 1.0,
+            settings
         )
         expected = 5 * 0.1 * (2.0 - 2.0 ** (1 - 3))
         assert extent == pytest.approx(expected, rel=1e-12)
@@ -136,7 +143,8 @@ class TestLineSearchExtent:
     def test_immediate_exceed_hits_minimum_step(self):
         settings = RegionSettings(eta_start=0.2, refinements=6, max_steps=10)
         extent = line_search_extent(
-            lambda t: 1e9, np.zeros(2), np.array([1.0, 0.0]), 1.0, settings
+            BatchDistance(lambda t: 1e9), np.zeros(2), np.array([1.0, 0.0]),
+            1.0, settings
         )
         assert extent == pytest.approx(0.2 / 2**6, rel=1e-12)
         assert extent > 0
@@ -146,7 +154,8 @@ class TestLineSearchExtent:
         settings = RegionSettings(eta_start=0.3, refinements=8, max_steps=20)
         for eps in (1e-2, 1e-6, 1e-12, 0.0):
             extent = line_search_extent(
-                lambda t: float(np.sum(t**2)), np.zeros(1), np.ones(1),
+                BatchDistance(lambda t: float(np.sum(t**2))), np.zeros(1),
+                np.ones(1),
                 eps, settings,
             )
             assert extent > 0
@@ -159,7 +168,8 @@ class TestLineSearchExtent:
         def dist(theta):
             return float(np.sum(np.asarray(theta) ** 2))
 
-        extent = line_search_extent(dist, np.zeros(2), direction, 1.0, settings)
+        extent = line_search_extent(BatchDistance(dist), np.zeros(2), direction,
+                                    1.0, settings)
         resolution = 0.2 / 2**9
         assert extent <= 1.0 + 1e-12
         assert 1.0 - extent <= resolution + 1e-12
@@ -168,7 +178,8 @@ class TestLineSearchExtent:
         # center 0.5 walking +1 on |theta| <= eps=2 boundary: extent 1.5
         settings = RegionSettings(eta_start=0.1, refinements=12, max_steps=60)
         extent = line_search_extent(
-            lambda t: abs(float(t[0])), np.array([0.5]), np.ones(1), 2.0,
+            BatchDistance(lambda t: abs(float(t[0]))), np.array([0.5]),
+            np.ones(1), 2.0,
             settings,
         )
         assert extent == pytest.approx(1.5, abs=0.1 / 2**11 + 1e-12)
@@ -176,8 +187,85 @@ class TestLineSearchExtent:
     def test_requires_unit_direction(self):
         settings = RegionSettings(eta_start=0.1)
         with pytest.raises(ValueError):
-            line_search_extent(lambda t: 0.0, np.zeros(2),
+            line_search_extent(BatchDistance(lambda t: 0.0), np.zeros(2),
                                np.array([1.0, 1.0]), 1.0, settings)
+
+
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+
+
+def _random_directions(rng, n):
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    return np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+class TestLockstepWalk:
+    """line_search_extents over many rows gives each row, bit for bit, the
+    extent line_search_extent finds for it alone."""
+
+    def walk(self, distances, centers, directions, owners, eps, settings):
+        got = line_search_extents(DistanceStack(distances), centers,
+                                  directions, owners, eps, settings)
+        alone = [line_search_extent(distances[o], c, u, eps, settings)
+                 for c, u, o in zip(centers, directions, owners)]
+        np.testing.assert_array_equal(_bits(got), _bits(alone))
+        return got
+
+    def test_kernel_stack_rows(self):
+        model = make_ma2_model()
+        objectives = [make_objective(model, seed, i)
+                      for i, seed in enumerate(draw_nuisance_seeds(12, 5))]
+        assert DistanceStack(objectives).kernel is not None
+        rng = np.random.default_rng(3)
+        owners = rng.integers(0, 12, size=120)
+        centers = np.array([model.prior.sample(rng) for _ in owners])
+        values = [objectives[o](c) for o, c in zip(owners, centers)]
+        settings = RegionSettings(eta_start=0.2, refinements=6, max_steps=4)
+        got = self.walk(objectives, centers, _random_directions(rng, 120),
+                        owners, float(np.median(values)), settings)
+        # rows whose first step leaves the set fall back to the floor, and
+        # rows that never leave it in the first pass take max_steps steps
+        assert np.any(got == 0.2 / 2**6)
+        assert np.any(got >= 4 * 0.2)
+
+    def test_gp_and_quadratic_rows(self):
+        rng = np.random.default_rng(4)
+        inputs = rng.uniform(-1.0, 1.0, size=(30, 2))
+        gp = _fit_gp(inputs, np.sum(inputs**2, axis=1))
+        bowl = QuadraticSurrogate(0.0, [0.1, 0.0], [[1.0, 0.2], [0.2, 2.0]])
+        flat = QuadraticSurrogate(0.0, [0.0, 0.0], np.zeros((2, 2)))
+        high = QuadraticSurrogate(5.0, [0.0, 0.0], np.zeros((2, 2)))
+        owners = np.tile([0, 1, 2, 3], 15)
+        centers = rng.uniform(-0.2, 0.2, size=(60, 2))
+        settings = RegionSettings(eta_start=0.1, refinements=5, max_steps=6)
+        got = self.walk([gp, bowl, flat, high], centers,
+                        _random_directions(rng, 60), owners, 0.5, settings)
+        # never above eps: max_steps steps in every pass
+        np.testing.assert_allclose(got[owners == 2],
+                                   6 * 0.1 * (2.0 - 2.0 ** (1 - 5)))
+        # always above eps: the floor
+        np.testing.assert_array_equal(got[owners == 3], 0.1 / 2**5)
+
+    def test_build_boxes_equals_build_box_per_region(self):
+        rng = np.random.default_rng(6)
+        distances, results = [], []
+        for _ in range(5):
+            m = rng.standard_normal((2, 2))
+            curv = m @ m.T + 0.5 * np.eye(2)
+            center = rng.uniform(-1.0, 1.0, size=2)
+            linear = -2.0 * curv @ center
+            distances.append(QuadraticSurrogate(center @ curv @ center,
+                                                linear, curv))
+            results.append(OptimisationResult(center, 0.0, curv))
+        settings = RegionSettings(eta_start=0.2, refinements=8, max_steps=30)
+        boxes = build_boxes(DistanceStack(distances), results,
+                            [r.hess_appr for r in results], 0.7, settings)
+        for distance, result, box in zip(distances, results, boxes):
+            alone = build_box(distance, result, 0.7, settings)
+            for name in ("rotation", "center", "limits"):
+                np.testing.assert_array_equal(
+                    _bits(getattr(box, name)), _bits(getattr(alone, name)))
 
 
 class TestBoundingBox:
@@ -264,9 +352,8 @@ class TestProposalRegion:
 
 
 class TestBuildBox:
-    def ellipse(self, theta):
-        theta = np.asarray(theta)
-        return float(theta[0] ** 2 + 4.0 * theta[1] ** 2)
+    ellipse = BatchDistance(
+        lambda theta: float(theta[0] ** 2 + 4.0 * theta[1] ** 2))
 
     def test_analytic_ellipse_extents(self):
         # acceptance criterion case: semi-axes (1, 0.5) at eps = 1
@@ -300,7 +387,8 @@ class TestBuildBox:
                 return float(diff @ curv @ diff)
 
             result = OptimisationResult(center, 0.0, curv)
-            box = build_box(dist, result, float(rng.uniform(0.1, 2.0)),
+            box = build_box(BatchDistance(dist), result,
+                            float(rng.uniform(0.1, 2.0)),
                             settings)
             assert box.contains(result.x_min)
             np.testing.assert_allclose(box.rotation.T @ box.rotation,

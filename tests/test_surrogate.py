@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import CountingDistance
+from conftest import BatchDistance, CountingDistance
 from romc import BoundingBox
 from romc.surrogate import (
     QuadraticSurrogate,
@@ -31,7 +31,7 @@ class TestQuadraticSurrogate:
         model = QuadraticSurrogate(2.0, [1.0, -1.0], [[3.0, 0.5], [0.5, 1.0]])
         theta = np.array([1.0, 2.0])
         # 2 + (1 - 2) + (3 + 2*0.5*2 + 4) = 2 - 1 + 9
-        assert model(theta) == pytest.approx(10.0)
+        assert model.evaluate_batch(theta[None, :])[0] == pytest.approx(10.0)
 
     def test_batch_matches_scalar(self):
         model = QuadraticSurrogate(0.5, [2.0, 0.0], [[1.0, 0.0], [0.0, 4.0]])
@@ -44,7 +44,8 @@ class TestQuadraticSurrogate:
             model.evaluate_batch(thetas), reference, rtol=1e-12
         )
         np.testing.assert_allclose(
-            [model(t) for t in thetas], reference, rtol=1e-12
+            [model.evaluate_batch(t[None, :])[0] for t in thetas], reference,
+            rtol=1e-12
         )
 
     def test_one_row_call_is_bitwise_its_batch_row(self):
@@ -54,7 +55,8 @@ class TestQuadraticSurrogate:
                                    m @ m.T)
         thetas = rng.uniform(-3.0, 3.0, size=(4096, 3))
         batch = model.evaluate_batch(thetas)
-        rows = np.array([model(theta) for theta in thetas])
+        rows = np.array([model.evaluate_batch(theta[None, :])[0]
+                         for theta in thetas])
         np.testing.assert_array_equal(rows, batch)
 
     def test_symmetrizes_quad(self):
@@ -82,7 +84,7 @@ class TestFitQuadratic:
             theta = np.asarray(theta, dtype=np.float64)
             return float(2.0 + linear @ theta + theta @ quad @ theta)
 
-        return dist, 2.0, linear, quad
+        return BatchDistance(dist), 2.0, linear, quad
 
     def test_recovers_exact_quadratic(self):
         dist, intercept, linear, quad = self.true_quadratic()
@@ -124,7 +126,7 @@ class TestFitQuadratic:
             t = float(np.asarray(theta).ravel()[0])
             return 4.0 * (t - 0.25) ** 2
 
-        model = fit_quadratic(dist, unit_region(d=1), seed=0)
+        model = fit_quadratic(BatchDistance(dist), unit_region(d=1), seed=0)
         # expand: 4 t^2 - 2 t + 0.25
         assert model.intercept == pytest.approx(0.25, abs=1e-6)
         assert model.linear[0] == pytest.approx(-2.0, abs=1e-6)
