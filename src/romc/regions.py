@@ -17,6 +17,9 @@ from .errors import NumericalFailure
 from .model import DistanceStack
 
 ORTHO_TOL = 1e-8
+# passes, one halving each, that a line search which has not kept a step
+# after its refinements may add, so an acceptance set of any size resolves
+EXTRA_HALVINGS = 60
 
 
 def curvature_axes(hess):
@@ -117,28 +120,34 @@ def line_search_extents(func, centers, directions, owners, eps, settings):
     func(points, owners) evaluates each point under its owner's distance
     (a DistanceStack).  Each pass walks outward in steps of eta until the
     distance exceeds eps or max_steps steps have been taken, retreats one
-    step, halves eta, and repeats for `refinements` passes.  The rows share
-    the eta schedule and each step is one call for the rows still walking,
-    so a row gets the extent it gets alone.  A row that never kept a step
-    falls back to half the final step size, so every extent is positive.
+    step, halves eta, and repeats for `refinements` passes; a non-finite
+    distance counts as outside.  A row that has not kept a step by then
+    keeps halving, for at most EXTRA_HALVINGS more passes, until it keeps
+    one, and a row that never does falls back to eta_start / 2**refinements,
+    so every extent is positive.  The rows share the eta schedule and each
+    step is one call for the rows still walking, so a row gets the extent
+    it gets alone.
     """
     centers = np.asarray(centers, dtype=np.float64)
     directions = np.asarray(directions, dtype=np.float64)
     owners = np.asarray(owners)
     offset = np.zeros(len(owners))
     eta = settings.eta_start
-    for _ in range(settings.refinements):
-        walking = np.arange(len(owners))
+    rows = np.arange(len(owners))
+    for k in range(settings.refinements + EXTRA_HALVINGS):
+        if k >= settings.refinements:
+            rows = rows[offset[rows] == 0.0]
+        walking = rows
         for _ in range(settings.max_steps):
+            if not walking.size:
+                break
             offset[walking] += eta
             values = func(centers[walking]
                           + offset[walking, None] * directions[walking],
                           owners[walking])
-            outside = values > eps
+            outside = ~(values <= eps)
             offset[walking[outside]] -= eta
             walking = walking[~outside]
-            if not walking.size:
-                break
         eta /= 2.0
     offset[offset == 0.0] = settings.eta_start / 2.0**settings.refinements
     return offset

@@ -184,6 +184,26 @@ class TestLineSearchExtent:
         )
         assert extent == pytest.approx(1.5, abs=0.1 / 2**11 + 1e-12)
 
+    def test_resolves_eps_below_the_floor(self):
+        # d = t^2 at eps = 1e-12 has its boundary at 1e-6, far inside the
+        # floor 0.1 / 2**10; the walk keeps halving until a step is kept
+        settings = RegionSettings(eta_start=0.1, refinements=10, max_steps=40)
+        extent = line_search_extent(
+            BatchDistance(lambda t: float(t[0] ** 2)), np.zeros(1),
+            np.ones(1), 1e-12, settings,
+        )
+        assert 0.5e-6 < extent <= 1e-6
+
+    def test_nonfinite_distance_counts_as_outside(self):
+        # NaN beyond radius 0.37 must end the walk like a value above eps
+        radius = 0.37
+        settings = RegionSettings(eta_start=0.1, refinements=10, max_steps=40)
+        extent = line_search_extent(
+            BatchDistance(lambda t: 0.0 if abs(t[0]) <= radius else np.nan),
+            np.zeros(1), np.ones(1), 1.0, settings,
+        )
+        assert radius - 0.1 / 2**9 <= extent <= radius
+
     def test_requires_unit_direction(self):
         settings = RegionSettings(eta_start=0.1)
         with pytest.raises(ValueError):
