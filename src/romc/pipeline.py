@@ -4,9 +4,9 @@ solve_problems draws one nuisance seed per problem and minimizes every
 deterministic objective; estimate_regions picks the acceptance threshold,
 builds a bounding box per accepted problem and optionally fits local
 quadratic models.  The built-in gradient solve and box construction run
-each worker's chunk of problems in lockstep.  The resulting InferenceBundle knows how to hand out
-the per-problem distance, the posterior approximation and weighted
-samples.
+each worker's chunk of problems in lockstep.  The resulting
+InferenceBundle knows how to hand out the per-problem distance, the
+posterior approximation and weighted samples.
 
 All task functions are module level and all payloads picklable, so the
 same code path runs sequentially or across a process pool; every random
