@@ -251,6 +251,9 @@ def load_regions(path):
     indices = [record["index"] for record in payload["regions"]]
     if any(a >= b for a, b in zip(indices, indices[1:])):
         raise ValueError("region indices must be unique and increasing")
+    failures = {int(k): v for k, v in payload.get("failures", {}).items()}
+    if failures.keys() & set(indices):
+        raise ValueError("a region index is also listed as failed")
     entries = []
     for record in payload["regions"]:
         gp = None
@@ -279,7 +282,7 @@ def load_regions(path):
         use_surrogate=bool(payload["use_surrogate"]),
         fit_models=bool(payload["fit_models"]),
         entries=entries,
-        region_failures={int(k): v for k, v in payload.get("failures", {}).items()},
+        region_failures=failures,
     )
 
 

@@ -3,10 +3,15 @@
 solve_problems draws one nuisance seed per problem and minimizes every
 deterministic objective; estimate_regions picks the acceptance threshold,
 builds a bounding box per accepted problem and optionally fits local
-quadratic models.  The built-in gradient solve and box construction run
-each worker's chunk of problems in lockstep.  The resulting
-InferenceBundle knows how to hand out the per-problem distance, the
-posterior approximation and weighted samples.
+quadratic models.  The resulting InferenceBundle knows how to hand out the
+per-problem distance, the posterior approximation and weighted samples.
+
+Every stage runs through one runner, _run_in_chunks, which hands each
+worker one contiguous chunk of problems: the built-in gradient solve and
+box construction run a chunk in lockstep, and Bayesian optimization, the
+quadratic fits and the solver, region_builder and surrogate_fitter hooks
+go through a chunk one problem at a time.  A chunk that raises is run
+again one problem at a time, so a failure stays with its problem.
 
 All task functions are module level and all payloads picklable, so the
 same code path runs sequentially or across a process pool; every random
@@ -37,14 +42,14 @@ from .optimize import (
     distance_histogram,
     filter_solutions,
     solve_bayesian,
-    solve_gradient,
+    solve_gradient,  # noqa: F401 - unused here; perfbench/tracing.py wraps it
     solve_gradients,
 )
 from .parallel import effective_workers, run_tasks
 from .regions import (
     BoundingBox,
     RegionSettings,
-    build_box,
+    build_box,  # noqa: F401 - unused here; perfbench/tracing.py wraps it
     build_boxes,
     choose_curvature,
 )
@@ -63,66 +68,49 @@ class ProblemRecord:
     seconds: float = 0.0
 
 
-def _solve_task(payload):
-    model, seed, index, master_seed, options, solver = payload
-    objective = make_objective(model, seed, index)
-    stream = [master_seed, index, STREAM_SOLVE]
-    if solver is not None:
-        out = solver(objective, model.prior, stream)
-    elif options["use_bo"]:
-        out = solve_bayesian(
-            objective,
-            model.prior,
-            budget=options["budget"],
-            init_points=options["init_points"],
-            seed=stream,
+def _solve_chunk_task(payload):
+    """Solves of a run of problems: one lockstep gradient descent over all
+    of them, else Bayesian optimization or the custom solver on one problem
+    at a time."""
+    (model, master_seed, options, solver), items = payload
+    objectives = [make_objective(model, seed, index) for index, seed in items]
+    streams = [[master_seed, index, STREAM_SOLVE] for index, _ in items]
+    if solver is None and not options["use_bo"]:
+        results = solve_gradients(
+            objectives, model.prior, streams, restarts=options["restarts"],
+            max_iters=options["max_iters"], step=options["gradient_step"],
         )
-    else:
-        out = solve_gradient(
-            objective,
-            model.prior,
-            restarts=options["restarts"],
-            max_iters=options["max_iters"],
-            seed=stream,
-            step=options["gradient_step"],
-        )
-    if out is None:
-        return None, None
-    if isinstance(out, tuple):
-        return out
-    return out, None
+        return [(result, None) for result in results]
+    outputs = []
+    for objective, stream in zip(objectives, streams):
+        if solver is not None:
+            out = solver(objective, model.prior, stream)
+        else:
+            out = solve_bayesian(
+                objective, model.prior, budget=options["budget"],
+                init_points=options["init_points"], seed=stream,
+            )
+        outputs.append(out if isinstance(out, tuple) else (out, None))
+    return outputs
 
 
-def _solve_chunk_task(payloads):
-    """Gradient solves of a run of problems in one lockstep descent; each
-    payload is that of _solve_task."""
-    model, _, _, master_seed, options, _ = payloads[0]
-    results = solve_gradients(
-        [make_objective(model, seed, index) for _, seed, index, *_ in payloads],
-        model.prior,
-        [[master_seed, index, STREAM_SOLVE] for _, _, index, *_ in payloads],
-        restarts=options["restarts"],
-        max_iters=options["max_iters"],
-        step=options["gradient_step"],
-    )
-    return [(result, None) for result in results]
+def _run_in_chunks(chunk_task, context, tasks, workers):
+    """run_tasks with one contiguous chunk of (key, item) tasks per worker.
 
-
-def _run_in_chunks(chunk_task, item_task, tasks, workers):
-    """run_tasks with one contiguous chunk of tasks per worker.
-
-    chunk_task takes a list of payloads and returns one value per payload,
-    each equal to what item_task returns for that payload alone, so the
-    output does not depend on the chunking.  An item's seconds are its
-    chunk's wall time divided by the chunk's size.  A chunk that raises is
-    run again one item at a time with item_task, so the failure stays with
-    the item that raised it."""
+    chunk_task takes (context, items), where the context is what every
+    item of a stage shares and is sent once per chunk, and returns one
+    value per item, each equal to the one it returns for that item alone,
+    so the output does not depend on the chunking.  An item's seconds are
+    its chunk's wall time divided by the chunk's size.  A chunk that
+    raises is run again as one-item chunks of the same chunk_task, so the
+    failure stays with the item that raised it."""
     n_chunks = min(effective_workers(workers), len(tasks))
     edges = [len(tasks) * k // n_chunks for k in range(n_chunks + 1)]
     chunks = [tasks[a:b] for a, b in zip(edges, edges[1:])]
     outputs, failed, chunk_seconds = run_tasks(
         chunk_task,
-        [(k, [payload for _, payload in chunk]) for k, chunk in enumerate(chunks)],
+        [(k, (context, [item for _, item in chunk]))
+         for k, chunk in enumerate(chunks)],
         workers=workers,
     )
     results, failures, seconds = {}, {}, {}
@@ -135,9 +123,12 @@ def _run_in_chunks(chunk_task, item_task, tasks, workers):
             results[key] = value
             seconds[key] = chunk_seconds[k] / len(chunk)
     if retry:
-        again = run_tasks(item_task, retry, workers=workers)
-        for merged, part in zip((results, failures, seconds), again):
-            merged.update(part)
+        values, failures, retry_seconds = run_tasks(
+            chunk_task, [(key, (context, [item])) for key, item in retry],
+            workers=workers,
+        )
+        results.update((key, value[0]) for key, value in values.items())
+        seconds.update(retry_seconds)
     return results, failures, seconds
 
 
@@ -179,7 +170,8 @@ def solve_problems(model, n1, seed, use_bo=False, restarts=1, max_iters=200,
 
     solver optionally replaces the built-in optimizers; it must be a
     picklable callable (objective, prior, seed) -> OptimisationResult,
-    (result, surrogate) or None, called once per problem.  The built-in
+    (result, surrogate) or None, called once per problem of a worker's
+    chunk (again if another problem of its chunk raised).  The built-in
     gradient solve runs every problem of a worker's chunk in lockstep.
     Failures are recorded per problem, not raised.
     """
@@ -192,15 +184,9 @@ def solve_problems(model, n1, seed, use_bo=False, restarts=1, max_iters=200,
         "init_points": int(init_points),
         "gradient_step": float(gradient_step),
     }
-    tasks = [
-        (i, (model, seeds[i], i, int(seed), options, solver)) for i in range(n1)
-    ]
-    if solver is None and not use_bo:
-        results, failures, seconds = _run_in_chunks(
-            _solve_chunk_task, _solve_task, tasks, workers)
-    else:
-        results, failures, seconds = run_tasks(_solve_task, tasks,
-                                               workers=workers)
+    results, failures, seconds = _run_in_chunks(
+        _solve_chunk_task, (model, int(seed), options, solver),
+        [(i, (i, seeds[i])) for i in range(n1)], workers)
     records = []
     for i in range(n1):
         record = ProblemRecord(index=i, seed=seeds[i], seconds=seconds[i])
@@ -223,41 +209,35 @@ def solve_problems(model, n1, seed, use_bo=False, restarts=1, max_iters=200,
     )
 
 
-def _region_task(payload):
-    (model, seed, index, result, gp, eps, settings, region_builder) = payload
-    objective = make_objective(model, seed, index)
-    distance = gp if gp is not None else objective
-    if region_builder is not None:
-        box = region_builder(distance, result, eps, settings)
-        source = "custom"
-    else:
-        curvature, source = choose_curvature(result, objective=objective)
-        box = build_box(distance, result, eps, settings, curvature=curvature)
-    return box, source
-
-
-def _region_chunk_task(payloads):
-    """Boxes of a run of accepted problems from one lockstep walk; each
-    payload is that of _region_task with no region_builder."""
-    distances, results, chosen = [], [], []
-    for model, seed, index, result, gp, eps, settings, _ in payloads:
-        objective = make_objective(model, seed, index)
-        distances.append(gp if gp is not None else objective)
+def _region_chunk_task(payload):
+    """Boxes of a run of accepted problems: one lockstep walk over all of
+    them, else the custom region_builder on one region at a time."""
+    (model, eps, settings, region_builder), items = payload
+    objectives, distances, results = [], [], []
+    for index, seed, result, gp in items:
+        objectives.append(make_objective(model, seed, index))
+        distances.append(gp if gp is not None else objectives[-1])
         results.append(result)
-        chosen.append(choose_curvature(result, objective=objective))
+    if region_builder is not None:
+        return [(region_builder(distance, result, eps, settings), "custom")
+                for distance, result in zip(distances, results)]
+    chosen = [choose_curvature(result, objective=objective)
+              for result, objective in zip(results, objectives)]
     boxes = build_boxes(DistanceStack(distances), results,
                         [curvature for curvature, _ in chosen], eps, settings)
     return [(box, source) for box, (_, source) in zip(boxes, chosen)]
 
 
-def _fit_task(payload):
-    (model, seed, index, box, gp, n_train, fit_seed, surrogate_fitter) = payload
-    if gp is not None:
-        distance = gp
-    else:
-        distance = make_objective(model, seed, index)
+def _fit_chunk_task(payload):
+    """Quadratic fits over a run of regions, one region at a time."""
+    (model, master_seed, n_train, surrogate_fitter), items = payload
     fitter = surrogate_fitter if surrogate_fitter is not None else fit_quadratic
-    return fitter(distance, box, n_train=n_train, seed=fit_seed)
+    quadratics = []
+    for index, seed, box, gp in items:
+        distance = gp if gp is not None else make_objective(model, seed, index)
+        quadratics.append(fitter(distance, box, n_train=n_train,
+                                 seed=[master_seed, index, STREAM_FIT]))
+    return quadratics
 
 
 @dataclass
@@ -349,10 +329,12 @@ def estimate_regions(solve_output, eps=None, quantile=None, fraction=0.05,
     the distance the regions and inference run on: None follows the solve
     phase (surrogate means after Bayesian optimization), True forces the
     surrogate means, False forces the real objectives.  fit_models adds a
-    quadratic fit of that distance over each region.  The boxes of a
-    worker's chunk come from one lockstep walk; region_builder, a picklable
-    callable (distance, result, eps, settings) -> BoundingBox, replaces
-    that walk and is called once per region.
+    quadratic fit of that distance over each region; a region whose box
+    or fit failed is left out and listed in region_failures.  The boxes of
+    a worker's chunk come from one lockstep walk; region_builder, a
+    picklable callable (distance, result, eps, settings) -> BoundingBox,
+    replaces that walk and is called once per region of the chunk (again
+    if another region of its chunk raised), as surrogate_fitter is.
     """
     if eps is not None and quantile is not None:
         raise ValueError("give either eps or quantile, not both")
@@ -380,59 +362,38 @@ def estimate_regions(solve_output, eps=None, quantile=None, fraction=0.05,
         model.prior, fraction=fraction, refinements=refinements,
         max_steps=max_steps,
     )
-    tasks = []
-    for i in accepted:
-        record = by_index[i]
-        gp = record.gp if use_surrogate else None
-        tasks.append(
-            (i, (model, record.seed, i, record.result, gp, eps, settings,
-                 region_builder))
-        )
-    if region_builder is None:
-        results, failures, region_seconds = _run_in_chunks(
-            _region_chunk_task, _region_task, tasks, workers)
-    else:
-        results, failures, region_seconds = run_tasks(
-            _region_task, tasks, workers=workers)
-
-    entries = []
-    for i in accepted:
-        if i in failures:
-            continue
-        record = by_index[i]
-        box, source = results[i]
-        entries.append(
-            RegionEntry(
-                index=i,
-                seed=record.seed,
-                result=record.result,
-                region=box,
-                gp=record.gp,
-                quadratic=None,
-                curvature_source=source,
-            )
-        )
-    if not entries:
+    boxes, failures, region_seconds = _run_in_chunks(
+        _region_chunk_task, (model, eps, settings, region_builder),
+        [(i, (i, by_index[i].seed, by_index[i].result,
+              by_index[i].gp if use_surrogate else None)) for i in accepted],
+        workers)
+    if not boxes:
         raise DegenerateResult("every region construction failed")
-
-    fit_seconds = {}
+    quadratics, fit_seconds = {}, {}
     if fit_models:
-        fit_tasks = []
-        for entry in entries:
-            gp = entry.gp if use_surrogate else None
-            fit_seed = [solve_output.master_seed, entry.index, STREAM_FIT]
-            fit_tasks.append(
-                (entry.index,
-                 (model, entry.seed, entry.index, entry.region, gp, n_train,
-                  fit_seed, surrogate_fitter))
-            )
-        fit_results, fit_failures, fit_seconds = run_tasks(
-            _fit_task, fit_tasks, workers=workers
-        )
-        for entry in entries:
-            if entry.index in fit_results:
-                entry.quadratic = fit_results[entry.index]
+        # a region whose fit failed is dropped, as one whose box failed
+        quadratics, fit_failures, fit_seconds = _run_in_chunks(
+            _fit_chunk_task,
+            (model, solve_output.master_seed, n_train, surrogate_fitter),
+            [(i, (i, by_index[i].seed, boxes[i][0],
+                  by_index[i].gp if use_surrogate else None))
+             for i in accepted if i in boxes],
+            workers)
         failures = {**failures, **fit_failures}
+    entries = [
+        RegionEntry(
+            index=i,
+            seed=by_index[i].seed,
+            result=by_index[i].result,
+            region=boxes[i][0],
+            gp=by_index[i].gp,
+            quadratic=quadratics.get(i),
+            curvature_source=boxes[i][1],
+        )
+        for i in accepted if i not in failures
+    ]
+    if not entries:
+        raise DegenerateResult("every quadratic fit failed")
 
     return InferenceBundle(
         model=model,

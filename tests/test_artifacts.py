@@ -348,6 +348,12 @@ class TestLoadValidation:
         with pytest.raises(ValueError, match="unique and increasing"):
             artifacts.load_regions(regions)
 
+    def test_failed_index_must_not_have_a_region(self, regions):
+        _tamper(regions, lambda p: p["failures"].update(
+            {str(p["regions"][0]["index"]): "RuntimeError('fit failed')"}))
+        with pytest.raises(ValueError, match="also listed as failed"):
+            artifacts.load_regions(regions)
+
     def test_region_indices_must_increase(self, regions):
         def swap(payload):
             entries = payload["regions"]

@@ -18,7 +18,12 @@ from conftest import BatchDistance
 from reference_bfgs import reference_bfgs, reference_gradient
 
 import romc.pipeline
-from romc import make_ma2_model, make_toy_model, solve_problems
+from romc import (
+    estimate_regions,
+    make_ma2_model,
+    make_toy_model,
+    solve_problems,
+)
 from romc.errors import NumericalFailure
 from romc.model import (
     STREAM_SOLVE,
@@ -269,9 +274,42 @@ def _same_result(a, b):
     assert a.iterations == b.iterations and type(a.iterations) is int
 
 
+def _same_record(a, b):
+    assert (a.index, a.seed, a.error) == (b.index, b.seed, b.error)
+    _same_result(a.result, b.result)
+    assert (a.gp is None) == (b.gp is None)
+    if a.gp is not None:
+        assert a.gp.to_record() == b.gp.to_record()
+
+
+def _same_box(a, b):
+    for name in ("rotation", "center", "limits"):
+        np.testing.assert_array_equal(_bits(getattr(a, name)),
+                                      _bits(getattr(b, name)))
+
+
+def _solver_failing_for_3(objective, prior, seed):
+    if seed[1] == 3:
+        raise RuntimeError("solver crashed")
+    return solve_gradient(objective, prior, seed=seed)
+
+
 @pytest.fixture(scope="module")
 def ma2_solve():
     return solve_problems(make_ma2_model(), n1=200, seed=21, restarts=3)
+
+
+BO = {"use_bo": True, "budget": 16, "init_points": 6}
+
+
+@pytest.fixture(scope="module")
+def ma2_bo_solve():
+    return solve_problems(make_ma2_model(), n1=6, seed=21, **BO)
+
+
+@pytest.fixture(scope="module")
+def ma2_fit_bundle(ma2_solve):
+    return estimate_regions(ma2_solve, quantile=0.97, fit_models=True)
 
 
 class TestChunking:
@@ -285,21 +323,50 @@ class TestChunking:
             )
             _same_result(alone, record.result)
 
-    # chunks of 1 problem, of 6 or 7, and of all 200
-    @pytest.mark.parametrize("n_chunks", [200, 29, 1])
-    def test_chunking_does_not_change_records(self, ma2_solve, monkeypatch,
-                                              n_chunks):
+    # chunks of 1 problem, of 6 or 7, and of all 200 gradient problems; of
+    # 1, 2 and all 6 BO problems; of 1, 6 or 7, and all 195 quadratic fits
+    @pytest.mark.parametrize("stage, n_chunks", [
+        pytest.param("gradient", 200, id="200"),
+        pytest.param("gradient", 29, id="29"),
+        pytest.param("gradient", 1, id="1"),
+        pytest.param("bo", 6, id="bo-6"),
+        pytest.param("bo", 3, id="bo-3"),
+        pytest.param("bo", 1, id="bo-1"),
+        pytest.param("fit", 195, id="fit-195"),
+        pytest.param("fit", 29, id="fit-29"),
+        pytest.param("fit", 1, id="fit-1"),
+    ])
+    def test_chunking_does_not_change_records(self, request, monkeypatch,
+                                              stage, n_chunks):
+        reference = request.getfixturevalue(
+            {"gradient": "ma2_solve", "bo": "ma2_bo_solve",
+             "fit": "ma2_fit_bundle"}[stage])
         monkeypatch.setattr(romc.pipeline, "effective_workers",
                             lambda workers: n_chunks)
-        out = solve_problems(ma2_solve.model, n1=200, seed=21, restarts=3)
-        assert out.options == ma2_solve.options
-        for a, b in zip(out.records, ma2_solve.records):
-            assert (a.index, a.seed, a.error) == (b.index, b.seed, b.error)
-            _same_result(a.result, b.result)
+        if stage == "fit":
+            out = estimate_regions(request.getfixturevalue("ma2_solve"),
+                                   quantile=0.97, fit_models=True)
+            assert out.accepted == reference.accepted
+            assert len(out.accepted) == 195
+            for a, b in zip(out.entries, reference.entries):
+                _same_box(a.region, b.region)
+                for name in ("intercept", "linear", "quad"):
+                    np.testing.assert_array_equal(
+                        _bits(getattr(a.quadratic, name)),
+                        _bits(getattr(b.quadratic, name)))
+            return
+        out = solve_problems(reference.model, n1=reference.n1,
+                             seed=21, **reference.options)
+        assert out.options == reference.options
+        for a, b in zip(out.records, reference.records):
+            _same_record(a, b)
 
-    def test_raising_objective_fails_only_its_problem(self, monkeypatch):
+    @pytest.mark.parametrize("options", [
+        pytest.param({}, id="gradient"), pytest.param(BO, id="bo")])
+    def test_raising_objective_fails_only_its_problem(self, monkeypatch,
+                                                      options):
         model = make_toy_model()
-        clean = solve_problems(model, n1=6, seed=2)
+        clean = solve_problems(model, n1=6, seed=2, **options)
         build = romc.pipeline.make_objective
 
         def broken(theta):
@@ -311,18 +378,32 @@ class TestChunking:
             return build(model, seed, index)
 
         monkeypatch.setattr(romc.pipeline, "make_objective", make)
-        out = solve_problems(model, n1=6, seed=2)
+        out = solve_problems(model, n1=6, seed=2, **options)
         assert "simulator crashed" in out.records[3].error
         assert out.records[3].result is None
         for a, b in zip(out.records, clean.records):
             if a.index != 3:
                 assert a.error is None
-                _same_result(a.result, b.result)
+                _same_record(a, b)
+
+    def test_raising_solver_fails_only_its_problem(self):
+        # the custom solver runs solve_gradient, which equals a problem's
+        # row of the lockstep solve
+        model = make_toy_model()
+        clean = solve_problems(model, n1=6, seed=2)
+        out = solve_problems(model, n1=6, seed=2, solver=_solver_failing_for_3)
+        assert "solver crashed" in out.records[3].error
+        assert out.records[3].result is None
+        for a, b in zip(out.records, clean.records):
+            if a.index != 3:
+                _same_record(a, b)
 
 
 def test_perfbench_tracer_still_wraps_the_solve():
-    """Every name perfbench/tracing.py patches exists, and the iteration
-    counter it keeps from _bfgs(...)[3] stays one int."""
+    """Every name perfbench/tracing.py patches exists, the iteration
+    counter it keeps from _bfgs(...)[3] stays one int, and every stage's
+    chunk path runs under the tracer: the gradient and BO solves and the
+    regions with their quadratic fits."""
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     import tracing
 
@@ -333,3 +414,15 @@ def test_perfbench_tracer_still_wraps_the_solve():
     assert type(total) is int
     assert total >= sum(record.result.iterations for record in out.records)
     assert tracer.counter("model.fd_gradient")[0] > 0
+
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        bo = solve_problems(make_ma2_model(), n1=3, seed=3, **BO)
+        bundle = estimate_regions(bo, quantile=1.0, fit_models=True)
+    assert len(tracer.named("optimize.solve_bayesian")) == 3
+    assert tracer.counter("optimize.gp_fit")[0] > 0
+    # one chunk per stage at workers=1: solve, regions and fits
+    assert len(tracer.named("parallel.run_tasks")) == 3
+    assert tracer.counter("parallel.task")[0] == 3
+    assert tracer.counter("parallel.failures")[0] == 0
+    assert all(entry.quadratic is not None for entry in bundle.entries)

@@ -38,6 +38,29 @@ def _tiny_surrogate_fitter(distance, box, n_train, seed):
     return fit_quadratic(distance, box, n_train=12, seed=seed)
 
 
+def _fitter_failing_for_3(distance, box, n_train, seed):
+    # seed is the fit stream (master seed, problem index, stage)
+    if seed[1] == 3:
+        raise RuntimeError("fit failed")
+    return fit_quadratic(distance, box, n_train=n_train, seed=seed)
+
+
+def _always_failing_fitter(distance, box, n_train, seed):
+    raise RuntimeError("fit failed")
+
+
+class _BuilderFailingAt:
+    """build_box, except for the region around one minimizer."""
+
+    def __init__(self, x_min):
+        self.x_min = x_min
+
+    def __call__(self, distance, result, eps, settings):
+        if np.array_equal(result.x_min, self.x_min):
+            raise RuntimeError("builder crashed")
+        return build_box(distance, result, eps, settings)
+
+
 @pytest.fixture(scope="module")
 def toy_solve():
     return solve_problems(make_toy_model(), n1=40, seed=7)
@@ -192,6 +215,33 @@ class TestEstimateRegions:
                                   surrogate_fitter=_tiny_surrogate_fitter)
         assert all(e.quadratic is not None for e in bundle.entries)
 
+    def test_failed_fit_drops_its_region(self, tmp_path):
+        # a region without its quadratic would silently fall back to the
+        # real objective while every other region uses its fit
+        out = solve_problems(make_toy_model(), n1=12, seed=2)
+        clean = estimate_regions(out, quantile=0.9, fit_models=True)
+        assert 3 in clean.accepted
+        bundle = estimate_regions(out, quantile=0.9, fit_models=True,
+                                  surrogate_fitter=_fitter_failing_for_3)
+        assert "fit failed" in bundle.region_failures[3]
+        assert bundle.accepted == [i for i in clean.accepted if i != 3]
+        for entry in bundle.entries:
+            assert entry.quadratic is not None
+            assert (entry.quadratic.to_record()
+                    == clean.entry(entry.index).quadratic.to_record())
+        artifacts.write_region_telemetry(tmp_path / "telemetry.csv", bundle)
+        rows = (tmp_path / "telemetry.csv").read_text().splitlines()
+        assert [row for row in rows if row.startswith("3,")][0].startswith(
+            "3,failed,")
+        artifacts.write_regions(tmp_path / "regions.json", bundle)
+        loaded = artifacts.load_regions(tmp_path / "regions.json")
+        assert loaded.accepted == bundle.accepted
+
+    def test_degenerate_when_every_fit_fails(self, toy_solve):
+        with pytest.raises(DegenerateResult, match="every quadratic fit"):
+            estimate_regions(toy_solve, quantile=0.8, fit_models=True,
+                             surrogate_fitter=_always_failing_fitter)
+
 
 class TestInferenceBundle:
     @pytest.fixture
@@ -314,6 +364,24 @@ class TestChunkedRegions:
             np.testing.assert_array_equal(
                 _bits(entry.region.limits),
                 _bits(clean.entry(entry.index).region.limits))
+
+
+    def test_raising_region_builder_fails_only_its_region(
+            self, ma2_gradient_solve):
+        clean = estimate_regions(ma2_gradient_solve, quantile=0.97,
+                                 region_builder=build_box)
+        broken_index = clean.accepted[2]
+        x_min = ma2_gradient_solve.records[broken_index].result.x_min
+        out = estimate_regions(ma2_gradient_solve, quantile=0.97,
+                               region_builder=_BuilderFailingAt(x_min))
+        assert list(out.region_failures) == [broken_index]
+        assert "builder crashed" in out.region_failures[broken_index]
+        assert out.accepted == [i for i in clean.accepted if i != broken_index]
+        for entry in out.entries:
+            for name in ("rotation", "center", "limits"):
+                np.testing.assert_array_equal(
+                    _bits(getattr(entry.region, name)),
+                    _bits(getattr(clean.entry(entry.index).region, name)))
 
 
 class TestStackedSampler:
