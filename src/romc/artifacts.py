@@ -184,21 +184,15 @@ def write_solve_telemetry(path, solve_output):
 def write_region_telemetry(path, bundle):
     """Per-task region timing; excluded from byte-identity."""
     accepted = {entry.index for entry in bundle.entries}
-    indices = sorted(
-        set(bundle.region_seconds)
-        | set(bundle.fit_seconds)
-        | set(bundle.region_failures)
-    )
+    indices = sorted(set(bundle.region_seconds) | set(bundle.region_failures))
     with _atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["index", "status", "region_seconds", "fit_seconds"])
+        writer.writerow(["index", "status", "region_seconds"])
         for index in indices:
             writer.writerow([
                 index,
                 "ok" if index in accepted else "failed",
                 repr(float(bundle.region_seconds.get(index, 0.0))),
-                repr(float(bundle.fit_seconds[index]))
-                if index in bundle.fit_seconds else "",
             ])
 
 
@@ -340,8 +334,19 @@ def load_samples(samples_path, meta_path):
             draw_indices.append(int(row[1]))
             thetas.append([float(v) for v in row[2:2 + dim]])
             weights.append(float(row[2 + dim]))
+    thetas, weights = np.asarray(thetas), np.asarray(weights)
+    for values, valid, rule in (
+        (thetas, np.isfinite(thetas).all(axis=-1), "theta must be finite"),
+        (weights, np.isfinite(weights) & (weights >= 0.0),
+         "weight must be finite and nonnegative"),
+    ):
+        if not np.all(valid):
+            # the first invalid row; data rows start on line 2
+            row = int(np.argmin(valid))
+            raise ValueError(f"{samples_path}:{row + 2}: {rule}, "
+                             f"found {values[row].tolist()}")
     result = InferenceResult(
-        np.asarray(thetas), np.asarray(weights),
+        thetas, weights,
         np.asarray(problem_indices), np.asarray(draw_indices),
         eps=meta["eps"], seed=meta["seed"],
     )

@@ -171,6 +171,13 @@ def _inverse(matrix):
     return inv
 
 
+def check_gradient_options(restarts, max_iters):
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
+
+
 def solve_gradients(objectives, prior, seeds, restarts=1, max_iters=200,
                     step=1e-5, gtol=1e-8):
     """Minimize several objectives with BFGS from prior-drawn start points.
@@ -184,10 +191,7 @@ def solve_gradients(objectives, prior, seeds, restarts=1, max_iters=200,
     bounds and whose f_min is the objective value there, or None when
     every restart fails numerically.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
+    check_gradient_options(restarts, max_iters)
     starts = []
     for seed in seeds:
         rng = np.random.default_rng(seed)
@@ -377,6 +381,13 @@ def _latin_hypercube(rng, n, lo, hi):
     return (perms.T - u) / n * (hi - lo) + lo
 
 
+def check_bayesian_options(budget, init_points):
+    if init_points < 2:
+        raise ValueError("init_points must be at least 2")
+    if budget <= init_points:
+        raise ValueError("budget must exceed init_points")
+
+
 def solve_bayesian(objective, prior, budget=64, init_points=10, seed=0,
                    n_candidates=512):
     """Minimize one objective with expected-improvement Bayesian optimization.
@@ -387,10 +398,7 @@ def solve_bayesian(objective, prior, budget=64, init_points=10, seed=0,
     evaluated point and hess_appr the exact Hessian of the surrogate mean
     there, or None when the surrogate fit fails.
     """
-    if init_points < 2:
-        raise ValueError("init_points must be at least 2")
-    if budget <= init_points:
-        raise ValueError("budget must exceed init_points")
+    check_bayesian_options(budget, init_points)
     rng = np.random.default_rng(seed)
     bounds = prior.bounds
     lo, hi = bounds[:, 0], bounds[:, 1]

@@ -6,12 +6,12 @@ builds a bounding box per accepted problem and optionally fits local
 quadratic models.  The resulting InferenceBundle knows how to hand out the
 per-problem distance, the posterior approximation and weighted samples.
 
-Every stage runs through one runner, _run_in_chunks, which hands each
-worker one contiguous chunk of problems: the built-in gradient solve and
-box construction run a chunk in lockstep, and Bayesian optimization, the
-quadratic fits and the solver, region_builder and surrogate_fitter hooks
-go through a chunk one problem at a time.  A chunk that raises is run
-again one problem at a time, so a failure stays with its problem.
+Both stages run through one runner, _run_in_chunks, which hands each
+worker one contiguous chunk of problems: the gradient solve and the boxes
+run a chunk in lockstep; Bayesian optimization, the hooks and the region
+stage's quadratic fits go through it one problem at a time.  A chunk
+that raises is run again one problem at a time, so a failure stays with
+its problem.
 
 All task functions are module level and all payloads picklable, so the
 same code path runs sequentially or across a process pool; every random
@@ -38,6 +38,8 @@ from .model import (
 from .optimize import (
     GaussianProcessSurrogate,
     OptimisationResult,
+    check_bayesian_options,
+    check_gradient_options,
     compute_eps,
     distance_histogram,
     filter_solutions,
@@ -53,7 +55,7 @@ from .regions import (
     build_boxes,
     choose_curvature,
 )
-from .surrogate import fit_quadratic
+from .surrogate import fit_quadratic, training_size
 
 
 @dataclass
@@ -173,7 +175,8 @@ def solve_problems(model, n1, seed, use_bo=False, restarts=1, max_iters=200,
     (result, surrogate) or None, called once per problem of a worker's
     chunk (again if another problem of its chunk raised).  The built-in
     gradient solve runs every problem of a worker's chunk in lockstep.
-    Failures are recorded per problem, not raised.
+    Failures are recorded per problem, not raised; an invalid option of
+    the built-in optimizer in use raises ValueError before any solve.
     """
     seeds = draw_nuisance_seeds(n1, seed)
     options = {
@@ -184,6 +187,10 @@ def solve_problems(model, n1, seed, use_bo=False, restarts=1, max_iters=200,
         "init_points": int(init_points),
         "gradient_step": float(gradient_step),
     }
+    if solver is None and options["use_bo"]:
+        check_bayesian_options(options["budget"], options["init_points"])
+    elif solver is None:
+        check_gradient_options(options["restarts"], options["max_iters"])
     results, failures, seconds = _run_in_chunks(
         _solve_chunk_task, (model, int(seed), options, solver),
         [(i, (i, seeds[i])) for i in range(n1)], workers)
@@ -210,34 +217,32 @@ def solve_problems(model, n1, seed, use_bo=False, restarts=1, max_iters=200,
 
 
 def _region_chunk_task(payload):
-    """Boxes of a run of accepted problems: one lockstep walk over all of
-    them, else the custom region_builder on one region at a time."""
-    (model, eps, settings, region_builder), items = payload
+    """Regions of a run of accepted problems: the boxes from one lockstep
+    walk over all of them, else from the custom region_builder one region
+    at a time, then, when fit is given, each region's quadratic fit."""
+    (model, master_seed, eps, settings, region_builder, fit), items = payload
     objectives, distances, results = [], [], []
     for index, seed, result, gp in items:
         objectives.append(make_objective(model, seed, index))
         distances.append(gp if gp is not None else objectives[-1])
         results.append(result)
     if region_builder is not None:
-        return [(region_builder(distance, result, eps, settings), "custom")
-                for distance, result in zip(distances, results)]
-    chosen = [choose_curvature(result, objective=objective)
-              for result, objective in zip(results, objectives)]
-    boxes = build_boxes(DistanceStack(distances), results,
-                        [curvature for curvature, _ in chosen], eps, settings)
-    return [(box, source) for box, (_, source) in zip(boxes, chosen)]
-
-
-def _fit_chunk_task(payload):
-    """Quadratic fits over a run of regions, one region at a time."""
-    (model, master_seed, n_train, surrogate_fitter), items = payload
-    fitter = surrogate_fitter if surrogate_fitter is not None else fit_quadratic
-    quadratics = []
-    for index, seed, box, gp in items:
-        distance = gp if gp is not None else make_objective(model, seed, index)
-        quadratics.append(fitter(distance, box, n_train=n_train,
-                                 seed=[master_seed, index, STREAM_FIT]))
-    return quadratics
+        boxes = [region_builder(distance, result, eps, settings)
+                 for distance, result in zip(distances, results)]
+        sources = ["custom"] * len(boxes)
+    else:
+        curvatures, sources = zip(*(
+            choose_curvature(result, objective=objective)
+            for result, objective in zip(results, objectives)))
+        boxes = build_boxes(DistanceStack(distances), results, curvatures,
+                            eps, settings)
+    quadratics = [None] * len(boxes)
+    if fit is not None:
+        n_train, fitter = fit
+        quadratics = [fitter(distance, box, n_train=n_train,
+                             seed=[master_seed, item[0], STREAM_FIT])
+                      for item, distance, box in zip(items, distances, boxes)]
+    return list(zip(boxes, sources, quadratics))
 
 
 @dataclass
@@ -272,7 +277,6 @@ class InferenceBundle:
     entries: list
     region_failures: dict = field(default_factory=dict)
     region_seconds: dict = field(default_factory=dict)
-    fit_seconds: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self._objectives = {}
@@ -329,12 +333,13 @@ def estimate_regions(solve_output, eps=None, quantile=None, fraction=0.05,
     the distance the regions and inference run on: None follows the solve
     phase (surrogate means after Bayesian optimization), True forces the
     surrogate means, False forces the real objectives.  fit_models adds a
-    quadratic fit of that distance over each region; a region whose box
-    or fit failed is left out and listed in region_failures.  The boxes of
-    a worker's chunk come from one lockstep walk; region_builder, a
-    picklable callable (distance, result, eps, settings) -> BoundingBox,
-    replaces that walk and is called once per region of the chunk (again
-    if another region of its chunk raised), as surrogate_fitter is.
+    quadratic fit of that distance over each region, in the chunk task
+    that builds its box; a region whose box or fit failed is left out and
+    listed in region_failures.  The boxes of a worker's chunk come from
+    one lockstep walk; region_builder, a picklable callable (distance,
+    result, eps, settings) -> BoundingBox, replaces that walk and is
+    called once per region of the chunk (again if another region of its
+    chunk raised), as surrogate_fitter is.
     """
     if eps is not None and quantile is not None:
         raise ValueError("give either eps or quantile, not both")
@@ -362,38 +367,26 @@ def estimate_regions(solve_output, eps=None, quantile=None, fraction=0.05,
         model.prior, fraction=fraction, refinements=refinements,
         max_steps=max_steps,
     )
-    boxes, failures, region_seconds = _run_in_chunks(
-        _region_chunk_task, (model, eps, settings, region_builder),
+    fit = None
+    if fit_models:
+        if surrogate_fitter is None:
+            # an n_train below the feature count fails here, not per region
+            training_size(n_train, model.prior.dimension)
+        fit = (n_train, surrogate_fitter or fit_quadratic)
+    regions, failures, region_seconds = _run_in_chunks(
+        _region_chunk_task,
+        (model, solve_output.master_seed, eps, settings, region_builder, fit),
         [(i, (i, by_index[i].seed, by_index[i].result,
               by_index[i].gp if use_surrogate else None)) for i in accepted],
         workers)
-    if not boxes:
-        raise DegenerateResult("every region construction failed")
-    quadratics, fit_seconds = {}, {}
-    if fit_models:
-        # a region whose fit failed is dropped, as one whose box failed
-        quadratics, fit_failures, fit_seconds = _run_in_chunks(
-            _fit_chunk_task,
-            (model, solve_output.master_seed, n_train, surrogate_fitter),
-            [(i, (i, by_index[i].seed, boxes[i][0],
-                  by_index[i].gp if use_surrogate else None))
-             for i in accepted if i in boxes],
-            workers)
-        failures = {**failures, **fit_failures}
     entries = [
-        RegionEntry(
-            index=i,
-            seed=by_index[i].seed,
-            result=by_index[i].result,
-            region=boxes[i][0],
-            gp=by_index[i].gp,
-            quadratic=quadratics.get(i),
-            curvature_source=boxes[i][1],
-        )
-        for i in accepted if i not in failures
+        RegionEntry(index=i, seed=by_index[i].seed, result=by_index[i].result,
+                    region=box, gp=by_index[i].gp, quadratic=quadratic,
+                    curvature_source=source)
+        for i, (box, source, quadratic) in sorted(regions.items())
     ]
     if not entries:
-        raise DegenerateResult("every quadratic fit failed")
+        raise DegenerateResult("every region's box or quadratic fit failed")
 
     return InferenceBundle(
         model=model,
@@ -406,5 +399,4 @@ def estimate_regions(solve_output, eps=None, quantile=None, fraction=0.05,
         entries=entries,
         region_failures={key: f.message for key, f in failures.items()},
         region_seconds=region_seconds,
-        fit_seconds=fit_seconds,
     )

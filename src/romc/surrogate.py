@@ -25,6 +25,19 @@ def quadratic_feature_count(dimension):
     return 1 + d + d * (d + 1) // 2
 
 
+def training_size(n_train, dimension):
+    """n_train, or by default 20 design points per feature capped at 500;
+    raises when it does not cover the feature count."""
+    n_features = quadratic_feature_count(dimension)
+    if n_train is None:
+        return min(20 * n_features, 500)
+    if n_train < n_features:
+        raise ValueError(
+            f"n_train must be at least the feature count ({n_features})"
+        )
+    return n_train
+
+
 def _features(thetas):
     n, d = thetas.shape
     cols = [np.ones(n)]
@@ -82,13 +95,7 @@ def fit_quadratic(distance, box, n_train=None, seed=0):
     """
     d = box.dimension
     n_features = quadratic_feature_count(d)
-    if n_train is None:
-        n_train = min(20 * n_features, 500)
-    if n_train < n_features:
-        raise ValueError(
-            f"n_train must be at least the feature count ({n_features})"
-        )
-    thetas = box.sample(n_train, seed)
+    thetas = box.sample(training_size(n_train, d), seed)
     values = np.asarray(distance.evaluate_batch(thetas), dtype=np.float64)
     design = _features(thetas)
     coef, _, rank, _ = np.linalg.lstsq(design, values, rcond=None)

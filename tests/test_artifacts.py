@@ -206,7 +206,7 @@ class TestTelemetry:
         path = tmp_path / "telemetry.csv"
         artifacts.write_region_telemetry(path, bundle)
         lines = path.read_text().splitlines()
-        assert lines[0] == "index,status,region_seconds,fit_seconds"
+        assert lines[0] == "index,status,region_seconds"
         assert len(lines) == 1 + len(bundle.entries)
 
 
@@ -393,6 +393,24 @@ class TestLoadValidation:
         csv_path.write_text(text[:text.rindex(",")])  # last row loses its weight
         with pytest.raises(ValueError, match="expected 4 fields, found 3"):
             artifacts.load_samples(csv_path, meta)
+
+
+    @pytest.mark.parametrize("column, value, message", [
+        (-1, "-1.0", "weight must be finite and nonnegative, found -1.0"),
+        (2, "nan", "theta must be finite, found [nan]"),
+        (-1, "nan", "weight must be finite and nonnegative, found nan"),
+    ])
+    def test_bad_sample_values_rejected(self, samples, column, value,
+                                        message):
+        csv_path, meta = samples
+        lines = csv_path.read_text().splitlines()
+        row = lines[3].split(",")
+        row[column] = value
+        lines[3] = ",".join(row)
+        csv_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as raised:
+            artifacts.load_samples(csv_path, meta)
+        assert str(raised.value) == f"{csv_path}:4: {message}"
 
 
 class TestAtomicWrites:

@@ -237,6 +237,27 @@ class TestErrorPaths:
         assert "--at has 1 components" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--restarts", 0], "restarts must be at least 1"),
+        (["--max-iters", 0], "max_iters must be at least 1"),
+        (["--use-bo", "--budget", 5, "--init-points", 10],
+         "budget must exceed init_points"),
+        (["--use-bo", "--init-points", 1], "init_points must be at least 2"),
+    ])
+    def test_invalid_solve_option(self, tmp_path, capsys, flags, message):
+        assert run("solve", "--model", "ma2", "--n1", 20, *flags,
+                   "--out", tmp_path) == 1
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_n_train_below_feature_count(self, pipeline_dir, tmp_path, capsys):
+        assert run("regions", "--solutions", pipeline_dir / "solutions.json",
+                   "--eps", 0.75, "--fit-models", "--n-train", 2,
+                   "--out", tmp_path) == 1
+        assert capsys.readouterr().err == (
+            "error: n_train must be at least the feature count (3)\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_unreachable_eps_is_numerical_failure(self, pipeline_dir, tmp_path):
         # no optimized distance is exactly zero, so eps 0 filters out all
         assert run("regions", "--solutions", pipeline_dir / "solutions.json",

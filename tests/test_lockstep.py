@@ -26,12 +26,15 @@ from romc import (
 )
 from romc.errors import NumericalFailure
 from romc.model import (
+    STREAM_FIT,
     STREAM_SOLVE,
     DistanceStack,
     draw_nuisance_seeds,
     make_objective,
 )
 from romc.optimize import _bfgs, _rows_dot, solve_gradient
+from romc.regions import BoundingBox
+from romc.surrogate import fit_quadratic
 
 STEP = 1e-5
 SQUARE = np.array([[-2.0, 2.0], [-2.0, 2.0]])
@@ -288,6 +291,19 @@ def _same_box(a, b):
                                       _bits(getattr(b, name)))
 
 
+def _same_quadratic(a, b):
+    for name in ("intercept", "linear", "quad"):
+        np.testing.assert_array_equal(_bits(getattr(a, name)),
+                                      _bits(getattr(b, name)))
+
+
+def _axis_box(distance, result, eps, settings):
+    """A custom region: an axis-aligned box of half-width 0.01 around the
+    minimizer, whatever the distance."""
+    d = result.x_min.size
+    return BoundingBox(np.eye(d), result.x_min, [[-0.01, 0.01]] * d)
+
+
 def _solver_failing_for_3(objective, prior, seed):
     if seed[1] == 3:
         raise RuntimeError("solver crashed")
@@ -324,7 +340,8 @@ class TestChunking:
             _same_result(alone, record.result)
 
     # chunks of 1 problem, of 6 or 7, and of all 200 gradient problems; of
-    # 1, 2 and all 6 BO problems; of 1, 6 or 7, and all 195 quadratic fits
+    # 1, 2 and all 6 BO problems; of 1, 6 or 7, and all 195 regions with
+    # their quadratic fits, on the built-in boxes and on custom ones
     @pytest.mark.parametrize("stage, n_chunks", [
         pytest.param("gradient", 200, id="200"),
         pytest.param("gradient", 29, id="29"),
@@ -335,14 +352,32 @@ class TestChunking:
         pytest.param("fit", 195, id="fit-195"),
         pytest.param("fit", 29, id="fit-29"),
         pytest.param("fit", 1, id="fit-1"),
+        pytest.param("custom-fit", 195, id="custom-fit-195"),
+        pytest.param("custom-fit", 29, id="custom-fit-29"),
+        pytest.param("custom-fit", 1, id="custom-fit-1"),
     ])
     def test_chunking_does_not_change_records(self, request, monkeypatch,
                                               stage, n_chunks):
+        monkeypatch.setattr(romc.pipeline, "effective_workers",
+                            lambda workers: n_chunks)
+        if stage == "custom-fit":
+            # each quadratic is the built-in fit over its custom box alone
+            solve = request.getfixturevalue("ma2_solve")
+            out = estimate_regions(solve, quantile=0.97, fit_models=True,
+                                   region_builder=_axis_box)
+            assert len(out.accepted) == 195
+            for entry in out.entries:
+                box = _axis_box(None, entry.result, None, None)
+                _same_box(entry.region, box)
+                assert entry.curvature_source == "custom"
+                objective = make_objective(solve.model, entry.seed,
+                                           entry.index)
+                _same_quadratic(entry.quadratic, fit_quadratic(
+                    objective, box, seed=[21, entry.index, STREAM_FIT]))
+            return
         reference = request.getfixturevalue(
             {"gradient": "ma2_solve", "bo": "ma2_bo_solve",
              "fit": "ma2_fit_bundle"}[stage])
-        monkeypatch.setattr(romc.pipeline, "effective_workers",
-                            lambda workers: n_chunks)
         if stage == "fit":
             out = estimate_regions(request.getfixturevalue("ma2_solve"),
                                    quantile=0.97, fit_models=True)
@@ -350,10 +385,7 @@ class TestChunking:
             assert len(out.accepted) == 195
             for a, b in zip(out.entries, reference.entries):
                 _same_box(a.region, b.region)
-                for name in ("intercept", "linear", "quad"):
-                    np.testing.assert_array_equal(
-                        _bits(getattr(a.quadratic, name)),
-                        _bits(getattr(b.quadratic, name)))
+                _same_quadratic(a.quadratic, b.quadratic)
             return
         out = solve_problems(reference.model, n1=reference.n1,
                              seed=21, **reference.options)
@@ -421,8 +453,9 @@ def test_perfbench_tracer_still_wraps_the_solve():
         bundle = estimate_regions(bo, quantile=1.0, fit_models=True)
     assert len(tracer.named("optimize.solve_bayesian")) == 3
     assert tracer.counter("optimize.gp_fit")[0] > 0
-    # one chunk per stage at workers=1: solve, regions and fits
-    assert len(tracer.named("parallel.run_tasks")) == 3
-    assert tracer.counter("parallel.task")[0] == 3
+    # one chunk per stage at workers=1: the solve, and the regions with
+    # their fits
+    assert len(tracer.named("parallel.run_tasks")) == 2
+    assert tracer.counter("parallel.task")[0] == 2
     assert tracer.counter("parallel.failures")[0] == 0
     assert all(entry.quadratic is not None for entry in bundle.entries)

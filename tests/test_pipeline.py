@@ -109,6 +109,29 @@ class TestSolveProblems:
         for record in out.records:
             assert record.gp is not None
 
+    @pytest.mark.parametrize("options, message", [
+        ({"restarts": 0}, "restarts must be at least 1"),
+        ({"max_iters": 0}, "max_iters must be at least 1"),
+        ({"use_bo": True, "budget": 5, "init_points": 10},
+         "budget must exceed init_points"),
+        ({"use_bo": True, "init_points": 1}, "init_points must be at least 2"),
+    ])
+    def test_invalid_option_raises_before_solving(self, monkeypatch, options,
+                                                  message):
+        def no_dispatch(*args, **kwargs):
+            raise AssertionError("a problem was dispatched")
+
+        monkeypatch.setattr(romc.pipeline, "run_tasks", no_dispatch)
+        with pytest.raises(ValueError, match=message):
+            solve_problems(make_ma2_model(), n1=20, seed=2, **options)
+
+    def test_options_of_an_unused_optimizer_are_not_checked(self):
+        out = solve_problems(make_toy_model(), n1=2, seed=2, restarts=0,
+                             solver=_rejecting_solver)
+        assert out.options["restarts"] == 0
+        out = solve_problems(make_toy_model(), n1=2, seed=2, init_points=1)
+        assert len(out.solved()) == 2
+
     def test_custom_solver_hook(self):
         out = solve_problems(make_toy_model(), n1=4, seed=2,
                              solver=_rejecting_solver)
@@ -166,10 +189,12 @@ class TestEstimateRegions:
                                               "identity")
 
     def test_timing_captured_per_task(self, toy_solve):
-        bundle = estimate_regions(toy_solve, quantile=0.8)
-        assert sorted(bundle.region_seconds) == bundle.accepted
-        assert all(s >= 0.0 for s in bundle.region_seconds.values())
-        assert bundle.fit_seconds == {}
+        # a region's seconds cover its box and, with fit_models, its fit
+        for fit_models in (False, True):
+            bundle = estimate_regions(toy_solve, quantile=0.8,
+                                      fit_models=fit_models)
+            assert sorted(bundle.region_seconds) == bundle.accepted
+            assert all(s >= 0.0 for s in bundle.region_seconds.values())
 
     def test_degenerate_when_eps_excludes_everything(self, toy_solve):
         with pytest.raises(DegenerateResult):
@@ -201,7 +226,7 @@ class TestEstimateRegions:
         assert bundle.fit_models
         for entry in bundle.entries:
             assert entry.quadratic is not None
-        assert sorted(bundle.fit_seconds) == bundle.accepted
+        assert sorted(bundle.region_seconds) == bundle.accepted
         for entry in bundle.entries:
             assert bundle.distance(entry) is entry.quadratic
 
@@ -211,7 +236,10 @@ class TestEstimateRegions:
         assert all(e.curvature_source == "custom" for e in bundle.entries)
 
     def test_surrogate_fitter_hook(self, toy_solve):
+        # a custom fitter gets n_train unchecked, even below the quadratic's
+        # feature count
         bundle = estimate_regions(toy_solve, quantile=0.8, fit_models=True,
+                                  n_train=2,
                                   surrogate_fitter=_tiny_surrogate_fitter)
         assert all(e.quadratic is not None for e in bundle.entries)
 
@@ -238,7 +266,9 @@ class TestEstimateRegions:
         assert loaded.accepted == bundle.accepted
 
     def test_degenerate_when_every_fit_fails(self, toy_solve):
-        with pytest.raises(DegenerateResult, match="every quadratic fit"):
+        with pytest.raises(
+                DegenerateResult,
+                match="^every region's box or quadratic fit failed$"):
             estimate_regions(toy_solve, quantile=0.8, fit_models=True,
                              surrogate_fitter=_always_failing_fitter)
 

@@ -1,0 +1,98 @@
+"""Print the sha256 of every artifact of a fixed set of CLI runs.
+
+    PYTHONPATH=src python tools/artifact_digests.py > digests.txt
+
+Each run goes through the romc command in-process (solve, regions,
+sample, and for the golden configs posterior) in a temporary directory,
+and every file it writes is listed as one `config file sha256` line,
+except the telemetry CSVs, which hold wall times.  A step that exits
+nonzero is listed as `config step exit CODE` and ends its run.  The
+script digests whichever romc is importable, so running it once with
+PYTHONPATH pointing at another checkout's src and diffing the two
+outputs checks that a change keeps every artifact byte-identical.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+# one BLAS thread, as the determinism guarantees assume
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from romc.cli import main as romc  # noqa: E402 - after the BLAS setting
+
+# name: (solve flags, regions flags, n2, posterior point)
+GOLDEN = {
+    "1d-n200-s7": (["--model", "1d", "--n1", "200", "--seed", "7"],
+                   ["--eps", "0.75"], 20, "0.25"),
+    "1d-n100-s9-fit": (["--model", "1d", "--n1", "100", "--seed", "9"],
+                       ["--eps", "0.75", "--fit-models"], 20, "0.25"),
+    "ma2-n60-s21": (["--model", "ma2", "--n1", "60", "--seed", "21",
+                     "--restarts", "3"], ["--eps", "0.05"], 20, "0.5,0.1"),
+    "ma2-bo-n12-s21": (["--model", "ma2", "--n1", "12", "--seed", "21",
+                        "--use-bo"], ["--quantile", "0.97"], 20, "0.5,0.1"),
+}
+
+# name: (solve flags, regions flags, n2); each runs at seeds 21 and 43
+# with 1 and 2 workers
+SWEEP = {
+    "ma2-gradient-n200": (["--model", "ma2", "--n1", "200", "--restarts", "3"],
+                          ["--quantile", "0.97"], 30),
+    "ma2-gradient-n200-fit": (["--model", "ma2", "--n1", "200",
+                               "--restarts", "3"],
+                              ["--quantile", "0.97", "--fit-models"], 30),
+    "ma2-bo-n30": (["--model", "ma2", "--n1", "30", "--use-bo"],
+                   ["--quantile", "0.97"], 30),
+    "ma2-bo-n12-fit": (["--model", "ma2", "--n1", "12", "--use-bo"],
+                       ["--quantile", "0.97", "--fit-models"], 30),
+    "1d-n500-fit": (["--model", "1d", "--n1", "500"],
+                    ["--eps", "0.75", "--fit-models"], 50),
+}
+
+
+def _runs():
+    for name, (solve, regions, n2, at) in GOLDEN.items():
+        seed = solve[solve.index("--seed") + 1]
+        steps = [["solve", *solve], ["regions", *regions],
+                 ["sample", "--n2", str(n2), "--seed", seed],
+                 ["posterior", "--at", at]]
+        yield name, steps
+    for name, (solve, regions, n2) in SWEEP.items():
+        for seed in ("21", "43"):
+            for workers in ("1", "2"):
+                yield f"{name}-s{seed}-w{workers}", [
+                    ["solve", *solve, "--seed", seed, "--workers", workers],
+                    ["regions", *regions, "--workers", workers],
+                    ["sample", "--n2", str(n2), "--seed", seed],
+                ]
+
+
+def _digest_run(name, steps, out):
+    for step in steps:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = romc([*step, "--out", str(out)])
+        if code != 0:
+            print(f"{name} {step[0]} exit {code}")
+            break
+    for path in sorted(out.iterdir()):
+        if not path.name.endswith("_telemetry.csv"):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{name} {path.name} {digest}")
+    sys.stdout.flush()
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, steps in _runs():
+            out = Path(tmp) / name
+            out.mkdir()
+            _digest_run(name, steps, out)
+
+
+if __name__ == "__main__":
+    main()
