@@ -10,6 +10,7 @@ Floats are serialized with shortest round-trip repr in both JSON and CSV.
 import csv
 import json
 import os
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -165,45 +166,41 @@ def load_solutions(path):
     )
 
 
-def write_solve_telemetry(path, solve_output):
-    """Per-problem status and wall time; excluded from byte-identity."""
+def _write_csv(path, header, rows):
+    """Write header and rows of plain Python values atomically; csv prints
+    a float as its shortest round-trip repr and None as an empty field."""
     with _atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["index", "status", "f_min", "iterations", "seconds"])
-        for record in solve_output.records:
-            ok = record.result is not None
-            writer.writerow([
-                record.index,
-                "ok" if ok else "failed",
-                repr(float(record.result.f_min)) if ok else "",
-                record.result.iterations if ok else "",
-                repr(float(record.seconds)),
-            ])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_solve_telemetry(path, solve_output):
+    """Per-problem status and wall time; excluded from byte-identity."""
+    # f_min and the seconds are Python floats, so csv prints their repr
+    _write_csv(path, ["index", "status", "f_min", "iterations", "seconds"], [
+        [r.index, "ok", r.result.f_min, r.result.iterations, r.seconds]
+        if r.result is not None else [r.index, "failed", None, None, r.seconds]
+        for r in solve_output.records
+    ])
 
 
 def write_region_telemetry(path, bundle):
     """Per-task region timing; excluded from byte-identity."""
     accepted = {entry.index for entry in bundle.entries}
     indices = sorted(set(bundle.region_seconds) | set(bundle.region_failures))
-    with _atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "status", "region_seconds"])
-        for index in indices:
-            writer.writerow([
-                index,
-                "ok" if index in accepted else "failed",
-                repr(float(bundle.region_seconds.get(index, 0.0))),
-            ])
+    _write_csv(path, ["index", "status", "region_seconds"], [
+        [index, "ok" if index in accepted else "failed",
+         bundle.region_seconds.get(index, 0.0)]
+        for index in indices
+    ])
 
 
 def write_histogram(path, counts, edges):
-    with _atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["left", "right", "count"])
-        for b in range(len(counts)):
-            writer.writerow([
-                repr(float(edges[b])), repr(float(edges[b + 1])), int(counts[b]),
-            ])
+    edges = np.asarray(edges, dtype=float).tolist()
+    counts = np.asarray(counts, dtype=np.int64).tolist()
+    _write_csv(path, ["left", "right", "count"],
+               zip(edges[:-1], edges[1:], counts))
 
 
 def write_regions(path, bundle):
@@ -253,6 +250,10 @@ def load_regions(path):
         gp = None
         if "gp" in record:
             gp = _gp_from_record(record["gp"], model)
+        elif payload["use_surrogate"]:
+            # inference would silently run the simulator for this region
+            raise ValueError(f"region {record['index']} has no GP, but "
+                             "use_surrogate is on")
         quadratic = None
         if "quadratic" in record:
             quadratic = QuadraticSurrogate.from_record(record["quadratic"])
@@ -284,20 +285,11 @@ def write_samples(samples_path, meta_path, result, bundle):
     """Samples CSV plus metadata with result.summary(), which is returned."""
     # before either file is opened: a degenerate result leaves both untouched
     summary = result.summary()
-    dim = result.dimension
-    with _atomic_open(samples_path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["problem_index", "draw_index"]
-            + [f"theta_{m + 1}" for m in range(dim)]
-            + ["weight"]
-        )
-        for j in range(result.n_samples):
-            writer.writerow(
-                [int(result.problem_indices[j]), int(result.draw_indices[j])]
-                + [repr(float(v)) for v in result.thetas[j]]
-                + [repr(float(result.weights[j]))]
-            )
+    _write_csv(samples_path, _samples_header(result.dimension), [
+        [p, d, *theta, w] for p, d, theta, w in zip(
+            result.problem_indices.tolist(), result.draw_indices.tolist(),
+            result.thetas.tolist(), result.weights.tolist())
+    ])
     _dump_json(meta_path, {
         "schema_version": SCHEMA_VERSION,
         "kind": "samples",
@@ -313,28 +305,37 @@ def write_samples(samples_path, meta_path, result, bundle):
     return summary
 
 
+def _samples_header(dim):
+    return (["problem_index", "draw_index"]
+            + [f"theta_{m + 1}" for m in range(dim)] + ["weight"])
+
+
 def load_samples(samples_path, meta_path):
     meta = _load_json(meta_path, "samples")
-    problem_indices, draw_indices, thetas, weights = [], [], [], []
-    with open(samples_path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
+    with (open(samples_path, encoding="utf-8", newline="") as fh,
+          warnings.catch_warnings()):
+        header = next(csv.reader([fh.readline()]), [])
         dim = len(header) - 3
-        expected = (["problem_index", "draw_index"]
-                    + [f"theta_{m + 1}" for m in range(dim)] + ["weight"])
-        if dim < 1 or header != expected:
+        if dim < 1 or header != _samples_header(dim):
             raise ValueError(f"{samples_path}: unexpected header {header}")
-        for line_no, row in enumerate(reader, 2):
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{samples_path}:{line_no}: expected {len(header)} "
-                    f"fields, found {len(row)}"
-                )
-            problem_indices.append(int(row[0]))
-            draw_indices.append(int(row[1]))
-            thetas.append([float(v) for v in row[2:2 + dim]])
-            weights.append(float(row[2 + dim]))
-    thetas, weights = np.asarray(thetas), np.asarray(weights)
+        # int64 index columns reject a non-integral index, not truncate it
+        dtype = [("problem_index", np.int64), ("draw_index", np.int64),
+                 ("thetas", np.float64, (dim,)), ("weight", np.float64)]
+        warnings.simplefilter("ignore", UserWarning)  # an empty body warns
+        try:
+            data = np.loadtxt(fh, dtype, delimiter=",", comments=None, ndmin=1)
+        except ValueError as exc:
+            # rescan for a wrong field count, skipping blank lines as the parse does
+            fh.seek(0)
+            for line_no, row in enumerate(csv.reader(fh), 1):
+                if row and len(row) != len(header):
+                    raise ValueError(
+                        f"{samples_path}:{line_no}: expected {len(header)} "
+                        f"fields, found {len(row)}") from None
+            raise ValueError(f"{samples_path}: {exc}") from None
+    if data.size == 0:
+        raise ValueError(f"{samples_path}: no sample rows")
+    thetas, weights = data["thetas"], data["weight"]
     for values, valid, rule in (
         (thetas, np.isfinite(thetas).all(axis=-1), "theta must be finite"),
         (weights, np.isfinite(weights) & (weights >= 0.0),
@@ -345,53 +346,40 @@ def load_samples(samples_path, meta_path):
             row = int(np.argmin(valid))
             raise ValueError(f"{samples_path}:{row + 2}: {rule}, "
                              f"found {values[row].tolist()}")
-    result = InferenceResult(
-        thetas, weights,
-        np.asarray(problem_indices), np.asarray(draw_indices),
-        eps=meta["eps"], seed=meta["seed"],
-    )
-    return result, meta
+    return InferenceResult(
+        thetas, weights, data["problem_index"], data["draw_index"],
+        eps=meta["eps"], seed=meta["seed"]), meta
 
 
 def write_marginals(path, result, bins=40):
     """Weighted histogram of each parameter's draws: mass per bin, summing
     to 1 per parameter when any weight is positive."""
-    with _atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["parameter", "left", "right", "mass"])
-        total = result.weights.sum()
-        for m in range(result.dimension):
-            values = result.thetas[:, m]
-            lo, hi = float(values.min()), float(values.max())
-            if lo == hi:
-                pad = max(abs(lo), 1.0) * 1e-9
-                lo, hi = lo - pad, hi + pad
-            hist, edges = np.histogram(
-                values, bins=bins, range=(lo, hi), weights=result.weights
-            )
-            masses = hist / total if total > 0 else hist
-            for b in range(bins):
-                writer.writerow([
-                    f"theta_{m + 1}", repr(float(edges[b])),
-                    repr(float(edges[b + 1])), repr(float(masses[b])),
-                ])
+    total = result.weights.sum()
+    rows = []
+    for m in range(result.dimension):
+        values = result.thetas[:, m]
+        lo, hi = float(values.min()), float(values.max())
+        if lo == hi:
+            pad = max(abs(lo), 1.0) * 1e-9
+            lo, hi = lo - pad, hi + pad
+        hist, edges = np.histogram(
+            values, bins=bins, range=(lo, hi), weights=result.weights
+        )
+        masses = hist / total if total > 0 else hist
+        rows += zip([f"theta_{m + 1}"] * bins, edges[:-1].tolist(),
+                    edges[1:].tolist(), masses.tolist())
+    _write_csv(path, ["parameter", "left", "right", "mass"], rows)
 
 
 def write_posterior_grid(path, posterior, grid_step=None):
     """Unnormalized and normalized posterior values on the midpoint grid;
     returns the grid's mass."""
     points, unnorm, mass = posterior.grid(grid_step)
-    dim = points.shape[1]
-    with _atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [f"theta_{m + 1}" for m in range(dim)] + ["unnorm", "posterior"]
-        )
-        for j in range(points.shape[0]):
-            writer.writerow(
-                [repr(float(v)) for v in points[j]]
-                + [repr(float(unnorm[j])), repr(float(unnorm[j] / mass))]
-            )
+    _write_csv(path, [f"theta_{m + 1}" for m in range(points.shape[1])]
+               + ["unnorm", "posterior"], [
+        [*point, u, p] for point, u, p in zip(
+            points.tolist(), unnorm.tolist(), (unnorm / mass).tolist())
+    ])
     return mass
 
 

@@ -12,7 +12,8 @@ rerun or swapped independently:
 Options may also come from a config file of `key = value` lines
 (--config); explicit flags win over the file, the file wins over
 defaults, and keys that a subcommand does not use are ignored so one file
-can drive the whole pipeline.
+can drive the whole pipeline.  Each entry is checked like the flag of the
+same name: a boolean key takes true or false, and null keeps the default.
 
 Exit codes: 0 success, 1 usage or input errors, 2 numerical failures.
 """
@@ -87,19 +88,33 @@ def _read_config(path):
     return values
 
 
+def _config_flags(command, path):
+    """The config file's entries for command as `--key=value` flags, so the
+    parser checks them as it checks flags; `=` keeps a value such as
+    -0.5,0.1 from reading as a flag."""
+    flags = []
+    for key, value in _read_config(path).items():
+        if key not in DEFAULTS[command] or value is None:
+            continue
+        flag = "--" + key.replace("_", "-")
+        if isinstance(DEFAULTS[command][key], bool):  # a store_true flag
+            if not isinstance(value, bool):
+                raise _UsageError(f"{path}: {key} must be true or false")
+            if value:
+                flags.append(flag)
+        else:
+            text = value if isinstance(value, str) else json.dumps(value)
+            flags.append(f"{flag}={text}")
+    return flags
+
+
 def _resolve_options(command, namespace):
-    """Merge defaults, config file values and explicit flags, in that order."""
+    """Merge defaults and parsed flags, config entries included."""
     options = dict(DEFAULTS[command])
-    supplied = {
-        key: value for key, value in vars(namespace).items()
+    options.update(
+        (key, value) for key, value in vars(namespace).items()
         if key not in ("command", "func", "config", "verbose")
-    }
-    config_path = getattr(namespace, "config", None)
-    if config_path:
-        for key, value in _read_config(config_path).items():
-            if key in options:
-                options[key] = value
-    options.update(supplied)
+    )
     return options
 
 
@@ -391,9 +406,14 @@ def cmd_evaluate(options):
 
 def main(argv=None):
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         namespace = parser.parse_args(argv)
-    except _UsageError as exc:
+        if getattr(namespace, "config", None):
+            # after the command and before the explicit flags, which win
+            flags = _config_flags(namespace.command, namespace.config)
+            namespace = parser.parse_args(argv[:1] + flags + argv[1:])
+    except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if getattr(namespace, "command", None) is None:

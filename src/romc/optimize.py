@@ -12,8 +12,6 @@ axes.
 import logging
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
-from scipy.special import ndtr
 
 from .errors import NumericalFailure
 from .model import DistanceStack, finite_difference_gradient
@@ -232,6 +230,10 @@ class GaussianProcessSurrogate:
     """
 
     def __init__(self, inputs, values, lengthscales, variance, noise_variance):
+        # scipy is imported by each GP method that uses it, so that
+        # `import romc` and the gradient path never load it
+        from scipy.linalg import cho_solve
+
         self.inputs = np.asarray(inputs, dtype=np.float64)
         self.values = np.asarray(values, dtype=np.float64)
         self.lengthscales = np.asarray(lengthscales, dtype=np.float64)
@@ -272,6 +274,8 @@ class GaussianProcessSurrogate:
 
     def predict_batch(self, thetas):
         """Posterior mean and variance at each row; variance is clipped at 0."""
+        from scipy.linalg import solve_triangular
+
         n = len(thetas)
         mean, var = np.empty(n), np.empty(n)
         for rows, k, block_mean in self._blocks(thetas):
@@ -354,6 +358,8 @@ def _fit_gp(inputs, values):
 
 
 def _expected_improvement(mean, var, f_best):
+    from scipy.special import ndtr
+
     sigma = np.sqrt(var)
     ei = np.zeros_like(mean)
     active = sigma > 1e-12

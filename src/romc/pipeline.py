@@ -305,7 +305,7 @@ class InferenceBundle:
         its GP mean when use_surrogate is on, else the real objective."""
         if entry.quadratic is not None:
             return entry.quadratic
-        if self.use_surrogate and entry.gp is not None:
+        if self.use_surrogate:
             return entry.gp
         return self.objective(entry.index)
 

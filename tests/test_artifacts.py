@@ -7,6 +7,8 @@ loaded form must reproduce the original file byte for byte.
 
 import csv
 import json
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from romc import (
 )
 from romc.inference import InferenceResult
 from romc.model import BoxUniformPrior
+from romc.optimize import OptimisationResult
+from romc.pipeline import ProblemRecord
 
 
 @pytest.fixture(scope="module")
@@ -256,6 +260,75 @@ class TestSchemaValidation:
         assert lines[1] == "0.0,0.5,2"
 
 
+class TestCsvText:
+    """The exact bytes of each CSV writer on tiny hand-made inputs: floats
+    print as their shortest round-trip repr, integers as integers, and a
+    failed problem's missing fields as empty."""
+
+    @staticmethod
+    def _lines(path):
+        return path.read_bytes().decode().split("\r\n")
+
+    def test_solve_telemetry(self, tmp_path):
+        path = tmp_path / "t.csv"
+        ok = OptimisationResult([0.5], 1e-17, [[1.0]], iterations=3)
+        artifacts.write_solve_telemetry(path, SimpleNamespace(records=[
+            ProblemRecord(index=0, seed=4, result=ok, seconds=0.1),
+            ProblemRecord(index=1, seed=5, seconds=float("inf")),
+        ]))
+        assert self._lines(path) == [
+            "index,status,f_min,iterations,seconds",
+            "0,ok,1e-17,3,0.1", "1,failed,,,inf", ""]
+
+    def test_region_telemetry(self, tmp_path):
+        path = tmp_path / "t.csv"
+        artifacts.write_region_telemetry(path, SimpleNamespace(
+            entries=[SimpleNamespace(index=2)],
+            region_seconds={2: 0.1, 5: 1e-17}, region_failures={7: "err"}))
+        assert self._lines(path) == [
+            "index,status,region_seconds",
+            "2,ok,0.1", "5,failed,1e-17", "7,failed,0.0", ""]
+
+    def test_histogram(self, tmp_path):
+        path = tmp_path / "h.csv"
+        artifacts.write_histogram(path, np.array([2, 0]),
+                                  np.array([-0.0, 0.1, np.inf]))
+        assert self._lines(path) == [
+            "left,right,count", "-0.0,0.1,2", "0.1,inf,0", ""]
+
+    def test_samples(self, tmp_path):
+        path = tmp_path / "s.csv"
+        result = InferenceResult([[0.1, -0.0], [1e-17, 2.0]], [0.5, 0.0],
+                                 [3, 7], [0, 1], eps=0.1, seed=1)
+        bundle = SimpleNamespace(model=make_ma2_model(), master_seed=2,
+                                 use_bo=False, use_surrogate=False)
+        artifacts.write_samples(path, tmp_path / "m.json", result, bundle)
+        assert self._lines(path) == [
+            "problem_index,draw_index,theta_1,theta_2,weight",
+            "3,0,0.1,-0.0,0.5", "7,1,1e-17,2.0,0.0", ""]
+
+    def test_marginals(self, tmp_path):
+        path = tmp_path / "m.csv"
+        result = InferenceResult([[0.0, 0.1], [1.0, 0.1]], [1.0, 3.0],
+                                 [0, 1], [0, 0], eps=0.1, seed=1)
+        artifacts.write_marginals(path, result, bins=2)
+        # theta_2 has one value, so its range is padded by 1e-9
+        assert self._lines(path) == [
+            "parameter,left,right,mass",
+            "theta_1,0.0,0.5,0.25", "theta_1,0.5,1.0,0.75",
+            "theta_2,0.099999999,0.1,0.0", "theta_2,0.1,0.100000001,1.0", ""]
+
+    def test_posterior_grid(self, tmp_path):
+        path = tmp_path / "g.csv"
+        posterior = SimpleNamespace(grid=lambda step: (
+            np.array([[0.1, -0.0], [1e-17, 2.0]]), np.array([0.1, np.inf]),
+            4.0))
+        assert artifacts.write_posterior_grid(path, posterior) == 4.0
+        assert self._lines(path) == [
+            "theta_1,theta_2,unnorm,posterior",
+            "0.1,-0.0,0.1,0.025", "1e-17,2.0,inf,inf", ""]
+
+
 def _tamper(path, edit):
     payload = json.loads(path.read_text())
     edit(payload)
@@ -363,6 +436,17 @@ class TestLoadValidation:
         with pytest.raises(ValueError, match="unique and increasing"):
             artifacts.load_regions(regions)
 
+    def test_surrogate_region_must_have_a_gp(self, bo_solve_output, tmp_path):
+        # without its GP, inference would quietly run the simulator instead
+        path = tmp_path / "regions.json"
+        bo_bundle = estimate_regions(bo_solve_output, quantile=1.0)
+        assert bo_bundle.use_surrogate
+        artifacts.write_regions(path, bo_bundle)
+        index = bo_bundle.entries[0].index
+        _tamper(path, lambda p: p["regions"][0].pop("gp"))
+        with pytest.raises(ValueError, match=f"region {index} has no GP"):
+            artifacts.load_regions(path)
+
     @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -0.5])
     def test_eps_must_be_finite_and_nonnegative(self, regions, eps):
         _tamper(regions, lambda p: p.update(eps=eps))
@@ -394,6 +478,25 @@ class TestLoadValidation:
         with pytest.raises(ValueError, match="expected 4 fields, found 3"):
             artifacts.load_samples(csv_path, meta)
 
+    def test_header_only_samples_rejected(self, samples):
+        csv_path, meta = samples
+        csv_path.write_text(csv_path.read_text().splitlines()[0] + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's empty-input warning
+            with pytest.raises(ValueError) as raised:
+                artifacts.load_samples(csv_path, meta)
+        assert str(raised.value) == f"{csv_path}: no sample rows"
+
+    def test_non_integral_index_rejected(self, samples):
+        # a float parse and a cast would truncate 1.5 to 1
+        csv_path, meta = samples
+        lines = csv_path.read_text().splitlines()
+        lines[2] = "1.5" + lines[2][lines[2].index(","):]
+        csv_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as raised:
+            artifacts.load_samples(csv_path, meta)
+        assert str(raised.value).startswith(f"{csv_path}: ")
+        assert "'1.5'" in str(raised.value)
 
     @pytest.mark.parametrize("column, value, message", [
         (-1, "-1.0", "weight must be finite and nonnegative, found -1.0"),
@@ -429,8 +532,14 @@ class TestAtomicWrites:
         artifacts.write_histogram(path, np.array([2, 3]),
                                   np.array([0.0, 0.5, 1.0]))
         before = path.read_bytes()
-        # the second row fails after the header and first row are written
-        with pytest.raises(ValueError):
-            artifacts.write_histogram(path, ["4", "x"], [0.0, 0.5, 1.0])
+
+        def rows():
+            yield [0.0, 0.5, 4]
+            # the header and first row went to the temporary file
+            assert len(list(tmp_path.iterdir())) == 2
+            raise ValueError("second row")
+
+        with pytest.raises(ValueError, match="second row"):
+            artifacts._write_csv(path, ["left", "right", "count"], rows())
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["hist.csv"]

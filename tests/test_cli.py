@@ -174,6 +174,38 @@ class TestConfigFile:
         config.write_text("n1: 8\n")
         assert run("solve", "--config", config, "--out", tmp_path) == 1
 
+    @pytest.mark.parametrize("command, line", [
+        ("solve", "use_bo = no"),        # a truthy string, not a boolean
+        ("regions", "fit_models = no"),
+        ("solve", 'n1 = "abc"'),
+        ("solve", "n1 = 2.5"),
+    ])
+    def test_config_entries_checked_like_flags(self, command, line,
+                                               pipeline_dir, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text(line + "\n")
+        inputs = {"solve": [],
+                  "regions": ["--solutions", pipeline_dir / "solutions.json"]}
+        assert run(command, *inputs[command], "--config", config,
+                   "--out", tmp_path) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
+    def test_checked_config_entries_yield_to_flags(self, pipeline_dir,
+                                                   tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("n1 = 8\nuse_bo = false\nmodel_args = null\n"
+                          "at = -0.25\n")
+        out = tmp_path / "out"
+        assert run("solve", "--model", "1d", "--config", config,
+                   "--n1", 5, "--out", out) == 0
+        output = artifacts.load_solutions(out / "solutions.json")
+        assert output.n1 == 5            # explicit flag wins
+        assert not output.use_bo
+        # a negative value is passed as --at=-0.25, not read as a flag
+        assert run("posterior", "--regions", pipeline_dir / "regions.json",
+                   "--config", config, "--out", out) == 0
+
 
 class TestMarginals:
     def test_failed_write_keeps_old_file(self, pipeline_dir, tmp_path):
@@ -183,7 +215,8 @@ class TestMarginals:
         path = tmp_path / "samples_marginals.csv"
         artifacts.write_marginals(path, result)
         before = path.read_bytes()
-        # new rows for theta_1 are written before theta_2 raises IndexError
+        # theta_2 raises IndexError while the rows are built, before the
+        # temporary file is opened
         broken = SimpleNamespace(
             thetas=2.0 * result.thetas, weights=result.weights, dimension=2
         )
