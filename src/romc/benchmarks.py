@@ -36,27 +36,22 @@ class ToySimulator:
 
     output_dimension = 1
 
+    @staticmethod
+    def noise(seed):
+        """The seed's one standard normal draw."""
+        return float(np.random.default_rng(seed).standard_normal())
+
     def run(self, theta, seed):
-        return self.bind(seed)(theta)
-
-    def bind(self, seed):
-        u = float(np.random.default_rng(seed).standard_normal())
-        return _ToyBound(u)
-
-
-class _ToyBound:
-    def __init__(self, u):
-        self.u = u
-
-    def __call__(self, theta):
         theta = np.asarray(theta, dtype=np.float64)
-        return kernels.toy_location(theta[:1]) + self.u
+        return kernels.toy_location(theta[:1]) + self.noise(seed)
 
 
 class _ToyBatchFactory:
+    def __init__(self, simulator):
+        self.simulator = simulator
+
     def __call__(self, seed, observed_summary):
-        u = float(np.random.default_rng(seed).standard_normal())
-        return _ToyBatch(u, float(observed_summary[0]))
+        return _ToyBatch(self.simulator.noise(seed), float(observed_summary[0]))
 
 
 class _ToyBatch:
@@ -69,13 +64,14 @@ class _ToyBatch:
 
 
 def make_toy_model():
+    simulator = ToySimulator()
     return Model(
         name="1d",
         prior=BoxUniformPrior([TOY_BOUNDS]),
-        simulator=ToySimulator(),
+        simulator=simulator,
         summary=IdentitySummary(1),
         observed=np.array([TOY_OBSERVED]),
-        batch_distance_factory=_ToyBatchFactory(),
+        batch_distance_factory=_ToyBatchFactory(simulator),
         config={"name": "1d"},
     )
 
@@ -155,20 +151,12 @@ class Ma2Simulator:
     def output_dimension(self):
         return self.n_obs
 
+    def noise(self, seed):
+        """The seed's n_obs + 2 standard normal draws."""
+        return np.random.default_rng(seed).standard_normal(self.n_obs + 2)
+
     def run(self, theta, seed):
-        return self.bind(seed)(theta)
-
-    def bind(self, seed):
-        noise = np.random.default_rng(seed).standard_normal(self.n_obs + 2)
-        return _Ma2Bound(noise)
-
-
-class _Ma2Bound:
-    def __init__(self, noise):
-        self.noise = noise
-
-    def __call__(self, theta):
-        return kernels.ma2_series(float(theta[0]), float(theta[1]), self.noise)
+        return kernels.ma2_series(float(theta[0]), float(theta[1]), self.noise(seed))
 
 
 class Ma2Summary:
@@ -181,12 +169,11 @@ class Ma2Summary:
 
 
 class _Ma2BatchFactory:
-    def __init__(self, n_obs):
-        self.n_obs = n_obs
+    def __init__(self, simulator):
+        self.simulator = simulator
 
     def __call__(self, seed, observed_summary):
-        noise = np.random.default_rng(seed).standard_normal(self.n_obs + 2)
-        gram = kernels.ma2_gram(noise).tolist()
+        gram = kernels.ma2_gram(self.simulator.noise(seed)).tolist()
         return _Ma2Batch(gram, float(observed_summary[0]), float(observed_summary[1]))
 
 
@@ -210,7 +197,7 @@ def make_ma2_model(n_obs=DEFAULT_MA2_N_OBS, theta_true=DEFAULT_MA2_THETA_TRUE,
         simulator=simulator,
         summary=Ma2Summary(),
         observed=observed,
-        batch_distance_factory=_Ma2BatchFactory(n_obs),
+        batch_distance_factory=_Ma2BatchFactory(simulator),
         config={
             "name": "ma2",
             "n_obs": int(n_obs),

@@ -14,6 +14,8 @@ from .model import STREAM_SAMPLE, DistanceStack, derive_rng
 
 GRID_CELLS_PER_AXIS = 200
 GRID_MAX_DIMENSION = 3
+# the default grid at the largest dimension; no grid_step may ask for more
+GRID_MAX_CELLS = GRID_CELLS_PER_AXIS ** GRID_MAX_DIMENSION
 
 
 def midpoint_grid(bounds, grid_step=None):
@@ -21,7 +23,7 @@ def midpoint_grid(bounds, grid_step=None):
 
     grid_step may be None (range / 200 per axis), a scalar, or one step
     per axis; the step is rounded so a whole number of cells covers each
-    range.  Only defined up to 3 dimensions.
+    range.  Only defined up to 3 dimensions and GRID_MAX_CELLS cells.
     """
     bounds = np.asarray(bounds, dtype=np.float64)
     if bounds.ndim != 2 or bounds.shape[1] != 2:
@@ -44,8 +46,16 @@ def midpoint_grid(bounds, grid_step=None):
             raise ValueError("grid_step must be a scalar or one step per axis")
         if np.any(steps <= 0) or not np.all(np.isfinite(steps)):
             raise ValueError("grid_step must be positive and finite")
-        n_cells = np.ceil(ranges / steps - 1e-9).astype(int)
-        n_cells = np.maximum(n_cells, 1)
+        # counted in floating point, so a tiny step cannot overflow the
+        # int conversion into a small or negative count
+        with np.errstate(over="ignore"):
+            n_cells = np.maximum(np.ceil(ranges / steps - 1e-9), 1.0)
+            total = np.prod(n_cells)
+        if total > GRID_MAX_CELLS:
+            raise ValueError(
+                f"grid_step {grid_step} asks for more than {GRID_MAX_CELLS} cells"
+            )
+        n_cells = n_cells.astype(int)
     widths = ranges / n_cells
     axes = [
         bounds[m, 0] + (np.arange(n_cells[m]) + 0.5) * widths[m] for m in range(d)

@@ -6,11 +6,14 @@ A seeded simulator is any object with
     run(theta, seed) -> 1d output array
     output_dimension -> int
 
-and optionally bind(seed) -> callable(theta) -> output, which fixes the
-nuisance randomness once so repeated calls do not rebuild it.  With the
-seed fixed the map theta -> distance(summary(output), observed summary)
-is an ordinary deterministic function; that is what DeterministicObjective
-represents and everything downstream optimizes, bounds and samples.
+With the seed fixed the map theta -> distance(summary(output), observed
+summary) is an ordinary deterministic function; that is what
+DeterministicObjective represents and everything downstream optimizes,
+bounds and samples.  A Model checks and summarizes its observation once,
+when it is built.  Its optional batch_distance_factory(seed,
+observed_summary) is the one fast path: it draws the seed's noise once
+and returns the coefficients of a vectorized distance kernel.  Without
+it, every evaluation calls run(theta, seed), which draws the noise again.
 """
 
 from dataclasses import dataclass, field
@@ -152,63 +155,56 @@ class Model:
     distance: Callable = squared_distance
     batch_distance_factory: Optional[Callable] = None
     config: Optional[dict] = field(default=None)
+    observed_summary: np.ndarray = field(init=False, repr=False)
 
-    @property
-    def observed_summary(self):
-        return np.asarray(self.summary(self.observed), dtype=np.float64)
-
-
-class _SeedBound:
-    """Fallback binding for simulators without a bind method."""
-
-    def __init__(self, simulator, seed):
-        self.simulator = simulator
-        self.seed = seed
-
-    def __call__(self, theta):
-        return self.simulator.run(theta, self.seed)
+    def __post_init__(self):
+        self.observed = np.asarray(self.observed, dtype=np.float64)
+        out_dim = getattr(self.simulator, "output_dimension", None)
+        if out_dim is not None and self.observed.shape != (out_dim,):
+            raise ValueError(
+                f"observed must have shape ({out_dim},), got {self.observed.shape}"
+            )
+        self.observed_summary = np.asarray(self.summary(self.observed),
+                                           dtype=np.float64)
 
 
 class DeterministicObjective:
-    """Distance to the observed summaries under one fixed simulator seed.
+    """Distance to the model's observed summaries under one fixed simulator
+    seed.
 
     batch, when given, holds the seed's coefficients as `args` and the
     distance as a static `kernel(thetas, *args)`; a point evaluated alone
     goes through the same kernel as a batch, so both give the same bits.
+    Without it, each evaluation runs the simulator at the seed.
     """
 
-    def __init__(self, simulate, summary, observed_summary, distance, seed, index,
-                 dimension, batch=None):
-        self.simulate = simulate
-        self.summary = summary
-        self.observed_summary = np.asarray(observed_summary, dtype=np.float64)
-        self.distance = distance
+    def __init__(self, model, seed, index, batch=None):
+        self.model = model
         self.seed = int(seed)
         self.index = int(index)
-        self.dimension = int(dimension)
         self.batch = batch
 
     def summaries(self, theta):
         """Summary vector of the seeded simulator output at theta."""
         theta = np.asarray(theta, dtype=np.float64)
-        return np.asarray(self.summary(self.simulate(theta)), dtype=np.float64)
+        output = self.model.simulator.run(theta, self.seed)
+        return np.asarray(self.model.summary(output), dtype=np.float64)
 
     def evaluate(self, theta):
         theta = np.asarray(theta, dtype=np.float64)
-        if theta.shape != (self.dimension,):
-            raise ValueError(
-                f"theta must have shape ({self.dimension},), got {theta.shape}"
-            )
+        d = self.model.prior.dimension
+        if theta.shape != (d,):
+            raise ValueError(f"theta must have shape ({d},), got {theta.shape}")
         if self.batch is not None:
             return float(self.batch.kernel(theta[None, :], *self.batch.args)[0])
-        return float(self.distance(self.summaries(theta), self.observed_summary))
+        return float(self.model.distance(self.summaries(theta),
+                                         self.model.observed_summary))
 
     def evaluate_batch(self, thetas):
         thetas = np.asarray(thetas, dtype=np.float64)
-        if thetas.ndim != 2 or thetas.shape[1] != self.dimension:
-            raise ValueError(
-                f"thetas must have shape (n, {self.dimension}), got {thetas.shape}"
-            )
+        d = self.model.prior.dimension
+        if thetas.ndim != 2 or thetas.shape[1] != d:
+            raise ValueError(f"thetas must have shape (n, {d}), got {thetas.shape}")
         if self.batch is not None:
             return self.batch.kernel(thetas, *self.batch.args)
         return np.array([self.evaluate(t) for t in thetas])
@@ -216,38 +212,12 @@ class DeterministicObjective:
     __call__ = evaluate
 
 
-def make_objective(model, seed, index, observed=None):
-    """Build the deterministic objective for one nuisance seed.
-
-    observed defaults to the model's stored observation; an explicit value
-    must match the simulator output dimension.
-    """
-    if observed is None:
-        observed = model.observed
-    observed = np.asarray(observed, dtype=np.float64)
-    out_dim = getattr(model.simulator, "output_dimension", None)
-    if out_dim is not None and observed.shape != (out_dim,):
-        raise ValueError(
-            f"observed must have shape ({out_dim},), got {observed.shape}"
-        )
-    observed_summary = np.asarray(model.summary(observed), dtype=np.float64)
-    if hasattr(model.simulator, "bind"):
-        simulate = model.simulator.bind(seed)
-    else:
-        simulate = _SeedBound(model.simulator, seed)
+def make_objective(model, seed, index):
+    """Build the deterministic objective for one nuisance seed."""
     batch = None
     if model.batch_distance_factory is not None:
-        batch = model.batch_distance_factory(seed, observed_summary)
-    return DeterministicObjective(
-        simulate=simulate,
-        summary=model.summary,
-        observed_summary=observed_summary,
-        distance=model.distance,
-        seed=seed,
-        index=index,
-        dimension=model.prior.dimension,
-        batch=batch,
-    )
+        batch = model.batch_distance_factory(seed, model.observed_summary)
+    return DeterministicObjective(model, seed, index, batch)
 
 
 class DistanceStack:

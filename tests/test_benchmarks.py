@@ -28,12 +28,6 @@ class TestToyModel:
             assert out.shape == (1,)
             assert out[0] == pytest.approx(loc + u, rel=1e-12)
 
-    def test_bind_matches_run(self):
-        sim = ToySimulator()
-        bound = sim.bind(5)
-        np.testing.assert_array_equal(bound(np.array([0.3])),
-                                      sim.run(np.array([0.3]), 5))
-
     def test_model_shape(self, toy_model):
         assert toy_model.name == "1d"
         assert toy_model.prior.dimension == 1

@@ -270,6 +270,21 @@ class TestErrorPaths:
         assert "--at has 1 components" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", [
+        ["posterior", "--regions", "regions.json"],
+        ["evaluate", "--reference", "true-1d", "--regions", "regions.json",
+         "--samples", "samples.csv", "--meta", "samples_meta.json"],
+    ])
+    @pytest.mark.parametrize("step", [1e-9, 1e-320])
+    def test_grid_step_too_fine(self, pipeline_dir, tmp_path, capsys,
+                                command, step):
+        # on the 1d prior, 1e-9 asks for 5e9 cells and 1e-320 for inf
+        argv = [pipeline_dir / a if a.endswith((".json", ".csv")) else a
+                for a in command]
+        assert run(*argv, "--grid-step", step, "--out", tmp_path) == 1
+        assert capsys.readouterr().err.startswith("error: grid_step ")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flags, message", [
         (["--restarts", 0], "restarts must be at least 1"),
         (["--max-iters", 0], "max_iters must be at least 1"),

@@ -62,6 +62,13 @@ class TestMidpointGrid:
         with pytest.raises(ValueError):
             midpoint_grid(np.array([[0.0, 1.0]]), [0.1, 0.2])
 
+    @pytest.mark.parametrize("step", [1.0 / 8_000_000.5, 1e-320])
+    def test_cell_count_capped(self, step):
+        # one cell over 200**3; 1e-320 overflows range / step to inf,
+        # which an int count would turn into a one-cell grid
+        with pytest.raises(ValueError, match="more than 8000000 cells"):
+            midpoint_grid(np.array([[0.0, 1.0]]), step)
+
 
 def two_bump_posterior(eps=0.04):
     prior = BoxUniformPrior([[-1.0, 1.0]])

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BatchDistance, CountingDistance
-from romc import make_ma2_model, make_toy_model
+from romc import build_model, make_ma2_model, make_toy_model, solve_problems
 from romc.model import (
     BoxUniformPrior,
     DistanceStack,
     IdentitySummary,
+    Model,
     derive_rng,
     draw_nuisance_seeds,
     finite_difference_gradient,
@@ -146,15 +147,27 @@ class TestDeterministicObjective:
         with pytest.raises(ValueError):
             objective.evaluate_batch(np.zeros((3, 2)))
 
-    def test_observed_shape_validation(self, toy_model):
-        with pytest.raises(ValueError):
-            make_objective(toy_model, 5, 0, observed=np.zeros(4))
+    def test_model_rejects_observation_of_wrong_shape(self, toy_model):
+        # checked once, when the model is built
+        with pytest.raises(ValueError, match=r"observed must have shape \(1,\)"):
+            Model(name="bad", prior=toy_model.prior, simulator=toy_model.simulator,
+                  summary=toy_model.summary, observed=np.zeros(4))
 
-    def test_custom_observed(self, toy_model):
-        seed = 23
-        base = make_objective(toy_model, seed, 0)
-        shifted = make_objective(toy_model, seed, 0, observed=np.array([1.0]))
-        assert base(np.array([0.0])) != shifted(np.array([0.0]))
+    def test_observation_summarized_once_per_model(self):
+        model = build_model("ma2")
+        calls = []
+        summary = model.summary
+
+        def counting(output):
+            calls.append(1)
+            return summary(output)
+
+        model.summary = counting
+        for i, seed in enumerate(draw_nuisance_seeds(50, 8)):
+            make_objective(model, seed, i)
+        output = solve_problems(model, n1=10, seed=8)
+        assert len(output.solved()) == 10
+        assert calls == []
 
 
 class TestObjectiveStack:

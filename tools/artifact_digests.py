@@ -10,6 +10,11 @@ nonzero is listed as `config step exit CODE` and ends its run.  The
 script digests whichever romc is importable, so running it once with
 PYTHONPATH pointing at another checkout's src and diffing the two
 outputs checks that a change keeps every artifact byte-identical.
+
+Models without a batch distance factory cannot be written as artifacts,
+so their path is digested in process: for kernel-less copies of the
+bundled models, `config stage sha256` lines cover the solve's x_min and
+f_min, the region box limits and the sample weights.
 """
 
 import contextlib
@@ -23,6 +28,9 @@ from pathlib import Path
 # one BLAS thread, as the determinism guarantees assume
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+import numpy as np  # noqa: E402
+
+from romc import Model, build_model, estimate_regions, solve_problems  # noqa: E402
 from romc.cli import main as romc  # noqa: E402 - after the BLAS setting
 
 # name: (solve flags, regions flags, n2, posterior point)
@@ -51,6 +59,13 @@ SWEEP = {
                        ["--quantile", "0.97", "--fit-models"], 30),
     "1d-n500-fit": (["--model", "1d", "--n1", "500"],
                     ["--eps", "0.75", "--fit-models"], 50),
+}
+
+# name: (bundled model, solve keywords, regions keywords, n2, seed); the
+# model runs without its batch distance factory
+KERNEL_LESS = {
+    "1d-kernel-less-n20": ("1d", {}, {"eps": 0.75}, 20, 7),
+    "ma2-kernel-less-n20": ("ma2", {"restarts": 3}, {"quantile": 0.97}, 20, 21),
 }
 
 
@@ -86,12 +101,39 @@ def _digest_run(name, steps, out):
     sys.stdout.flush()
 
 
+def _sha256(arrays):
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+def _digest_kernel_less(name, model_name, solve, regions, n2, seed):
+    bundled = build_model(model_name)
+    model = Model(name=bundled.name, prior=bundled.prior,
+                  simulator=bundled.simulator, summary=bundled.summary,
+                  observed=bundled.observed, distance=bundled.distance)
+    output = solve_problems(model, n1=20, seed=seed, **solve)
+    results = [result for _, result in output.solved()]
+    bundle = estimate_regions(output, **regions)
+    stages = {
+        "solve": [r.x_min for r in results] + [[r.f_min for r in results]],
+        "regions": [entry.region.limits for entry in bundle.entries],
+        "samples": [bundle.sample(n2, seed).weights],
+    }
+    for stage, arrays in stages.items():
+        print(f"{name} {stage} {_sha256(arrays)}")
+    sys.stdout.flush()
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         for name, steps in _runs():
             out = Path(tmp) / name
             out.mkdir()
             _digest_run(name, steps, out)
+    for name, run in KERNEL_LESS.items():
+        _digest_kernel_less(name, *run)
 
 
 if __name__ == "__main__":
