@@ -108,10 +108,6 @@ class Ma2Prior(Prior):
     _bounds = np.array([[-2.0, 2.0], [-3.0, 3.0]])
 
     @property
-    def dimension(self):
-        return 2
-
-    @property
     def bounds(self):
         return self._bounds.copy()
 
@@ -119,16 +115,6 @@ class Ma2Prior(Prior):
         t1 = rng.uniform(-2.0, 2.0)
         t2 = rng.uniform(t1 - 1.0, t1 + 1.0)
         return np.array([t1, t2])
-
-    def log_pdf(self, theta):
-        t1, t2 = float(theta[0]), float(theta[1])
-        if -2.0 <= t1 <= 2.0 and t1 - 1.0 <= t2 <= t1 + 1.0:
-            return -np.log(8.0)
-        return -np.inf
-
-    def pdf(self, theta):
-        # exact constant so the scalar and batch paths agree bitwise
-        return 0.125 if np.isfinite(self.log_pdf(theta)) else 0.0
 
     def pdf_batch(self, thetas):
         thetas = np.asarray(thetas, dtype=np.float64)

@@ -43,30 +43,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-DEFAULTS = {
-    "solve": {
-        "model": "1d", "model_args": None, "n1": 100, "seed": 0,
-        "use_bo": False, "budget": 64, "init_points": 10, "restarts": 1,
-        "max_iters": 200, "workers": 1, "out": "romc_out",
-    },
-    "regions": {
-        "solutions": None, "eps": None, "quantile": None, "fraction": 0.05,
-        "refinements": 10, "max_steps": 40, "use_surrogate": "auto",
-        "fit_models": False, "n_train": None, "workers": 1, "out": "romc_out",
-    },
-    "sample": {
-        "regions": None, "n2": 200, "seed": 0, "out": "romc_out",
-    },
-    "posterior": {
-        "regions": None, "grid_step": None, "at": None, "out": "romc_out",
-    },
-    "evaluate": {
-        "samples": None, "meta": None, "regions": None,
-        "kind": "jensen_shannon", "reference": None, "grid_step": None,
-        "rejection_draws": 10000, "rejection_quantile": 0.01, "seed": 0,
-        "out": "romc_out",
-    },
-}
+# namespace entries that are not options of a command
+_NOT_OPTIONS = ("command", "func", "config", "verbose")
+
+
+def _options(namespace):
+    return {key: value for key, value in vars(namespace).items()
+            if key not in _NOT_OPTIONS}
 
 
 def _read_config(path):
@@ -88,16 +71,17 @@ def _read_config(path):
     return values
 
 
-def _config_flags(command, path):
+def _config_flags(parser, command, path):
     """The config file's entries for command as `--key=value` flags, so the
     parser checks them as it checks flags; `=` keeps a value such as
     -0.5,0.1 from reading as a flag."""
+    defaults = _options(parser.parse_args([command]))
     flags = []
     for key, value in _read_config(path).items():
-        if key not in DEFAULTS[command] or value is None:
+        if key not in defaults or value is None:
             continue
         flag = "--" + key.replace("_", "-")
-        if isinstance(DEFAULTS[command][key], bool):  # a store_true flag
+        if isinstance(defaults[key], bool):  # a store_true flag
             if not isinstance(value, bool):
                 raise _UsageError(f"{path}: {key} must be true or false")
             if value:
@@ -108,22 +92,11 @@ def _config_flags(command, path):
     return flags
 
 
-def _resolve_options(command, namespace):
-    """Merge defaults and parsed flags, config entries included."""
-    options = dict(DEFAULTS[command])
-    options.update(
-        (key, value) for key, value in vars(namespace).items()
-        if key not in ("command", "func", "config", "verbose")
-    )
-    return options
-
-
 def _add_common(parser):
     parser.add_argument("--config", help="key = value file with option defaults")
-    parser.add_argument("--out", default=argparse.SUPPRESS, metavar="DIR",
+    parser.add_argument("--out", default="romc_out", metavar="DIR",
                         help="artifact directory (default romc_out)")
-    parser.add_argument("--verbose", action="store_true", default=False,
-                        help="debug logging")
+    parser.add_argument("--verbose", action="store_true", help="debug logging")
 
 
 def build_parser():
@@ -132,89 +105,77 @@ def build_parser():
 
     sp = subparsers.add_parser("solve", help="optimize one objective per seed")
     _add_common(sp)
-    sp.add_argument("--model", choices=["1d", "ma2"], default=argparse.SUPPRESS)
-    sp.add_argument("--model-args", dest="model_args", default=argparse.SUPPRESS,
+    sp.add_argument("--model", choices=["1d", "ma2"], default="1d")
+    sp.add_argument("--model-args", dest="model_args",
                     help="JSON dict of model factory arguments")
-    sp.add_argument("--n1", type=int, default=argparse.SUPPRESS,
+    sp.add_argument("--n1", type=int, default=100,
                     help="number of nuisance seeds / problems")
-    sp.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--use-bo", dest="use_bo", action="store_true",
-                    default=argparse.SUPPRESS,
                     help="Bayesian optimization instead of gradients")
-    sp.add_argument("--budget", type=int, default=argparse.SUPPRESS,
+    sp.add_argument("--budget", type=int, default=64,
                     help="objective evaluations per problem with --use-bo")
-    sp.add_argument("--init-points", dest="init_points", type=int,
-                    default=argparse.SUPPRESS)
-    sp.add_argument("--restarts", type=int, default=argparse.SUPPRESS)
-    sp.add_argument("--max-iters", dest="max_iters", type=int,
-                    default=argparse.SUPPRESS)
-    sp.add_argument("--workers", type=int, default=argparse.SUPPRESS,
+    sp.add_argument("--init-points", dest="init_points", type=int, default=10)
+    sp.add_argument("--restarts", type=int, default=1)
+    sp.add_argument("--max-iters", dest="max_iters", type=int, default=200)
+    sp.add_argument("--workers", type=int, default=1,
                     help="worker processes; 0 means all cores")
     sp.set_defaults(func=cmd_solve)
 
     sp = subparsers.add_parser("regions", help="build proposal regions")
     _add_common(sp)
-    sp.add_argument("--solutions", default=argparse.SUPPRESS,
+    sp.add_argument("--solutions",
                     help="solutions artifact (default OUT/solutions.json)")
-    sp.add_argument("--eps", type=float, default=argparse.SUPPRESS,
-                    help="acceptance threshold")
-    sp.add_argument("--quantile", type=float, default=argparse.SUPPRESS,
+    sp.add_argument("--eps", type=float, help="acceptance threshold")
+    sp.add_argument("--quantile", type=float,
                     help="pick eps at this quantile of optimized distances")
-    sp.add_argument("--fraction", type=float, default=argparse.SUPPRESS,
+    sp.add_argument("--fraction", type=float, default=0.05,
                     help="initial line-search step as a fraction of the mean prior range")
-    sp.add_argument("--refinements", type=int, default=argparse.SUPPRESS)
-    sp.add_argument("--max-steps", dest="max_steps", type=int,
-                    default=argparse.SUPPRESS)
+    sp.add_argument("--refinements", type=int, default=10)
+    sp.add_argument("--max-steps", dest="max_steps", type=int, default=40)
     sp.add_argument("--use-surrogate", dest="use_surrogate",
-                    choices=["auto", "yes", "no"], default=argparse.SUPPRESS,
+                    choices=["auto", "yes", "no"], default="auto",
                     help="run regions and inference on surrogate means")
     sp.add_argument("--fit-models", dest="fit_models", action="store_true",
-                    default=argparse.SUPPRESS,
                     help="fit a local quadratic per region")
     sp.add_argument("--n-train", dest="n_train", type=int,
-                    default=argparse.SUPPRESS,
                     help="training points per quadratic fit")
-    sp.add_argument("--workers", type=int, default=argparse.SUPPRESS)
+    sp.add_argument("--workers", type=int, default=1)
     sp.set_defaults(func=cmd_regions)
 
     sp = subparsers.add_parser("sample", help="draw weighted posterior samples")
     _add_common(sp)
-    sp.add_argument("--regions", default=argparse.SUPPRESS,
+    sp.add_argument("--regions",
                     help="regions artifact (default OUT/regions.json)")
-    sp.add_argument("--n2", type=int, default=argparse.SUPPRESS,
-                    help="draws per region")
-    sp.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    sp.add_argument("--n2", type=int, default=200, help="draws per region")
+    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_sample)
 
     sp = subparsers.add_parser("posterior", help="evaluate the posterior on a grid")
     _add_common(sp)
-    sp.add_argument("--regions", default=argparse.SUPPRESS)
-    sp.add_argument("--grid-step", dest="grid_step", type=float,
-                    default=argparse.SUPPRESS)
-    sp.add_argument("--at", default=argparse.SUPPRESS,
+    sp.add_argument("--regions")
+    sp.add_argument("--grid-step", dest="grid_step", type=float)
+    sp.add_argument("--at",
                     help="comma-separated point to evaluate, e.g. 0.5,0.1")
     sp.set_defaults(func=cmd_posterior)
 
     sp = subparsers.add_parser("evaluate", help="sample quality metrics")
     _add_common(sp)
-    sp.add_argument("--samples", default=argparse.SUPPRESS,
-                    help="samples CSV (default OUT/samples.csv)")
-    sp.add_argument("--meta", default=argparse.SUPPRESS,
+    sp.add_argument("--samples", help="samples CSV (default OUT/samples.csv)")
+    sp.add_argument("--meta",
                     help="samples metadata (default OUT/samples_meta.json)")
-    sp.add_argument("--regions", default=argparse.SUPPRESS,
+    sp.add_argument("--regions",
                     help="regions artifact for density comparisons")
     sp.add_argument("--kind", choices=["jensen_shannon", "kl"],
-                    default=argparse.SUPPRESS)
+                    default="jensen_shannon")
     sp.add_argument("--reference", choices=["true-1d", "rejection"],
-                    default=argparse.SUPPRESS,
                     help="reference density for the divergence")
-    sp.add_argument("--grid-step", dest="grid_step", type=float,
-                    default=argparse.SUPPRESS)
+    sp.add_argument("--grid-step", dest="grid_step", type=float)
     sp.add_argument("--rejection-draws", dest="rejection_draws", type=int,
-                    default=argparse.SUPPRESS)
+                    default=10000)
     sp.add_argument("--rejection-quantile", dest="rejection_quantile",
-                    type=float, default=argparse.SUPPRESS)
-    sp.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                    type=float, default=0.01)
+    sp.add_argument("--seed", type=int, default=0,
                     help="seed for the rejection reference")
     sp.set_defaults(func=cmd_evaluate)
 
@@ -354,7 +315,7 @@ def cmd_posterior(options):
     )
     print(f"partition mass {mass:.6f} over {bundle.model.name} prior bounds")
     if theta is not None:
-        unnorm = posterior.eval_unnorm(theta)
+        unnorm = float(posterior.eval_unnorm_batch(theta[None, :])[0])
         print(f"unnormalized posterior at {theta.tolist()}: {unnorm:.6f}")
         print(f"posterior at {theta.tolist()}: {unnorm / mass:.6f}")
     print(f"wrote {out / 'posterior_grid.csv'}")
@@ -411,7 +372,7 @@ def main(argv=None):
         namespace = parser.parse_args(argv)
         if getattr(namespace, "config", None):
             # after the command and before the explicit flags, which win
-            flags = _config_flags(namespace.command, namespace.config)
+            flags = _config_flags(parser, namespace.command, namespace.config)
             namespace = parser.parse_args(argv[:1] + flags + argv[1:])
     except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -424,8 +385,7 @@ def main(argv=None):
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        options = _resolve_options(namespace.command, namespace)
-        return namespace.func(options)
+        return namespace.func(_options(namespace))
     except (NumericalFailure, DegenerateResult, UnsupportedDimension) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

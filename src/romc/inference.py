@@ -110,10 +110,6 @@ class PosteriorApproximation:
             out[active] = pdf[active] * counts
         return out
 
-    def eval_unnorm(self, theta):
-        theta = np.asarray(theta, dtype=np.float64)
-        return float(self.eval_unnorm_batch(theta[None, :])[0])
-
     def grid(self, grid_step=None):
         """Midpoint grid over the prior bounds: (points, unnorm, mass).
 
@@ -140,10 +136,6 @@ class PosteriorApproximation:
 
     def eval_posterior_batch(self, thetas, grid_step=None):
         return self.eval_unnorm_batch(thetas) / self.partition_function(grid_step)
-
-    def eval_posterior(self, theta, grid_step=None):
-        theta = np.asarray(theta, dtype=np.float64)
-        return float(self.eval_posterior_batch(theta[None, :], grid_step)[0])
 
 
 class InferenceResult:

@@ -1,7 +1,10 @@
 """Problem definition layer: priors, seeded simulators, summaries and the
 deterministic per-seed objectives that the optimizers and regions consume.
 
-A seeded simulator is any object with
+Densities and distances are evaluated on batches of parameter rows: a
+prior is bounds, sample(rng) and pdf_batch(thetas), and a distance is
+anything with evaluate_batch(thetas).  A seeded simulator is any object
+with
 
     run(theta, seed) -> 1d output array
     output_dimension -> int
@@ -61,13 +64,14 @@ def derive_rng(master_seed, *path):
 class Prior:
     """Interface for prior distributions over the parameter vector.
 
-    Subclasses provide dimension, bounds (a (D, 2) array of finite
-    lower/upper limits that enclose the support), sample, and log_pdf.
+    Subclasses provide bounds (a (D, 2) array of finite lower/upper limits
+    that enclose the support), sample(rng), one draw, and
+    pdf_batch(thetas), the density at each row of an (n, D) array.
     """
 
     @property
     def dimension(self):
-        raise NotImplementedError
+        return self.bounds.shape[0]
 
     @property
     def bounds(self):
@@ -81,15 +85,8 @@ class Prior:
     def sample(self, rng):
         raise NotImplementedError
 
-    def log_pdf(self, theta):
-        raise NotImplementedError
-
-    def pdf(self, theta):
-        return float(np.exp(self.log_pdf(theta)))
-
     def pdf_batch(self, thetas):
-        thetas = np.asarray(thetas, dtype=np.float64)
-        return np.array([self.pdf(t) for t in thetas])
+        raise NotImplementedError
 
 
 class BoxUniformPrior(Prior):
@@ -105,20 +102,11 @@ class BoxUniformPrior(Prior):
         self._log_density = -float(np.sum(np.log(b[:, 1] - b[:, 0])))
 
     @property
-    def dimension(self):
-        return self._bounds.shape[0]
-
-    @property
     def bounds(self):
         return self._bounds.copy()
 
     def sample(self, rng):
         return rng.uniform(self._bounds[:, 0], self._bounds[:, 1])
-
-    def log_pdf(self, theta):
-        theta = np.asarray(theta, dtype=np.float64)
-        inside = np.all(theta >= self._bounds[:, 0]) and np.all(theta <= self._bounds[:, 1])
-        return self._log_density if inside else -np.inf
 
     def pdf_batch(self, thetas):
         thetas = np.asarray(thetas, dtype=np.float64)
@@ -175,7 +163,9 @@ class DeterministicObjective:
     batch, when given, holds the seed's coefficients as `args` and the
     distance as a static `kernel(thetas, *args)`; a point evaluated alone
     goes through the same kernel as a batch, so both give the same bits.
-    Without it, each evaluation runs the simulator at the seed.
+    Without it, each evaluation runs the simulator at the seed.  Every
+    stage calls evaluate_batch; evaluate, one point, is its row loop when
+    there is no kernel.
     """
 
     def __init__(self, model, seed, index, batch=None):

@@ -35,6 +35,8 @@ class OptimisationResult:
         x_min = np.asarray(x_min, dtype=np.float64)
         if x_min.ndim != 1:
             raise ValueError("x_min must be a 1d parameter vector")
+        if not np.isfinite(x_min).all():
+            raise ValueError("x_min must be finite")
         f_min = float(f_min)
         if not np.isfinite(f_min):
             raise ValueError("f_min must be finite")
@@ -398,8 +400,9 @@ def solve_bayesian(objective, prior, budget=64, init_points=10, seed=0,
                    n_candidates=512):
     """Minimize one objective with expected-improvement Bayesian optimization.
 
-    Spends `budget` objective evaluations in total: a Latin-hypercube
-    design of init_points followed by sequential acquisitions.  Returns
+    objective is a distance with evaluate_batch(thetas).  Spends `budget`
+    evaluations in total: a Latin-hypercube design of init_points in one
+    batch, then sequential acquisitions, one row each.  Returns
     (OptimisationResult, GaussianProcessSurrogate) where x_min is the best
     evaluated point and hess_appr the exact Hessian of the surrogate mean
     there, or None when the surrogate fit fails.
@@ -411,7 +414,7 @@ def solve_bayesian(objective, prior, budget=64, init_points=10, seed=0,
     d = prior.dimension
 
     inputs = list(_latin_hypercube(rng, init_points, lo, hi))
-    values = [float(objective(x)) for x in inputs]
+    values = [float(v) for v in objective.evaluate_batch(np.asarray(inputs))]
     if not np.all(np.isfinite(values)):
         return None
 
@@ -429,7 +432,7 @@ def solve_bayesian(objective, prior, budget=64, init_points=10, seed=0,
                 if gap > 1e-10:
                     chosen = candidates[idx]
                     break
-            value = float(objective(chosen))
+            value = float(objective.evaluate_batch(chosen[None, :])[0])
             if not np.isfinite(value):
                 return None
             inputs.append(chosen)

@@ -99,8 +99,8 @@ class RegionSettings:
     max_steps: int = 40
 
     def __post_init__(self):
-        if self.eta_start <= 0:
-            raise ValueError("eta_start must be positive")
+        if not 0.0 < self.eta_start < np.inf:
+            raise ValueError("eta_start must be positive and finite")
         if self.refinements < 1:
             raise ValueError("refinements must be at least 1")
         if self.max_steps < 1:
@@ -179,18 +179,24 @@ class BoundingBox:
         center = np.asarray(center, dtype=np.float64)
         limits = np.asarray(limits, dtype=np.float64)
         d = center.size
+        if not np.isfinite(center).all():
+            raise ValueError("center must be finite")
         if rotation.shape != (d, d):
             raise ValueError("rotation must be square and match the center")
-        if np.max(np.abs(rotation.T @ rotation - np.eye(d))) > ORTHO_TOL:
-            raise ValueError("rotation must have orthonormal columns")
+        # written so that a NaN or infinite entry fails the comparison
+        if not np.max(np.abs(rotation.T @ rotation - np.eye(d))) <= ORTHO_TOL:
+            raise ValueError("rotation must be finite with orthonormal columns")
         if limits.shape != (d, 2):
             raise ValueError("limits must have shape (D, 2)")
         if not (np.all(limits[:, 0] < 0.0) and np.all(limits[:, 1] > 0.0)):
             raise ValueError("limits must straddle zero on every axis")
+        volume = float(np.prod(limits[:, 1] - limits[:, 0]))
+        if not volume < np.inf:
+            raise ValueError("limits must be finite and give a finite volume")
         self.rotation = rotation.copy()
         self.center = center.copy()
         self.limits = limits.copy()
-        self.volume = float(np.prod(limits[:, 1] - limits[:, 0]))
+        self.volume = volume
 
     @property
     def dimension(self):

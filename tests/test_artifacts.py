@@ -372,6 +372,12 @@ class TestLoadValidation:
         with pytest.raises(ValueError, match="x_min has dimension 2"):
             artifacts.load_solutions(solutions)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_x_min_must_be_finite(self, solutions, value):
+        _tamper(solutions, lambda p: _first_ok(p)["result"].update(x_min=[value]))
+        with pytest.raises(ValueError, match="x_min must be finite"):
+            artifacts.load_solutions(solutions)
+
     def test_hess_appr_dimension_must_match_x_min(self, solutions):
         def widen(payload):
             result = _first_ok(payload)["result"]
@@ -446,6 +452,17 @@ class TestLoadValidation:
         _tamper(path, lambda p: p["regions"][0].pop("gp"))
         with pytest.raises(ValueError, match=f"region {index} has no GP"):
             artifacts.load_regions(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("center", [float("nan")]),
+        ("rotation", [[float("nan")]]),
+        ("limits", [[-float("inf"), 1.0]]),
+        ("limits", [[-1.0, float("inf")]]),
+    ])
+    def test_box_must_be_finite(self, regions, field, value):
+        _tamper(regions, lambda p: p["regions"][0]["box"].update({field: value}))
+        with pytest.raises(ValueError, match="must be finite"):
+            artifacts.load_regions(regions)
 
     @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -0.5])
     def test_eps_must_be_finite_and_nonnegative(self, regions, eps):

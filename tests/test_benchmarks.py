@@ -67,11 +67,8 @@ class TestToyTruePosterior:
 class TestMa2Prior:
     def test_band_membership_hand_points(self):
         prior = Ma2Prior()
-        assert prior.pdf(np.array([0.0, 0.5])) == pytest.approx(0.125)
-        assert prior.pdf(np.array([1.5, 2.2])) == pytest.approx(0.125)
-        assert prior.pdf(np.array([0.0, 1.5])) == 0.0
-        assert prior.pdf(np.array([2.5, 2.0])) == 0.0
-        assert prior.log_pdf(np.array([0.0, 1.5])) == -np.inf
+        values = prior.pdf_batch([[0.0, 0.5], [1.5, 2.2], [0.0, 1.5], [2.5, 2.0]])
+        np.testing.assert_array_equal(values, [0.125, 0.125, 0.0, 0.0])
 
     def test_samples_respect_the_band(self):
         prior = Ma2Prior()
@@ -81,12 +78,20 @@ class TestMa2Prior:
             assert -2.0 <= t1 <= 2.0
             assert t1 - 1.0 <= t2 <= t1 + 1.0
 
-    def test_pdf_batch_matches_scalar(self):
-        prior = Ma2Prior()
+    def test_band_edges_are_inside(self):
+        # the corners of the band and points on its slanted sides
+        edges = [[-2.0, -3.0], [-2.0, -1.0], [2.0, 1.0], [2.0, 3.0],
+                 [0.5, -0.5], [0.5, 1.5]]
+        np.testing.assert_array_equal(Ma2Prior().pdf_batch(edges), 0.125)
+        outside = [[-2.0 - 1e-12, -2.0], [2.0 + 1e-12, 2.0],
+                   [0.5, -0.5 - 1e-12], [0.5, 1.5 + 1e-12]]
+        np.testing.assert_array_equal(Ma2Prior().pdf_batch(outside), 0.0)
+
+    def test_pdf_batch_follows_the_band_rule(self):
         thetas = np.random.default_rng(3).uniform(-3, 3, size=(100, 2))
-        np.testing.assert_array_equal(
-            prior.pdf_batch(thetas), [prior.pdf(t) for t in thetas]
-        )
+        expected = [0.125 if -2.0 <= t1 <= 2.0 and t1 - 1.0 <= t2 <= t1 + 1.0
+                    else 0.0 for t1, t2 in thetas]
+        np.testing.assert_array_equal(Ma2Prior().pdf_batch(thetas), expected)
 
     def test_enclosing_bounds(self):
         np.testing.assert_array_equal(Ma2Prior().bounds,

@@ -249,6 +249,36 @@ class TestErrorPaths:
         assert run("regions", "--solutions", path, "--out", tmp_path) == 1
         assert "n1 is 31 but 30 problems" in capsys.readouterr().err
 
+    def test_non_finite_minimizer_rejected(self, pipeline_dir, tmp_path,
+                                           capsys):
+        payload = json.loads((pipeline_dir / "solutions.json").read_text())
+        next(p for p in payload["problems"]
+             if p["status"] == "ok")["result"]["x_min"] = [float("nan")]
+        path = tmp_path / "solutions.json"
+        path.write_text(json.dumps(payload))
+        assert run("regions", "--solutions", path, "--out", tmp_path) == 1
+        assert capsys.readouterr().err == "error: x_min must be finite\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_non_finite_box_rejected(self, pipeline_dir, tmp_path, capsys):
+        payload = json.loads((pipeline_dir / "regions.json").read_text())
+        payload["regions"][0]["box"]["center"] = [float("nan")]
+        path = tmp_path / "regions.json"
+        path.write_text(json.dumps(payload))
+        assert run("sample", "--regions", path, "--out", tmp_path) == 1
+        assert capsys.readouterr().err == "error: center must be finite\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("fraction", ["nan", "inf", "1e308"])
+    def test_non_finite_initial_step_rejected(self, pipeline_dir, tmp_path,
+                                              capsys, fraction):
+        # 1e308 times the prior's mean range overflows to inf
+        assert run("regions", "--solutions", pipeline_dir / "solutions.json",
+                   "--fraction", fraction, "--out", tmp_path) == 1
+        assert capsys.readouterr().err == (
+            "error: eta_start must be positive and finite\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_eps_and_quantile_together(self, pipeline_dir, tmp_path):
         assert run("regions", "--solutions", pipeline_dir / "solutions.json",
                    "--eps", 0.5, "--quantile", 0.9, "--out", tmp_path) == 1

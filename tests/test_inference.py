@@ -88,16 +88,15 @@ def two_bump_posterior(eps=0.04):
 class TestPosteriorApproximation:
     def test_unnorm_hand_values(self):
         posterior = two_bump_posterior()
+        values = posterior.eval_unnorm_batch([[0.2], [-0.2], [0.0], [0.9]])
         # inside one acceptance set: prior 0.5 times count 1
-        assert posterior.eval_unnorm(np.array([0.2])) == pytest.approx(0.5)
-        assert posterior.eval_unnorm(np.array([-0.2])) == pytest.approx(0.5)
+        np.testing.assert_allclose(values[:2], 0.5)
         # in the gap between the sets: count 0
-        assert posterior.eval_unnorm(np.array([0.0])) == 0.0
-        assert posterior.eval_unnorm(np.array([0.9])) == 0.0
+        np.testing.assert_array_equal(values[2:], 0.0)
 
     def test_zero_outside_prior_support(self):
         posterior = two_bump_posterior()
-        assert posterior.eval_unnorm(np.array([1.5])) == 0.0
+        assert posterior.eval_unnorm_batch([[1.5]])[0] == 0.0
 
     def test_partition_function_matches_analytic_mass(self):
         posterior = two_bump_posterior()
@@ -107,7 +106,7 @@ class TestPosteriorApproximation:
 
     def test_posterior_normalizes(self):
         posterior = two_bump_posterior()
-        value = posterior.eval_posterior(np.array([0.2]), 0.001)
+        value = posterior.eval_posterior_batch([[0.2]], 0.001)[0]
         assert value == pytest.approx(0.5 / 0.4, abs=0.02)
         points, volume = midpoint_grid(posterior.prior.bounds, 0.001)
         total = np.sum(posterior.eval_posterior_batch(points, 0.001)) * volume
@@ -182,7 +181,7 @@ class TestSample:
             region, distance = by_index[int(result.problem_indices[j])]
             expected = 0.0
             if distance(theta) <= posterior.eps:
-                expected = posterior.prior.pdf(theta) * region.volume
+                expected = posterior.prior.pdf_batch(theta[None, :])[0] * region.volume
             assert result.weights[j] == pytest.approx(expected, rel=1e-12)
 
     def test_zero_weight_draws_are_kept(self):

@@ -56,6 +56,11 @@ class TestOptimisationResult:
         with pytest.raises(ValueError):
             OptimisationResult([0.0, 1.0], 1.0, [[1.0]])
 
+    @pytest.mark.parametrize("x_min", [[np.nan, 0.0], [0.0, -np.inf]])
+    def test_non_finite_x_min_rejected(self, x_min):
+        with pytest.raises(ValueError, match="x_min must be finite"):
+            OptimisationResult(x_min, 1.0, np.eye(2))
+
 
 class TestSolveGradient:
     def test_convex_quadratics_to_1e4(self, unit_square_prior):
@@ -270,13 +275,13 @@ class TestSolveBayesian:
             evals.append(value)
             return value
 
-        result, _ = solve_bayesian(f, unit_square_prior, budget=20,
-                                   init_points=5, seed=0)
+        result, _ = solve_bayesian(BatchDistance(f), unit_square_prior,
+                                   budget=20, init_points=5, seed=0)
         assert result.f_min == min(evals)
 
     def test_constant_objective(self, unit_square_prior):
-        out = solve_bayesian(lambda x: 5.0, unit_square_prior, budget=16,
-                             init_points=4, seed=0)
+        out = solve_bayesian(BatchDistance(lambda x: 5.0), unit_square_prior,
+                             budget=16, init_points=4, seed=0)
         assert out is not None
         result, gp = out
         assert result.f_min == 5.0
@@ -291,6 +296,22 @@ class TestSolveBayesian:
         preds = gp.evaluate_batch(probes)
         assert np.median(np.abs(preds - truth)) < 0.25
 
+    def test_takes_distances_through_evaluate_batch(self, unit_square_prior):
+        class BatchOnly:
+            def __init__(self):
+                self.shapes = []
+
+            def evaluate_batch(self, thetas):
+                self.shapes.append(thetas.shape)
+                return np.sum(thetas**2, axis=1)
+
+        distance = BatchOnly()
+        result, _ = solve_bayesian(distance, unit_square_prior, budget=12,
+                                   init_points=5, seed=0)
+        # the design in one call, then one row per acquisition
+        assert distance.shapes == [(5, 2)] + [(1, 2)] * 7
+        assert result.iterations == 12
+
     def test_deterministic(self, unit_square_prior):
         f = quadratic([0.1, 0.4], [2.0, 1.0])
         a, _ = solve_bayesian(f, unit_square_prior, budget=20, init_points=5, seed=9)
@@ -298,8 +319,8 @@ class TestSolveBayesian:
         np.testing.assert_array_equal(a.x_min, b.x_min)
 
     def test_nonfinite_objective_returns_none(self, unit_square_prior):
-        out = solve_bayesian(lambda x: np.nan, unit_square_prior, budget=16,
-                             init_points=4, seed=0)
+        out = solve_bayesian(BatchDistance(lambda x: np.nan), unit_square_prior,
+                             budget=16, init_points=4, seed=0)
         assert out is None
 
     @pytest.mark.parametrize("seed", [[21, 5, 1], [3, 0, 1], 7, [101, 199, 1]])

@@ -17,7 +17,7 @@ from romc import (
     make_toy_model,
     solve_problems,
 )
-from romc.model import STREAM_SAMPLE, derive_rng, draw_nuisance_seeds
+from romc.model import STREAM_SAMPLE, Prior, derive_rng, draw_nuisance_seeds
 from romc.regions import RegionSettings, build_box
 from romc.surrogate import fit_quadratic
 
@@ -28,6 +28,25 @@ def _rejecting_solver(objective, prior, seed):
 
 def _raising_solver(objective, prior, seed):
     raise RuntimeError("boom")
+
+
+def _nan_solver(objective, prior, seed):
+    return OptimisationResult([np.nan], 0.0, [[1.0]])
+
+
+class _ToyPrior(Prior):
+    """The 1d benchmark's prior through only what a prior must define."""
+
+    @property
+    def bounds(self):
+        return np.array([[-2.5, 2.5]])
+
+    def sample(self, rng):
+        return rng.uniform([-2.5], [2.5])
+
+    def pdf_batch(self, thetas):
+        t = np.asarray(thetas)[:, 0]
+        return np.where((t >= -2.5) & (t <= 2.5), 0.2, 0.0)
 
 
 def _shifted_region_builder(distance, result, eps, settings):
@@ -144,6 +163,11 @@ class TestSolveProblems:
                              solver=_raising_solver)
         assert out.solved() == []
         assert all("RuntimeError" in r.error for r in out.records)
+
+    def test_non_finite_minimizer_is_a_counted_failure(self):
+        out = solve_problems(make_toy_model(), n1=3, seed=2, solver=_nan_solver)
+        assert out.solved() == []
+        assert all("x_min must be finite" in r.error for r in out.records)
 
     def test_compute_eps_and_histogram(self, toy_solve):
         eps = toy_solve.compute_eps(0.9)
@@ -303,12 +327,26 @@ class TestInferenceBundle:
         assert surrogate.distance(with_gp) is gp
         assert surrogate.distance(with_both) is quadratic
 
+    def test_prior_needs_only_bounds_sample_and_pdf_batch(self):
+        # without a batch factory the objectives check rows against
+        # prior.dimension, which the base class derives from the bounds
+        bundled = replace(make_toy_model(), batch_distance_factory=None)
+        runs = []
+        for model in (bundled, replace(bundled, prior=_ToyPrior())):
+            out = solve_problems(model, n1=10, seed=7)
+            runs.append(estimate_regions(out, eps=0.75).sample(10, seed=3))
+        reference, custom = runs
+        np.testing.assert_array_equal(custom.thetas, reference.thetas)
+        np.testing.assert_allclose(custom.weights, reference.weights,
+                                   rtol=1e-12)
+        assert np.any(custom.weights > 0.0)
+
     def test_posterior_round_trip(self, bundle):
         posterior = bundle.posterior()
         assert posterior.n_regions == len(bundle.entries)
         assert posterior.eps == bundle.eps
         assert posterior.problem_indices == bundle.accepted
-        value = posterior.eval_unnorm(np.array([0.0]))
+        value = posterior.eval_unnorm_batch(np.zeros((1, 1)))[0]
         assert np.isfinite(value) and value >= 0.0
 
     def test_sample_shapes_and_weights(self, bundle):

@@ -128,6 +128,11 @@ class TestRegionSettings:
         with pytest.raises(ValueError):
             RegionSettings(eta_start=1.0, max_steps=0)
 
+    @pytest.mark.parametrize("eta", [np.nan, np.inf])
+    def test_eta_start_must_be_finite(self, eta):
+        with pytest.raises(ValueError, match="eta_start must be positive and finite"):
+            RegionSettings(eta_start=eta)
+
 
 class TestLineSearchExtent:
     def test_never_exceeding_distance_telescopes(self):
@@ -338,6 +343,17 @@ class TestBoundingBox:
             BoundingBox(eye, center, [[-1.0, 1.0]])
         with pytest.raises(ValueError):
             BoundingBox(eye, np.zeros(3), [[-1, 1], [-1, 1], [-1, 1]])
+
+    @pytest.mark.parametrize("rotation, center, limits", [
+        # a NaN rotation passes the orthonormality test, NaN > tol being False
+        ([[np.nan, 0.0], [0.0, 1.0]], [0.0, 0.0], [[-1, 1], [-1, 1]]),
+        (np.eye(2), [np.nan, 0.0], [[-1, 1], [-1, 1]]),
+        (np.eye(2), [0.0, 0.0], [[-np.inf, 1], [-1, 1]]),
+        (np.eye(2), [0.0, 0.0], [[-1, 1], [-1, np.inf]]),
+    ])
+    def test_non_finite_entries_rejected(self, rotation, center, limits):
+        with pytest.raises(ValueError, match="must be finite"):
+            BoundingBox(rotation, center, limits)
 
 
 class TestProposalRegion:

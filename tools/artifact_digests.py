@@ -3,10 +3,12 @@
     PYTHONPATH=src python tools/artifact_digests.py > digests.txt
 
 Each run goes through the romc command in-process (solve, regions,
-sample, and for the golden configs posterior) in a temporary directory,
-and every file it writes is listed as one `config file sha256` line,
-except the telemetry CSVs, which hold wall times.  A step that exits
-nonzero is listed as `config step exit CODE` and ends its run.  The
+sample, and for the golden configs posterior and evaluate) in a
+temporary directory, and every file it writes is listed as one
+`config file sha256` line, except the telemetry CSVs, which hold wall
+times.  The posterior step's printout, its `wrote` line left out, is
+listed as `config posterior-stdout sha256`.  A step that exits nonzero
+is listed as `config step exit CODE` and ends its run.  The
 script digests whichever romc is importable, so running it once with
 PYTHONPATH pointing at another checkout's src and diffing the two
 outputs checks that a change keeps every artifact byte-identical.
@@ -33,16 +35,22 @@ import numpy as np  # noqa: E402
 from romc import Model, build_model, estimate_regions, solve_problems  # noqa: E402
 from romc.cli import main as romc  # noqa: E402 - after the BLAS setting
 
-# name: (solve flags, regions flags, n2, posterior point)
+TRUE_1D = ["--reference", "true-1d"]
+REJECTION = ["--reference", "rejection", "--rejection-draws", "2000"]
+
+# name: (solve flags, regions flags, n2, posterior point, evaluate flags);
+# evaluate also gets the run's --seed, which seeds the rejection reference
 GOLDEN = {
     "1d-n200-s7": (["--model", "1d", "--n1", "200", "--seed", "7"],
-                   ["--eps", "0.75"], 20, "0.25"),
+                   ["--eps", "0.75"], 20, "0.25", TRUE_1D),
     "1d-n100-s9-fit": (["--model", "1d", "--n1", "100", "--seed", "9"],
-                       ["--eps", "0.75", "--fit-models"], 20, "0.25"),
+                       ["--eps", "0.75", "--fit-models"], 20, "0.25", TRUE_1D),
     "ma2-n60-s21": (["--model", "ma2", "--n1", "60", "--seed", "21",
-                     "--restarts", "3"], ["--eps", "0.05"], 20, "0.5,0.1"),
+                     "--restarts", "3"], ["--eps", "0.05"], 20, "0.5,0.1",
+                    REJECTION),
     "ma2-bo-n12-s21": (["--model", "ma2", "--n1", "12", "--seed", "21",
-                        "--use-bo"], ["--quantile", "0.97"], 20, "0.5,0.1"),
+                        "--use-bo"], ["--quantile", "0.97"], 20, "0.5,0.1",
+                       REJECTION),
 }
 
 # name: (solve flags, regions flags, n2); each runs at seeds 21 and 43
@@ -70,11 +78,12 @@ KERNEL_LESS = {
 
 
 def _runs():
-    for name, (solve, regions, n2, at) in GOLDEN.items():
+    for name, (solve, regions, n2, at, evaluate) in GOLDEN.items():
         seed = solve[solve.index("--seed") + 1]
         steps = [["solve", *solve], ["regions", *regions],
                  ["sample", "--n2", str(n2), "--seed", seed],
-                 ["posterior", "--at", at]]
+                 ["posterior", "--at", at],
+                 ["evaluate", *evaluate, "--seed", seed]]
         yield name, steps
     for name, (solve, regions, n2) in SWEEP.items():
         for seed in ("21", "43"):
@@ -88,12 +97,19 @@ def _runs():
 
 def _digest_run(name, steps, out):
     for step in steps:
-        with contextlib.redirect_stdout(io.StringIO()), \
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
                 contextlib.redirect_stderr(io.StringIO()):
             code = romc([*step, "--out", str(out)])
         if code != 0:
             print(f"{name} {step[0]} exit {code}")
             break
+        if step[0] == "posterior":
+            # the wrote line names the temporary directory
+            text = "".join(line for line in stdout.getvalue().splitlines(True)
+                           if not line.startswith("wrote "))
+            digest = hashlib.sha256(text.encode()).hexdigest()
+            print(f"{name} posterior-stdout {digest}")
     for path in sorted(out.iterdir()):
         if not path.name.endswith("_telemetry.csv"):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
