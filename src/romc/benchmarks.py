@@ -45,22 +45,11 @@ class ToySimulator:
         theta = np.asarray(theta, dtype=np.float64)
         return kernels.toy_location(theta[:1]) + self.noise(seed)
 
-
-class _ToyBatchFactory:
-    def __init__(self, simulator):
-        self.simulator = simulator
-
-    def __call__(self, seed, observed_summary):
-        return _ToyBatch(self.simulator.noise(seed), float(observed_summary[0]))
-
-
-class _ToyBatch:
-    def __init__(self, u, y_obs):
-        self.args = (u, y_obs)
-
-    @staticmethod
-    def kernel(thetas, u, y_obs):
-        return kernels.toy_distance_batch(np.asarray(thetas)[:, 0], u, y_obs)
+    def batch_distance(self, seed, observed_summary):
+        """The seed's distance as (kernel, args); the kernel is looked up
+        on every call."""
+        return (kernels.toy_distance_batch,
+                (self.noise(seed), float(observed_summary[0])))
 
 
 def make_toy_model():
@@ -71,7 +60,7 @@ def make_toy_model():
         simulator=simulator,
         summary=IdentitySummary(1),
         observed=np.array([TOY_OBSERVED]),
-        batch_distance_factory=_ToyBatchFactory(simulator),
+        batch_distance_factory=simulator.batch_distance,
         config={"name": "1d"},
     )
 
@@ -144,6 +133,14 @@ class Ma2Simulator:
     def run(self, theta, seed):
         return kernels.ma2_series(float(theta[0]), float(theta[1]), self.noise(seed))
 
+    def batch_distance(self, seed, observed_summary):
+        """The seed's distance as (kernel, args); the kernel is looked up
+        on every call, and the gram is nested floats for cheap one-row
+        calls."""
+        gram = kernels.ma2_gram(self.noise(seed)).tolist()
+        return (kernels.ma2_distance_batch,
+                (gram, float(observed_summary[0]), float(observed_summary[1])))
+
 
 class Ma2Summary:
     """Lag-1 and lag-2 autocovariance-style summaries."""
@@ -152,24 +149,6 @@ class Ma2Summary:
 
     def __call__(self, output):
         return kernels.autocov_summaries(output)
-
-
-class _Ma2BatchFactory:
-    def __init__(self, simulator):
-        self.simulator = simulator
-
-    def __call__(self, seed, observed_summary):
-        gram = kernels.ma2_gram(self.simulator.noise(seed)).tolist()
-        return _Ma2Batch(gram, float(observed_summary[0]), float(observed_summary[1]))
-
-
-class _Ma2Batch:
-    def __init__(self, gram, s1_obs, s2_obs):
-        self.args = (gram, s1_obs, s2_obs)
-
-    @staticmethod
-    def kernel(thetas, gram, s1_obs, s2_obs):
-        return kernels.ma2_distance_batch(thetas, gram, s1_obs, s2_obs)
 
 
 def make_ma2_model(n_obs=DEFAULT_MA2_N_OBS, theta_true=DEFAULT_MA2_THETA_TRUE,
@@ -183,7 +162,7 @@ def make_ma2_model(n_obs=DEFAULT_MA2_N_OBS, theta_true=DEFAULT_MA2_THETA_TRUE,
         simulator=simulator,
         summary=Ma2Summary(),
         observed=observed,
-        batch_distance_factory=_Ma2BatchFactory(simulator),
+        batch_distance_factory=simulator.batch_distance,
         config={
             "name": "ma2",
             "n_obs": int(n_obs),

@@ -130,7 +130,8 @@ def build_parser():
     sp.add_argument("--quantile", type=float,
                     help="pick eps at this quantile of optimized distances")
     sp.add_argument("--fraction", type=float, default=0.05,
-                    help="initial line-search step as a fraction of the mean prior range")
+                    help="initial line-search step as a fraction of the mean "
+                    "prior range, at most 1 (larger values exit 1)")
     sp.add_argument("--refinements", type=int, default=10)
     sp.add_argument("--max-steps", dest="max_steps", type=int, default=40)
     sp.add_argument("--use-surrogate", dest="use_surrogate",

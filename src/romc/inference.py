@@ -196,12 +196,14 @@ class InferenceResult:
         var = (w[:, None] * (self.thetas - mean) ** 2).sum(axis=0) / total
         params = []
         for m in range(self.dimension):
+            q025, median, q975 = _weighted_quantiles(self.thetas[:, m], w,
+                                                     (0.025, 0.5, 0.975))
             params.append({
                 "mean": float(mean[m]),
                 "sd": float(np.sqrt(var[m])),
-                "q025": _weighted_quantile(self.thetas[:, m], w, 0.025),
-                "median": _weighted_quantile(self.thetas[:, m], w, 0.5),
-                "q975": _weighted_quantile(self.thetas[:, m], w, 0.975),
+                "q025": q025,
+                "median": median,
+                "q975": q975,
             })
         return {
             "n_samples": int(self.n_samples),
@@ -214,13 +216,12 @@ class InferenceResult:
         }
 
 
-def _weighted_quantile(values, weights, q):
+def _weighted_quantiles(values, weights, qs):
+    """Weighted quantiles of values at each of qs, from one sort."""
     order = np.argsort(values, kind="stable")
-    v = values[order]
-    w = weights[order]
-    cum = np.cumsum(w)
-    idx = int(np.searchsorted(cum, q * cum[-1], side="left"))
-    return float(v[min(idx, v.size - 1)])
+    cum = np.cumsum(weights[order])
+    idx = np.searchsorted(cum, np.asarray(qs) * cum[-1], side="left")
+    return values[order][np.minimum(idx, values.size - 1)].tolist()
 
 
 def sample(posterior, n2, seed):

@@ -111,9 +111,9 @@ def toy_location(theta):
 def toy_distance_batch(thetas, u, y_obs):
     """Squared distance for a batch of 1d benchmark parameters.
 
-    thetas: (n,) array of scalar parameters; u is the fixed standard-normal
+    thetas: (n, 1) array of parameter rows; u is the fixed standard-normal
     draw and y_obs the scalar observation, both floats shared by every row
     or (n,) arrays with each row's own.
     """
-    t = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
+    t = np.asarray(thetas, dtype=np.float64)[:, 0]
     return (toy_location(t) + u - y_obs) ** 2

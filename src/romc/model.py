@@ -15,8 +15,9 @@ DeterministicObjective represents and everything downstream optimizes,
 bounds and samples.  A Model checks and summarizes its observation once,
 when it is built.  Its optional batch_distance_factory(seed,
 observed_summary) is the one fast path: it draws the seed's noise once
-and returns the coefficients of a vectorized distance kernel.  Without
-it, every evaluation calls run(theta, seed), which draws the noise again.
+and returns (kernel, args), a vectorized distance kernel(thetas, *args)
+over (n, D) rows and the seed's coefficients.  Without it, every
+evaluation calls run(theta, seed), which draws the noise again.
 """
 
 from dataclasses import dataclass, field
@@ -160,19 +161,20 @@ class DeterministicObjective:
     """Distance to the model's observed summaries under one fixed simulator
     seed.
 
-    batch, when given, holds the seed's coefficients as `args` and the
-    distance as a static `kernel(thetas, *args)`; a point evaluated alone
-    goes through the same kernel as a batch, so both give the same bits.
-    Without it, each evaluation runs the simulator at the seed.  Every
-    stage calls evaluate_batch; evaluate, one point, is its row loop when
-    there is no kernel.
+    kernel, when given, is the distance as kernel(thetas, *args), with args
+    the seed's coefficients; a point evaluated alone goes through the same
+    kernel as a batch, so both give the same bits.  Without it, each
+    evaluation runs the simulator at the seed.  Every stage calls
+    evaluate_batch; evaluate, one point, is its row loop when there is no
+    kernel.
     """
 
-    def __init__(self, model, seed, index, batch=None):
+    def __init__(self, model, seed, index, kernel=None, args=()):
         self.model = model
         self.seed = int(seed)
         self.index = int(index)
-        self.batch = batch
+        self.kernel = kernel
+        self.args = args
 
     def summaries(self, theta):
         """Summary vector of the seeded simulator output at theta."""
@@ -185,8 +187,8 @@ class DeterministicObjective:
         d = self.model.prior.dimension
         if theta.shape != (d,):
             raise ValueError(f"theta must have shape ({d},), got {theta.shape}")
-        if self.batch is not None:
-            return float(self.batch.kernel(theta[None, :], *self.batch.args)[0])
+        if self.kernel is not None:
+            return float(self.kernel(theta[None, :], *self.args)[0])
         return float(self.model.distance(self.summaries(theta),
                                          self.model.observed_summary))
 
@@ -195,8 +197,8 @@ class DeterministicObjective:
         d = self.model.prior.dimension
         if thetas.ndim != 2 or thetas.shape[1] != d:
             raise ValueError(f"thetas must have shape (n, {d}), got {thetas.shape}")
-        if self.batch is not None:
-            return self.batch.kernel(thetas, *self.batch.args)
+        if self.kernel is not None:
+            return self.kernel(thetas, *self.args)
         return np.array([self.evaluate(t) for t in thetas])
 
     __call__ = evaluate
@@ -204,10 +206,10 @@ class DeterministicObjective:
 
 def make_objective(model, seed, index):
     """Build the deterministic objective for one nuisance seed."""
-    batch = None
+    fast = ()
     if model.batch_distance_factory is not None:
-        batch = model.batch_distance_factory(seed, model.observed_summary)
-    return DeterministicObjective(model, seed, index, batch)
+        fast = model.batch_distance_factory(seed, model.observed_summary)
+    return DeterministicObjective(model, seed, index, *fast)
 
 
 class DistanceStack:
@@ -216,21 +218,18 @@ class DistanceStack:
     A distance is any object with evaluate_batch(thetas) whose rows do not
     depend on the batch.  stack(thetas, owners)[i] is row i of thetas under
     distance owners[i], bit for bit its value alone.  When every distance
-    is an objective whose batch is of one class with coefficients args and
-    a static, elementwise kernel(thetas, *args), a call is one kernel call,
-    each argument given a trailing axis of one entry per row.  Otherwise a
-    call is one evaluate_batch per owner present.
+    has the same elementwise kernel(thetas, *args), a call is one kernel
+    call, each of the args given a trailing axis of one entry per row.
+    Otherwise a call is one evaluate_batch per owner present.
     """
 
     def __init__(self, distances):
         self.distances = list(distances)
-        batches = [getattr(d, "batch", None) for d in self.distances]
-        kind = type(batches[0])
-        self.kernel = None
-        if hasattr(kind, "kernel") and all(type(b) is kind for b in batches):
-            self.kernel = kind.kernel
+        kernels = [getattr(d, "kernel", None) for d in self.distances]
+        self.kernel = kernels[0] if all(k is kernels[0] for k in kernels) else None
+        if self.kernel is not None:
             self.args = [np.moveaxis(np.array(column), 0, -1)
-                         for column in zip(*(b.args for b in batches))]
+                         for column in zip(*(d.args for d in self.distances))]
 
     def __call__(self, thetas, owners):
         if self.kernel is not None:

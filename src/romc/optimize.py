@@ -26,9 +26,10 @@ ROW_BLOCK = 512  # GP rows per kernel block; keeps the temporaries in cache
 class OptimisationResult:
     """Outcome of minimizing one objective.
 
-    hess_appr is a symmetric approximation of the curvature at x_min; it
-    is stored symmetrized and is not guaranteed positive definite (the
-    region builder checks and substitutes a fallback when it is not).
+    hess_appr is a finite, symmetric approximation of the curvature at
+    x_min; it is stored symmetrized and is not guaranteed positive definite
+    (the region builder checks and substitutes a fallback when it is not).
+    A non-finite x_min, f_min or hess_appr raises ValueError.
     """
 
     def __init__(self, x_min, f_min, hess_appr, iterations=None):
@@ -44,7 +45,7 @@ class OptimisationResult:
         if hess.shape != (x_min.size, x_min.size):
             raise ValueError("hess_appr must be a square matrix matching x_min")
         if not np.all(np.isfinite(hess)):
-            hess = np.eye(x_min.size)
+            raise ValueError("hess_appr must be finite")
         self.x_min = x_min.copy()
         self.f_min = f_min
         self.hess_appr = (hess + hess.T) / 2.0

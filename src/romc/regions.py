@@ -108,9 +108,13 @@ class RegionSettings:
 
     @classmethod
     def from_prior(cls, prior, fraction=0.05, refinements=10, max_steps=40):
-        """Initial step as a fraction of the mean prior range."""
+        """Initial step as a fraction, at most 1, of the mean prior range."""
         eta = fraction * float(np.mean(prior.ranges))
-        return cls(eta_start=eta, refinements=refinements, max_steps=max_steps)
+        settings = cls(eta_start=eta, refinements=refinements,
+                       max_steps=max_steps)
+        if fraction > 1.0:
+            raise ValueError("fraction must be at most 1")
+        return settings
 
 
 def line_search_extents(func, centers, directions, owners, eps, settings):

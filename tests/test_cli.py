@@ -279,6 +279,33 @@ class TestErrorPaths:
             "error: eta_start must be positive and finite\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_fraction_above_one_rejected(self, pipeline_dir, tmp_path, capsys):
+        assert run("regions", "--solutions", pipeline_dir / "solutions.json",
+                   "--fraction", "1e300", "--out", tmp_path) == 1
+        assert capsys.readouterr().err == "error: fraction must be at most 1\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_hessian_in_solutions_rejected(self, pipeline_dir,
+                                                      tmp_path, capsys):
+        payload = json.loads((pipeline_dir / "solutions.json").read_text())
+        next(p for p in payload["problems"]
+             if p["status"] == "ok")["result"]["hess_appr"] = [[float("nan")]]
+        path = tmp_path / "solutions.json"
+        path.write_text(json.dumps(payload))
+        assert run("regions", "--solutions", path, "--out", tmp_path) == 1
+        assert capsys.readouterr().err == "error: hess_appr must be finite\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_non_finite_hessian_in_regions_rejected(self, pipeline_dir,
+                                                    tmp_path, capsys):
+        payload = json.loads((pipeline_dir / "regions.json").read_text())
+        payload["regions"][0]["result"]["hess_appr"] = [[float("nan")]]
+        path = tmp_path / "regions.json"
+        path.write_text(json.dumps(payload))
+        assert run("sample", "--regions", path, "--out", tmp_path) == 1
+        assert capsys.readouterr().err == "error: hess_appr must be finite\n"
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_eps_and_quantile_together(self, pipeline_dir, tmp_path):
         assert run("regions", "--solutions", pipeline_dir / "solutions.json",
                    "--eps", 0.5, "--quantile", 0.9, "--out", tmp_path) == 1

@@ -288,13 +288,15 @@ class TestInferenceResultSummary:
         assert summary["parameters"][0]["median"] <= summary["parameters"][0]["q975"]
 
     def test_weighted_quantile_hand_case(self):
-        from romc.inference import _weighted_quantile
+        from romc.inference import _weighted_quantiles
 
         values = np.array([1.0, 2.0, 3.0])
         weights = np.array([1.0, 1.0, 2.0])
-        assert _weighted_quantile(values, weights, 0.5) == 2.0
-        assert _weighted_quantile(values, weights, 0.95) == 3.0
-        assert _weighted_quantile(values, weights, 0.01) == 1.0
+        median, q95, q01 = _weighted_quantiles(values, weights,
+                                               (0.5, 0.95, 0.01))
+        assert median == 2.0
+        assert q95 == 3.0
+        assert q01 == 1.0
 
     def test_column_length_validation(self):
         from romc.inference import InferenceResult

@@ -106,8 +106,9 @@ def test_toy_location_accepts_scalars():
 
 
 def test_toy_distance_batch_matches_composition():
-    thetas = np.array([-2.0, -0.2, 0.0, 0.7])
+    thetas = np.array([[-2.0], [-0.2], [0.0], [0.7]])
     u, y_obs = 0.37, -0.1
     got = kernels.toy_distance_batch(thetas, u, y_obs)
-    expected = (kernels.toy_location(thetas) + u - y_obs) ** 2
+    assert got.shape == (4,)
+    expected = (kernels.toy_location(thetas[:, 0]) + u - y_obs) ** 2
     np.testing.assert_allclose(got, expected, rtol=1e-15)

@@ -1,14 +1,24 @@
 """Priors, seed derivation and the deterministic per-seed objectives."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import romc.kernels
 from conftest import BatchDistance, CountingDistance
-from romc import build_model, make_ma2_model, make_toy_model, solve_problems
+from romc import (
+    build_model,
+    estimate_regions,
+    make_ma2_model,
+    make_toy_model,
+    solve_problems,
+)
 from romc.model import (
     BoxUniformPrior,
+    DeterministicObjective,
     DistanceStack,
     IdentitySummary,
     Model,
@@ -204,6 +214,129 @@ class TestObjectiveStack:
         # owner by owner
         mixed = DistanceStack([make_objective(toy_model, 4, 0), Scaled(1.0)])
         assert mixed.kernel is None
+
+
+class _ShiftSimulator:
+    """theta plus the seed's two standard normal draws."""
+
+    output_dimension = 2
+
+    @staticmethod
+    def noise(seed):
+        return np.random.default_rng(seed).standard_normal(2)
+
+    def run(self, theta, seed):
+        return np.asarray(theta, dtype=np.float64) + self.noise(seed)
+
+
+def _shift_kernel(thetas, c1, c2):
+    return (thetas[:, 0] + c1) ** 2 + (thetas[:, 1] + c2) ** 2
+
+
+def _shift_distance(seed, observed_summary):
+    u = _ShiftSimulator.noise(seed)
+    return _shift_kernel, (float(u[0] - observed_summary[0]),
+                           float(u[1] - observed_summary[1]))
+
+
+def _shift_model():
+    return Model(name="shift", prior=BoxUniformPrior([[-2.0, 2.0]] * 2),
+                 simulator=_ShiftSimulator(), summary=IdentitySummary(2),
+                 observed=np.array([0.3, -0.2]),
+                 batch_distance_factory=_shift_distance)
+
+
+def _shift_objectives(n, kernel_of, make=DeterministicObjective):
+    """n objectives of the shift model, objective i with kernel_of(i)."""
+    model = _shift_model()
+    return [make(model, seed, i, kernel_of(i),
+                 _shift_distance(seed, model.observed_summary)[1])
+            for i, seed in enumerate(draw_nuisance_seeds(n, 2))]
+
+
+class _CountingObjective(DeterministicObjective):
+    def __init__(self, calls, *args):
+        super().__init__(*args)
+        self.calls = calls
+
+    def evaluate_batch(self, thetas):
+        self.calls.append(self.index)
+        return super().evaluate_batch(thetas)
+
+
+class TestKernelProtocol:
+    """batch_distance_factory returns (kernel, args); objectives that share
+    the kernel object stack into one kernel call."""
+
+    def test_shared_kernel_is_one_call_per_stack_call(self):
+        calls = []
+
+        def kernel(thetas, c1, c2):
+            calls.append(len(thetas))
+            return _shift_kernel(thetas, c1, c2)
+
+        stack = DistanceStack(_shift_objectives(6, lambda i: kernel))
+        assert stack.kernel is kernel
+        thetas = np.random.default_rng(1).uniform(-2.0, 2.0, size=(9, 2))
+        stack(thetas, [0, 1, 2, 3, 4, 5, 0, 1, 5])
+        stack(thetas[:4], [3, 3, 2, 2])
+        assert calls == [9, 4]
+
+    def test_two_kernels_are_one_call_per_owner(self):
+        def other(thetas, c1, c2):
+            return _shift_kernel(thetas, c1, c2)
+
+        calls = []
+        objectives = _shift_objectives(
+            4, lambda i: _shift_kernel if i % 2 else other,
+            partial(_CountingObjective, calls))
+        stack = DistanceStack(objectives)
+        assert stack.kernel is None
+        thetas = np.random.default_rng(1).uniform(-2.0, 2.0, size=(5, 2))
+        got = stack(thetas, [3, 0, 3, 1, 0])
+        assert calls == [0, 1, 3]
+        alone = [objectives[o].evaluate(t)
+                 for o, t in zip([3, 0, 3, 1, 0], thetas)]
+        np.testing.assert_array_equal(got, alone)
+
+    def test_custom_factory_runs_the_pipeline(self):
+        model = _shift_model()
+        solve = solve_problems(model, n1=12, seed=4)
+        assert len(solve.solved()) == 12
+        bundle = estimate_regions(solve, quantile=0.9)
+        result = bundle.sample(5, seed=4)
+        assert result.n_samples == 5 * len(bundle.entries)
+        objectives = [bundle.objective(e.index) for e in bundle.entries]
+        stack = DistanceStack(objectives)
+        assert stack.kernel is _shift_kernel
+        owners = np.repeat(np.arange(len(objectives)), 5)
+        got = stack(result.thetas, owners)
+        alone = np.concatenate([
+            objectives[k].evaluate_batch(result.thetas[owners == k])
+            for k in range(len(objectives))])
+        np.testing.assert_array_equal(got.view(np.uint64), alone.view(np.uint64))
+
+    @pytest.mark.parametrize("make_model, name", [
+        (make_ma2_model, "ma2_distance_batch"),
+        (make_toy_model, "toy_distance_batch")])
+    def test_kernel_is_looked_up_when_objectives_are_built(
+            self, monkeypatch, make_model, name):
+        model = make_model()
+        calls = []
+        kernel = getattr(romc.kernels, name)
+
+        def spy(thetas, *args):
+            calls.append(len(thetas))
+            return kernel(thetas, *args)
+
+        monkeypatch.setattr(romc.kernels, name, spy)
+        objectives = [make_objective(model, seed, i)
+                      for i, seed in enumerate(draw_nuisance_seeds(3, 6))]
+        assert all(o.kernel is spy for o in objectives)
+        thetas = np.array([model.prior.sample(np.random.default_rng(2))] * 4)
+        objectives[0].evaluate(thetas[0])
+        DistanceStack(objectives)(thetas, [0, 1, 2, 1])
+        assert calls == [1, 4]
 
 
 def _gradient(func, x):

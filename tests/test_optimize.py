@@ -44,9 +44,10 @@ class TestOptimisationResult:
         result = OptimisationResult([0.0, 0.0], 1.0, [[1.0, 4.0], [0.0, 1.0]])
         np.testing.assert_array_equal(result.hess_appr, [[1.0, 2.0], [2.0, 1.0]])
 
-    def test_nonfinite_hessian_becomes_identity(self):
-        result = OptimisationResult([0.0], 1.0, [[np.nan]])
-        np.testing.assert_array_equal(result.hess_appr, [[1.0]])
+    def test_non_finite_hessian_rejected(self):
+        for value in (np.nan, -np.inf):
+            with pytest.raises(ValueError, match="hess_appr must be finite"):
+                OptimisationResult([0.0, 0.0], 1.0, [[1.0, 0.0], [0.0, value]])
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -34,6 +34,10 @@ def _nan_solver(objective, prior, seed):
     return OptimisationResult([np.nan], 0.0, [[1.0]])
 
 
+def _nan_hessian_solver(objective, prior, seed):
+    return OptimisationResult([0.0], 0.0, [[np.nan]])
+
+
 class _ToyPrior(Prior):
     """The 1d benchmark's prior through only what a prior must define."""
 
@@ -168,6 +172,12 @@ class TestSolveProblems:
         out = solve_problems(make_toy_model(), n1=3, seed=2, solver=_nan_solver)
         assert out.solved() == []
         assert all("x_min must be finite" in r.error for r in out.records)
+
+    def test_non_finite_hessian_is_a_counted_failure(self):
+        out = solve_problems(make_toy_model(), n1=3, seed=2,
+                             solver=_nan_hessian_solver)
+        assert out.solved() == []
+        assert all("hess_appr must be finite" in r.error for r in out.records)
 
     def test_compute_eps_and_histogram(self, toy_solve):
         eps = toy_solve.compute_eps(0.9)

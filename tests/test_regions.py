@@ -133,6 +133,20 @@ class TestRegionSettings:
         with pytest.raises(ValueError, match="eta_start must be positive and finite"):
             RegionSettings(eta_start=eta)
 
+    @pytest.mark.parametrize("fraction", [1e300, 2.0])
+    def test_fraction_above_one_rejected(self, fraction):
+        from romc.model import BoxUniformPrior
+
+        prior = BoxUniformPrior([[0.0, 1.0]])
+        with pytest.raises(ValueError, match="fraction must be at most 1"):
+            RegionSettings.from_prior(prior, fraction=fraction)
+
+    def test_fraction_of_one_accepted(self):
+        from romc.model import BoxUniformPrior
+
+        prior = BoxUniformPrior([[0.0, 2.0]])
+        assert RegionSettings.from_prior(prior, fraction=1.0).eta_start == 2.0
+
 
 class TestLineSearchExtent:
     def test_never_exceeding_distance_telescopes(self):
