@@ -1,12 +1,12 @@
 """Per-seed optimizers and acceptance filtering.
 
 Each deterministic objective is minimized independently, either with a
-quasi-Newton method on finite-difference gradients, whose descents for
-many objectives run in lockstep, or, for expensive simulators, with
-Bayesian optimization on a Gaussian-process fit of the distance.  Both
-report a curvature at the minimizer, the BFGS estimate or the exact
-Hessian of the surrogate mean, which the region builder turns into box
-axes.
+quasi-Newton method on finite-difference gradients or, for expensive
+simulators, with Bayesian optimization on a Gaussian-process fit of the
+distance.  Both run many objectives in lockstep, each bit for bit as it
+runs alone, and both report a curvature at the minimizer, the BFGS
+estimate or the exact Hessian of the surrogate mean, which the region
+builder turns into box axes.
 """
 
 import logging
@@ -222,6 +222,44 @@ def solve_gradient(objective, prior, restarts=1, max_iters=200, seed=0,
                            max_iters=max_iters, step=step, gtol=gtol)[0]
 
 
+def _se_kernel(rows, train, variance):
+    """Squared-exponential kernel between lengthscale-scaled rows (..., m, D)
+    and training inputs (..., n, D), for one fit or a stack of fits.
+
+    The squared distance is accumulated one input dimension at a time, from
+    the first dimension's term, and every step is elementwise, so an
+    entry's bits depend on neither the other rows nor the stack; variance
+    broadcasts against the (..., m, n) result.
+    """
+    sq = rows[..., :, None, 0] - train[..., None, :, 0]
+    sq *= sq
+    for m in range(1, rows.shape[-1]):
+        diff = rows[..., :, None, m] - train[..., None, :, m]
+        diff *= diff
+        sq += diff
+    sq *= -0.5
+    np.exp(sq, out=sq)
+    sq *= variance
+    return sq
+
+
+def _gp_posterior(scaled, train, variance, offset, alpha, chol=None):
+    """Posterior mean of one fit at lengthscale-scaled rows, in blocks of
+    ROW_BLOCK rows, or, given the Cholesky factor, (mean, variance) with
+    the variance clipped at 0."""
+    from scipy.linalg import solve_triangular
+
+    mean, var = np.empty(len(scaled)), np.empty(len(scaled))
+    for start in range(0, len(scaled), ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        k = _se_kernel(scaled[rows], train, variance)
+        mean[rows] = offset + (k * alpha).sum(axis=1)
+        if chol is not None:
+            v = solve_triangular(chol, k.T, lower=True, check_finite=False)
+            var[rows] = variance - np.sum(v**2, axis=0)
+    return mean if chol is None else (mean, np.maximum(var, 0.0))
+
+
 class GaussianProcessSurrogate:
     """Gaussian-process fit of one objective with a squared-exponential
     kernel; the posterior mean doubles as a cheap distance stand-in.
@@ -229,11 +267,14 @@ class GaussianProcessSurrogate:
     The kernel is built elementwise and the mean is a row-wise sum, with
     no matrix product, so each row's mean does not depend on the batch it
     is evaluated in: a one-row call returns the same bits as that row of
-    any batch.
+    any batch.  Hyperparameters that are not one positive finite
+    lengthscale per input dimension, a positive finite variance and a
+    nonnegative finite noise variance, or non-finite data, raise
+    ValueError.
     """
 
     def __init__(self, inputs, values, lengthscales, variance, noise_variance):
-        # scipy is imported by each GP method that uses it, so that
+        # scipy is imported by each GP function that uses it, so that
         # `import romc` and the gradient path never load it
         from scipy.linalg import cho_solve
 
@@ -244,55 +285,39 @@ class GaussianProcessSurrogate:
         self.noise_variance = float(noise_variance)
         if self.inputs.ndim != 2 or self.inputs.shape[0] != self.values.shape[0]:
             raise ValueError("inputs must be (n, D) with one value per row")
+        if not (np.isfinite(self.inputs).all() and np.isfinite(self.values).all()):
+            raise ValueError("GP inputs and values must be finite")
+        if (self.lengthscales.shape != self.inputs.shape[1:]
+                or not np.all((self.lengthscales > 0.0)
+                              & (self.lengthscales < np.inf))):
+            raise ValueError("lengthscales must be one positive finite value "
+                             "per input dimension")
+        if not 0.0 < self.variance < np.inf:
+            raise ValueError("variance must be positive and finite")
+        if not 0.0 <= self.noise_variance < np.inf:
+            raise ValueError("noise_variance must be nonnegative and finite")
         n = self.inputs.shape[0]
         self._mean_offset = float(np.mean(self.values))
         self._scaled = self.inputs / self.lengthscales
-        k = self._kernel(self._scaled)
+        k = _se_kernel(self._scaled, self._scaled, self.variance)
         k[np.diag_indices(n)] += self.noise_variance
         # raises LinAlgError when the matrix is not positive definite
         self._chol = np.linalg.cholesky(k)
         centered = self.values - self._mean_offset
         self._alpha = cho_solve((self._chol, True), centered)
 
-    def _kernel(self, scaled):
-        """Kernel between rows of lengthscale-scaled inputs and the training
-        inputs, accumulated one input dimension at a time."""
-        sq = np.zeros((scaled.shape[0], self._scaled.shape[0]))
-        for m in range(scaled.shape[1]):
-            diff = np.subtract.outer(scaled[:, m], self._scaled[:, m])
-            diff *= diff
-            sq += diff
-        sq *= -0.5
-        np.exp(sq, out=sq)
-        sq *= self.variance
-        return sq
-
-    def _blocks(self, thetas):
-        """(rows, kernel, mean) for fixed-size blocks of rows."""
+    def _posterior(self, thetas, chol=None):
         scaled = np.asarray(thetas, dtype=np.float64) / self.lengthscales
-        for start in range(0, scaled.shape[0], ROW_BLOCK):
-            rows = slice(start, start + ROW_BLOCK)
-            k = self._kernel(scaled[rows])
-            yield rows, k, self._mean_offset + (k * self._alpha).sum(axis=1)
+        return _gp_posterior(scaled, self._scaled, self.variance,
+                             self._mean_offset, self._alpha, chol)
 
     def predict_batch(self, thetas):
         """Posterior mean and variance at each row; variance is clipped at 0."""
-        from scipy.linalg import solve_triangular
-
-        n = len(thetas)
-        mean, var = np.empty(n), np.empty(n)
-        for rows, k, block_mean in self._blocks(thetas):
-            mean[rows] = block_mean
-            v = solve_triangular(self._chol, k.T, lower=True)
-            var[rows] = self.variance - np.sum(v**2, axis=0)
-        return mean, np.maximum(var, 0.0)
+        return self._posterior(thetas, self._chol)
 
     def evaluate_batch(self, thetas):
         """Posterior mean at each row, without the variance."""
-        mean = np.empty(len(thetas))
-        for rows, _, block_mean in self._blocks(thetas):
-            mean[rows] = block_mean
-        return mean
+        return self._posterior(thetas)
 
     def hessian(self, theta):
         """Exact Hessian of the posterior mean at one point:
@@ -302,7 +327,8 @@ class GaussianProcessSurrogate:
         symmetric."""
         scaled = np.asarray(theta, dtype=np.float64) / self.lengthscales
         u = scaled - self._scaled
-        weights = self._kernel(scaled[None, :])[0] * self._alpha
+        weights = (_se_kernel(scaled[None, :], self._scaled, self.variance)[0]
+                   * self._alpha)
         outer = u[:, :, None] * u[:, None, :] - np.eye(scaled.size)
         scale = np.outer(self.lengthscales, self.lengthscales)
         return (weights[:, None, None] * outer).sum(axis=0) / scale
@@ -327,48 +353,81 @@ class GaussianProcessSurrogate:
         )
 
 
-def _fit_gp(inputs, values):
-    """Fit hyperparameters by simple heuristics and build the surrogate.
+SINGULAR = "kernel matrix stayed singular under jitter escalation"
 
-    Lengthscales are per-axis median pairwise distances, kernel variance is
-    the sample variance of the targets, and the noise jitter starts at
-    1e-6 times that variance, escalating tenfold until the Cholesky
-    succeeds.  Raises NumericalFailure if it never does.
+
+def _fit_gps(inputs, values):
+    """Fit P surrogates' hyperparameters and kernel factors in lockstep,
+    each bit for bit as _fit_gp fits it alone, from (P, n, D) inputs and
+    (P, n) values.
+
+    Lengthscales are per-axis median pairwise distances (else the axis's
+    range, else 1), kernel variance is the sample variance of the values,
+    at least 1e-12, and the noise jitter starts at 1e-6 times that
+    variance, escalating tenfold for the fits whose Cholesky fails, up to
+    8 tries.  Returns (lengthscales, variance, noise, scaled inputs,
+    Cholesky factors), the factor NaN for a fit that never factorizes.
     """
+    n_fits, n, d = inputs.shape
+    first, second = np.triu_indices(n, k=1)
+    lengthscales = np.empty((n_fits, d))
+    for m in range(d):
+        col = inputs[:, :, m]
+        pairs = col[:, first] - col[:, second]
+        np.abs(pairs, out=pairs)
+        med = (np.median(pairs, axis=1, overwrite_input=True) if pairs.size
+               else np.zeros(n_fits))
+        spread = np.ptp(col, axis=1)
+        lengthscales[:, m] = np.where(med > 0.0, med,
+                                      np.where(spread > 0.0, spread, 1.0))
+    variance = np.maximum(np.var(values, axis=1), 1e-12)
+    noise = 1e-6 * variance
+    scaled = inputs / lengthscales[:, None, :]
+    kernel = _se_kernel(scaled, scaled, variance[:, None, None])
+    diag = np.arange(n)
+    base = kernel[:, diag, diag]
+    kernel[:, diag, diag] += noise[:, None]
+    try:
+        chol = np.linalg.cholesky(kernel)
+    except np.linalg.LinAlgError:
+        # some fit failed: factorize each alone, escalating its own jitter
+        chol = np.full_like(kernel, np.nan)
+        for p in range(n_fits):
+            for _ in range(8):
+                try:
+                    chol[p] = np.linalg.cholesky(kernel[p])
+                    break
+                except np.linalg.LinAlgError:
+                    noise[p] *= 10.0
+                    kernel[p, diag, diag] = base[p] + noise[p]
+    return lengthscales, variance, noise, scaled, chol
+
+
+def _fit_gp(inputs, values):
+    """_fit_gps for one fit, as a surrogate; raises NumericalFailure when
+    its kernel never factorizes."""
     inputs = np.asarray(inputs, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
-    n, d = inputs.shape
-    first, second = np.triu_indices(n, k=1)
-    lengthscales = np.empty(d)
-    for m in range(d):
-        col = inputs[:, m]
-        pairs = np.abs(col[first] - col[second])
-        med = float(np.median(pairs)) if pairs.size else 0.0
-        if med <= 0.0:
-            spread = float(np.ptp(col))
-            med = spread if spread > 0.0 else 1.0
-        lengthscales[m] = med
-    variance = max(float(np.var(values)), 1e-12)
-    jitter = 1e-6 * variance
-    for _ in range(8):
-        try:
-            return GaussianProcessSurrogate(
-                inputs, values, lengthscales, variance, jitter
-            )
-        except np.linalg.LinAlgError:
-            jitter *= 10.0
-    raise NumericalFailure("kernel matrix stayed singular under jitter escalation")
+    lengthscales, variance, noise, _, chol = _fit_gps(inputs[None],
+                                                      values[None])
+    if np.isnan(chol[0, 0, 0]):
+        raise NumericalFailure(SINGULAR)
+    return GaussianProcessSurrogate(inputs, values, lengthscales[0],
+                                    variance[0], noise[0])
 
 
 def _expected_improvement(mean, var, f_best):
+    """Expected improvement over f_best, elementwise; f_best broadcasts
+    against mean."""
     from scipy.special import ndtr
 
     sigma = np.sqrt(var)
     ei = np.zeros_like(mean)
     active = sigma > 1e-12
-    z = (f_best - mean[active]) / sigma[active]
+    gain = np.broadcast_to(f_best, mean.shape)[active] - mean[active]
+    z = gain / sigma[active]
     pdf = np.exp(-0.5 * z**2) / np.sqrt(2.0 * np.pi)
-    ei[active] = (f_best - mean[active]) * ndtr(z) + sigma[active] * pdf
+    ei[active] = gain * ndtr(z) + sigma[active] * pdf
     return np.maximum(ei, 0.0)
 
 
@@ -390,6 +449,11 @@ def _latin_hypercube(rng, n, lo, hi):
     return (perms.T - u) / n * (hi - lo) + lo
 
 
+def _gaps(inputs, point):
+    """Largest-coordinate distance from point to its nearest input."""
+    return np.abs(inputs - point).max(axis=-1).min(axis=-1)
+
+
 def check_bayesian_options(budget, init_points):
     if init_points < 2:
         raise ValueError("init_points must be at least 2")
@@ -397,58 +461,111 @@ def check_bayesian_options(budget, init_points):
         raise ValueError("budget must exceed init_points")
 
 
-def solve_bayesian(objective, prior, budget=64, init_points=10, seed=0,
-                   n_candidates=512):
-    """Minimize one objective with expected-improvement Bayesian optimization.
+def _acquire(inputs, values, rngs, lo, hi, n_candidates):
+    """One lockstep step of P problems with (P, n, D) inputs and (P, n)
+    values: fit their surrogates, then draw each problem's candidates from
+    its generator in rngs.  Returns (fitted, chosen): the mask of the fits
+    that factorized, and for each of those problems the candidate of
+    highest expected improvement, the first on ties, that is not already
+    an input (or that candidate when every one is)."""
+    from scipy.linalg import cho_solve
 
-    objective is a distance with evaluate_batch(thetas).  Spends `budget`
-    evaluations in total: a Latin-hypercube design of init_points in one
-    batch, then sequential acquisitions, one row each.  Returns
+    *fit, chol = _fit_gps(inputs, values)
+    fitted = ~np.isnan(chol[:, 0, 0])
+    lengthscales, variance, _, scaled = (a[fitted] for a in fit)
+    inputs, values, chol = inputs[fitted], values[fitted], chol[fitted]
+    offset = np.mean(values, axis=1)
+    centered = values - offset[:, None]
+    candidates = np.empty((len(inputs), n_candidates, lo.size))
+    mean, var = np.empty((2, len(inputs), n_candidates))
+    for j, rng in enumerate(rng for rng, ok in zip(rngs, fitted) if ok):
+        candidates[j] = rng.uniform(lo, hi, size=(n_candidates, lo.size))
+        alpha = cho_solve((chol[j], True), centered[j], check_finite=False)
+        mean[j], var[j] = _gp_posterior(
+            candidates[j] / lengthscales[j], scaled[j], variance[j],
+            offset[j], alpha, chol[j])
+    ei = _expected_improvement(mean, var, values.min(axis=1)[:, None])
+    # the first maximum, where a stable sort of -ei starts (NaN last)
+    top = np.argmax(np.where(np.isnan(ei), -np.inf, ei), axis=1)
+    chosen = candidates[np.arange(len(inputs)), top]
+    for j in np.flatnonzero(_gaps(inputs, chosen[:, None, :]) <= 1e-10):
+        for idx in np.argsort(-ei[j], kind="stable"):
+            if _gaps(inputs[j], candidates[j, idx]) > 1e-10:
+                chosen[j] = candidates[j, idx]
+                break
+    return fitted, chosen
+
+
+def solve_bayesians(objectives, prior, seeds, budget=64, init_points=10,
+                    n_candidates=512):
+    """Minimize several objectives with expected-improvement Bayesian
+    optimization, in lockstep.
+
+    Each objective, a distance with evaluate_batch(thetas), spends `budget`
+    evaluations: a Latin-hypercube design of init_points, then per step
+    the candidate of highest expected improvement among n_candidates
+    uniform draws that is not already an input.  Objective k draws from
+    its own generator, seeded with seeds[k].  All problems have the same
+    number of inputs at each step, so a step's GP fits are one stack and
+    its evaluations one DistanceStack call; candidates and their
+    posterior are computed one problem at a time.  So each problem gets
+    the bits it gets alone.  Returns one entry per objective:
     (OptimisationResult, GaussianProcessSurrogate) where x_min is the best
     evaluated point and hess_appr the exact Hessian of the surrogate mean
-    there, or None when the surrogate fit fails.
+    there, or None when a value is not finite or the surrogate fit fails.
     """
     check_bayesian_options(budget, init_points)
-    rng = np.random.default_rng(seed)
-    bounds = prior.bounds
-    lo, hi = bounds[:, 0], bounds[:, 1]
+    lo, hi = prior.bounds[:, 0], prior.bounds[:, 1]
     d = prior.dimension
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    stack = DistanceStack(objectives)
+    inputs = np.empty((len(rngs), budget, d))
+    values = np.empty((len(rngs), budget))
+    inputs[:, :init_points] = [_latin_hypercube(rng, init_points, lo, hi)
+                               for rng in rngs]
+    values[:, :init_points] = stack(
+        inputs[:, :init_points].reshape(-1, d),
+        np.repeat(np.arange(len(rngs)), init_points),
+    ).reshape(len(rngs), init_points)
+    live = np.flatnonzero(np.isfinite(values[:, :init_points]).all(axis=1))
 
-    inputs = list(_latin_hypercube(rng, init_points, lo, hi))
-    values = [float(v) for v in objective.evaluate_batch(np.asarray(inputs))]
-    if not np.all(np.isfinite(values)):
-        return None
+    for n in range(init_points, budget):
+        if not live.size:
+            break
+        fitted, chosen = _acquire(inputs[live, :n], values[live, :n],
+                                  [rngs[p] for p in live], lo, hi,
+                                  n_candidates)
+        for _ in range(np.count_nonzero(~fitted)):
+            logger.warning("surrogate fit failed: %s", SINGULAR)
+        live = live[fitted]
+        inputs[live, n] = chosen
+        values[live, n] = stack(chosen, live)
+        live = live[np.isfinite(values[live, n])]
 
-    try:
-        for _ in range(budget - init_points):
-            gp = _fit_gp(np.asarray(inputs), np.asarray(values))
-            candidates = rng.uniform(lo, hi, size=(n_candidates, d))
-            mean, var = gp.predict_batch(candidates)
-            ei = _expected_improvement(mean, var, min(values))
-            order = np.argsort(-ei, kind="stable")
-            existing = np.asarray(inputs)
-            chosen = candidates[order[0]]
-            for idx in order:
-                gap = np.min(np.max(np.abs(existing - candidates[idx]), axis=1))
-                if gap > 1e-10:
-                    chosen = candidates[idx]
-                    break
-            value = float(objective.evaluate_batch(chosen[None, :])[0])
-            if not np.isfinite(value):
-                return None
-            inputs.append(chosen)
-            values.append(value)
-        gp = _fit_gp(np.asarray(inputs), np.asarray(values))
-    except NumericalFailure as exc:
-        logger.warning("surrogate fit failed: %s", exc)
-        return None
+    results = [None] * len(rngs)
+    for p in live:
+        try:
+            gp = _fit_gp(inputs[p], values[p])
+        except NumericalFailure as exc:
+            logger.warning("surrogate fit failed: %s", exc)
+            continue
+        best = int(np.argmin(values[p]))
+        x_min = inputs[p, best]
+        results[p] = (OptimisationResult(x_min, values[p, best],
+                                         gp.hessian(x_min), iterations=budget),
+                      gp)
+    return results
 
-    best = int(np.argmin(values))
-    x_min = np.asarray(inputs[best], dtype=np.float64)
-    result = OptimisationResult(
-        x_min, float(values[best]), gp.hessian(x_min), iterations=budget
-    )
-    return result, gp
+
+def solve_bayesian(objective, prior, budget=64, init_points=10, seed=0,
+                   n_candidates=512):
+    """Minimize one objective with expected-improvement Bayesian
+    optimization: solve_bayesians for this objective alone, so the result,
+    (OptimisationResult, GaussianProcessSurrogate) or None, is the one it
+    gets in any batch."""
+    return solve_bayesians([objective], prior, [seed], budget=budget,
+                           init_points=init_points,
+                           n_candidates=n_candidates)[0]
 
 
 def compute_eps(values, quantile):

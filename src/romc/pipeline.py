@@ -7,11 +7,11 @@ quadratic models.  The resulting InferenceBundle knows how to hand out the
 per-problem distance, the posterior approximation and weighted samples.
 
 Both stages run through one runner, _run_in_chunks, which hands each
-worker one contiguous chunk of problems: the gradient solve and the boxes
-run a chunk in lockstep; Bayesian optimization, the hooks and the region
-stage's quadratic fits go through it one problem at a time.  A chunk
-that raises is run again one problem at a time, so a failure stays with
-its problem.
+worker one contiguous chunk of problems: the gradient solve, Bayesian
+optimization and the boxes run a chunk in lockstep; the hooks and the
+region stage's quadratic fits go through it one problem at a time.  A
+chunk that raises is run again one problem at a time, so a failure stays
+with its problem.
 
 All task functions are module level and all payloads picklable, so the
 same code path runs sequentially or across a process pool; every random
@@ -43,7 +43,8 @@ from .optimize import (
     compute_eps,
     distance_histogram,
     filter_solutions,
-    solve_bayesian,
+    solve_bayesian,  # noqa: F401 - unused here; perfbench/tracing.py wraps it
+    solve_bayesians,
     solve_gradient,  # noqa: F401 - unused here; perfbench/tracing.py wraps it
     solve_gradients,
 )
@@ -71,29 +72,26 @@ class ProblemRecord:
 
 
 def _solve_chunk_task(payload):
-    """Solves of a run of problems: one lockstep gradient descent over all
-    of them, else Bayesian optimization or the custom solver on one problem
-    at a time."""
+    """Solves of a run of problems: one lockstep gradient descent or
+    Bayesian optimization over all of them, else the custom solver on one
+    problem at a time."""
     (model, master_seed, options, solver), items = payload
     objectives = [make_objective(model, seed, index) for index, seed in items]
     streams = [[master_seed, index, STREAM_SOLVE] for index, _ in items]
-    if solver is None and not options["use_bo"]:
-        results = solve_gradients(
+    if solver is not None:
+        outputs = [solver(objective, model.prior, stream)
+                   for objective, stream in zip(objectives, streams)]
+    elif options["use_bo"]:
+        outputs = solve_bayesians(
+            objectives, model.prior, streams, budget=options["budget"],
+            init_points=options["init_points"],
+        )
+    else:
+        outputs = solve_gradients(
             objectives, model.prior, streams, restarts=options["restarts"],
             max_iters=options["max_iters"], step=options["gradient_step"],
         )
-        return [(result, None) for result in results]
-    outputs = []
-    for objective, stream in zip(objectives, streams):
-        if solver is not None:
-            out = solver(objective, model.prior, stream)
-        else:
-            out = solve_bayesian(
-                objective, model.prior, budget=options["budget"],
-                init_points=options["init_points"], seed=stream,
-            )
-        outputs.append(out if isinstance(out, tuple) else (out, None))
-    return outputs
+    return [out if isinstance(out, tuple) else (out, None) for out in outputs]
 
 
 def _run_in_chunks(chunk_task, context, tasks, workers):
@@ -173,8 +171,8 @@ def solve_problems(model, n1, seed, use_bo=False, restarts=1, max_iters=200,
     solver optionally replaces the built-in optimizers; it must be a
     picklable callable (objective, prior, seed) -> OptimisationResult,
     (result, surrogate) or None, called once per problem of a worker's
-    chunk (again if another problem of its chunk raised).  The built-in
-    gradient solve runs every problem of a worker's chunk in lockstep.
+    chunk (again if another problem of its chunk raised).  Both built-in
+    optimizers run every problem of a worker's chunk in lockstep.
     Failures are recorded per problem, not raised; an invalid option of
     the built-in optimizer in use raises ValueError before any solve.
     """

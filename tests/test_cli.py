@@ -44,6 +44,17 @@ def ma2_dir(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def bo_dir(tmp_path_factory):
+    """Tiny ma2 pipeline solved by Bayesian optimization."""
+    out = tmp_path_factory.mktemp("bo")
+    assert run("solve", "--model", "ma2", "--model-args", '{"n_obs": 20}',
+               "--n1", 4, "--seed", 11, "--use-bo", "--budget", 12,
+               "--init-points", 4, "--out", out) == 0
+    assert run("regions", "--quantile", 1.0, "--out", out) == 0
+    return out
+
+
 class TestPipeline:
     def test_all_artifacts_written(self, pipeline_dir):
         for name in [
@@ -304,6 +315,29 @@ class TestErrorPaths:
         path.write_text(json.dumps(payload))
         assert run("sample", "--regions", path, "--out", tmp_path) == 1
         assert capsys.readouterr().err == "error: hess_appr must be finite\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("lengthscales", [1.0], "lengthscales must be one positive finite "
+         "value per input dimension"),
+        ("variance", 0.0, "variance must be positive and finite"),
+        ("noise_variance", -1e-6,
+         "noise_variance must be nonnegative and finite"),
+    ])
+    @pytest.mark.parametrize("stage", ["solutions", "regions"])
+    def test_degenerate_gp_rejected(self, bo_dir, tmp_path, capsys, stage,
+                                    field, value, message):
+        payload = json.loads((bo_dir / f"{stage}.json").read_text())
+        if stage == "solutions":
+            payload["problems"][0]["gp"][field] = value
+            command = "regions"
+        else:
+            payload["regions"][0]["gp"][field] = value
+            command = "sample"
+        path = tmp_path / f"{stage}.json"
+        path.write_text(json.dumps(payload))
+        assert run(command, f"--{stage}", path, "--out", tmp_path) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == [path]
 
     def test_eps_and_quantile_together(self, pipeline_dir, tmp_path):

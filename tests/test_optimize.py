@@ -257,6 +257,37 @@ class TestGaussianProcessSurrogate:
         with pytest.raises(ValueError):
             GaussianProcessSurrogate(np.zeros((3, 2)), np.zeros(2), [1, 1], 1.0, 1e-6)
 
+    @pytest.mark.parametrize("lengthscales", [
+        [1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]], [1.0, 0.0], [1.0, -0.5],
+        [1.0, np.inf], [np.nan, 1.0]])
+    def test_lengthscales_must_be_one_positive_value_per_axis(
+            self, lengthscales):
+        inputs = [[0.0, 0.0], [1.0, 0.5], [0.3, 1.0]]
+        with pytest.raises(ValueError, match="lengthscales must be one"):
+            GaussianProcessSurrogate(inputs, [1.0, 2.0, 0.5], lengthscales,
+                                     1.0, 1e-6)
+
+    @pytest.mark.parametrize("variance", [0.0, -1.0, np.inf, np.nan])
+    def test_variance_must_be_positive_and_finite(self, variance):
+        with pytest.raises(ValueError, match="variance must be positive"):
+            GaussianProcessSurrogate([[0.0], [1.0]], [1.0, 3.0], [0.5],
+                                     variance, 1e-6)
+
+    @pytest.mark.parametrize("noise", [-1e-6, np.inf, np.nan])
+    def test_noise_variance_must_be_nonnegative_and_finite(self, noise):
+        with pytest.raises(ValueError, match="noise_variance must be"):
+            GaussianProcessSurrogate([[0.0], [1.0]], [1.0, 3.0], [0.5], 2.0,
+                                     noise)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_data_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            GaussianProcessSurrogate([[0.0], [1.0]], [1.0, bad], [0.5], 2.0,
+                                     1e-6)
+        with pytest.raises(ValueError, match="must be finite"):
+            GaussianProcessSurrogate([[0.0], [bad]], [1.0, 3.0], [0.5], 2.0,
+                                     1e-6)
+
 
 class TestSolveBayesian:
     def test_finds_smooth_bowl_minimum(self, unit_square_prior):

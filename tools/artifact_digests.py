@@ -53,20 +53,26 @@ GOLDEN = {
                        REJECTION),
 }
 
-# name: (solve flags, regions flags, n2); each runs at seeds 21 and 43
+# name: (solve flags, regions flags, n2, seeds); each runs at its seeds
 # with 1 and 2 workers
 SWEEP = {
     "ma2-gradient-n200": (["--model", "ma2", "--n1", "200", "--restarts", "3"],
-                          ["--quantile", "0.97"], 30),
+                          ["--quantile", "0.97"], 30, ("21", "43")),
     "ma2-gradient-n200-fit": (["--model", "ma2", "--n1", "200",
                                "--restarts", "3"],
-                              ["--quantile", "0.97", "--fit-models"], 30),
+                              ["--quantile", "0.97", "--fit-models"], 30,
+                              ("21", "43")),
     "ma2-bo-n30": (["--model", "ma2", "--n1", "30", "--use-bo"],
-                   ["--quantile", "0.97"], 30),
+                   ["--quantile", "0.97"], 30, ("21", "43")),
     "ma2-bo-n12-fit": (["--model", "ma2", "--n1", "12", "--use-bo"],
-                       ["--quantile", "0.97", "--fit-models"], 30),
+                       ["--quantile", "0.97", "--fit-models"], 30,
+                       ("21", "43")),
     "1d-n500-fit": (["--model", "1d", "--n1", "500"],
-                    ["--eps", "0.75", "--fit-models"], 50),
+                    ["--eps", "0.75", "--fit-models"], 50, ("21", "43")),
+    # the BO config of acceptance criteria 4 and 5, whose regions take the
+    # one Jacobian curvature fallback
+    "ma2-bo-n60": (["--model", "ma2", "--n1", "60", "--use-bo"],
+                   ["--quantile", "0.97"], 30, ("21",)),
 }
 
 # name: (bundled model, solve keywords, regions keywords, n2, seed); the
@@ -85,8 +91,8 @@ def _runs():
                  ["posterior", "--at", at],
                  ["evaluate", *evaluate, "--seed", seed]]
         yield name, steps
-    for name, (solve, regions, n2) in SWEEP.items():
-        for seed in ("21", "43"):
+    for name, (solve, regions, n2, seeds) in SWEEP.items():
+        for seed in seeds:
             for workers in ("1", "2"):
                 yield f"{name}-s{seed}-w{workers}", [
                     ["solve", *solve, "--seed", seed, "--workers", workers],
