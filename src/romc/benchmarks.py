@@ -13,6 +13,7 @@ rejection_abc provides a plain accept-reject baseline for comparing
 posterior moments on either problem.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,8 +119,8 @@ class Ma2Simulator:
     """Moving-average series of order two driven by n_obs + 2 normal draws."""
 
     def __init__(self, n_obs=DEFAULT_MA2_N_OBS):
-        if n_obs < 3:
-            raise ValueError("n_obs must be at least 3")
+        if not (isinstance(n_obs, numbers.Integral) and n_obs >= 3):
+            raise ValueError(f"n_obs must be an integer of at least 3, got {n_obs!r}")
         self.n_obs = int(n_obs)
 
     @property
@@ -153,6 +154,9 @@ class Ma2Summary:
 
 def make_ma2_model(n_obs=DEFAULT_MA2_N_OBS, theta_true=DEFAULT_MA2_THETA_TRUE,
                    observation_seed=DEFAULT_MA2_OBSERVATION_SEED):
+    if not (np.shape(theta_true) == (2,) and all(
+            isinstance(t, numbers.Real) and np.isfinite(t) for t in theta_true)):
+        raise ValueError(f"theta_true must be 2 finite numbers, got {theta_true!r}")
     simulator = Ma2Simulator(n_obs)
     observed = simulator.run(np.asarray(theta_true, dtype=np.float64),
                              observation_seed)
@@ -176,7 +180,8 @@ _FACTORIES = {"1d": make_toy_model, "ma2": make_ma2_model}
 
 
 def build_model(config):
-    """Rebuild a benchmark model from its config dict or bare name."""
+    """Rebuild a benchmark model from its config dict or bare name; a bad
+    key or value raises ValueError naming the model."""
     if isinstance(config, str):
         config = {"name": config}
     config = dict(config)
@@ -185,7 +190,10 @@ def build_model(config):
         raise ValueError(
             f"unknown model {name!r}; available: {sorted(_FACTORIES)}"
         )
-    return _FACTORIES[name](**config)
+    try:
+        return _FACTORIES[name](**config)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"model {name!r}: {exc}") from exc
 
 
 @dataclass

@@ -305,6 +305,8 @@ def cmd_posterior(options):
     theta = None
     if options["at"] is not None:
         theta = np.array([float(v) for v in str(options["at"]).split(",")])
+        if not np.isfinite(theta).all():
+            raise ValueError(f"--at must be finite, got {options['at']}")
         if theta.size != bundle.model.prior.dimension:
             raise ValueError(
                 f"--at has {theta.size} components but model "

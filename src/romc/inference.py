@@ -2,15 +2,16 @@
 
 The unnormalized posterior at theta is the prior density times the number
 of accepted problems whose distance at theta is within eps.  Sampling
-draws uniformly from each region's bounding box and weights each draw by
-indicator * prior / proposal, so expectations are simple weighted
-averages and zero-weight draws stay in the output for diagnostics.
+draws uniformly from every region's box through one RegionStack and
+weights each draw by indicator * prior / proposal, so expectations are
+simple weighted averages and zero-weight draws stay in the output.
 """
 
 import numpy as np
 
 from .errors import DegenerateResult, UnsupportedDimension
 from .model import STREAM_SAMPLE, DistanceStack, derive_rng
+from .regions import RegionStack
 
 GRID_CELLS_PER_AXIS = 200
 GRID_MAX_DIMENSION = 3
@@ -90,6 +91,7 @@ class PosteriorApproximation:
         self.regions = list(regions)
         self.distances = list(distances)
         self.problem_indices = [int(i) for i in problem_indices]
+        self.stack = RegionStack(self.regions)
         self._partition = {}
 
     @property
@@ -230,21 +232,17 @@ def sample(posterior, n2, seed):
     Each region i gets its own generator derived from (seed, problem
     index), so results do not depend on evaluation order.  Weights are
     indicator(distance <= eps) * prior(theta) * box volume, the box volume
-    being 1 / proposal density; the k * n2 draws are evaluated in one
-    DistanceStack call and one pdf_batch.
+    being 1 / proposal density; the k * n2 draws come from one RegionStack
+    and are evaluated in one DistanceStack call and one pdf_batch.
     """
-    if n2 < 1:
-        raise ValueError("n2 must be positive")
     k = posterior.n_regions
-    thetas = np.concatenate([
-        region.sample(n2, derive_rng(seed, pi, STREAM_SAMPLE))
-        for pi, region in zip(posterior.problem_indices, posterior.regions)
-    ])
+    thetas = posterior.stack.sample(n2, [derive_rng(seed, pi, STREAM_SAMPLE)
+                                         for pi in posterior.problem_indices])
     owners = np.repeat(np.arange(k), n2)
     dist = DistanceStack(posterior.distances)(thetas, owners)
     pdf = np.asarray(posterior.prior.pdf_batch(thetas), dtype=np.float64)
-    volumes = np.array([region.volume for region in posterior.regions])[owners]
-    weights = np.where(dist <= posterior.eps, pdf * volumes, 0.0)
+    weights = np.where(dist <= posterior.eps,
+                       pdf * posterior.stack.volumes[owners], 0.0)
     problem_indices = np.array(posterior.problem_indices, dtype=np.int64)[owners]
     draw_indices = np.tile(np.arange(n2, dtype=np.int64), k)
     return InferenceResult(thetas, weights, problem_indices, draw_indices,

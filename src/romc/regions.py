@@ -1,12 +1,13 @@
 """Region construction around each accepted minimizer.
 
 A region is an oriented bounding box of the acceptance set
-{theta : d_i(theta) <= eps} around x_min, and the proposal of its problem
-is the uniform distribution on that box.  Axes come from the eigenvectors
-of a curvature matrix at the minimizer; extents along each direction come
-from a step-doubling-free, step-halving line search that walks outward
-until the distance exceeds eps.  Boxes may stick out of the prior bounds;
-the prior density zeroes those samples later, so no clipping happens here.
+{theta : d_i(theta) <= eps} around x_min, kept as a validated BoundingBox;
+its problem's proposal is uniform on the box, and a RegionStack of many
+boxes maps rotated coordinates and draws the samples.  Axes come from the
+eigenvectors of a curvature matrix at the minimizer; extents along each
+direction come from a step-doubling-free, step-halving line search that
+walks outward until the distance exceeds eps.  Boxes may stick out of the
+prior bounds; the prior density zeroes those samples, so none is clipped.
 """
 
 from dataclasses import dataclass
@@ -169,9 +170,8 @@ def line_search_extent(distance, center, direction, eps, settings):
 
 
 class BoundingBox:
-    """Oriented box: center, orthonormal rotation, per-axis signed limits.
-
-    The uniform distribution on the box is the proposal of its problem.
+    """One region's validated record: the center, orthonormal rotation
+    and per-axis signed limits of an oriented box.
 
     A point theta maps to rotated coordinates z = R^T (theta - center);
     the box is {z : limits[m, 0] <= z_m <= limits[m, 1]} with the lower
@@ -206,35 +206,9 @@ class BoundingBox:
     def dimension(self):
         return self.center.size
 
-    def to_rotated(self, thetas):
-        thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
-        return (thetas - self.center) @ self.rotation
-
-    def from_rotated(self, z):
-        z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        return z @ self.rotation.T + self.center
-
-    def contains(self, thetas, atol=1e-10):
-        """Boolean mask (or scalar for one point) of membership."""
-        thetas = np.asarray(thetas, dtype=np.float64)
-        single = thetas.ndim == 1
-        z = self.to_rotated(thetas)
-        inside = np.all(
-            (z >= self.limits[:, 0] - atol) & (z <= self.limits[:, 1] + atol),
-            axis=1,
-        )
-        return bool(inside[0]) if single else inside
-
     def sample(self, n, seed):
-        """Draw n points uniformly inside the box; seed may be an int or a
-        numpy Generator."""
-        if n < 1:
-            raise ValueError("n must be positive")
-        # default_rng returns a Generator argument unaltered
-        z = np.random.default_rng(seed).uniform(
-            self.limits[:, 0], self.limits[:, 1], size=(n, self.dimension)
-        )
-        return self.from_rotated(z)
+        """n uniform draws in the box: RegionStack.sample of it alone."""
+        return RegionStack([self]).sample(n, [seed])
 
     def to_record(self):
         return {
@@ -246,6 +220,34 @@ class BoundingBox:
     @classmethod
     def from_record(cls, record):
         return cls(record["rotation"], record["center"], record["limits"])
+
+
+class RegionStack:
+    """Several boxes as arrays, and the only map between their rotated
+    coordinates z and the parameters theta = z R^T + center."""
+
+    def __init__(self, boxes):
+        self.rotations = np.stack([box.rotation for box in boxes])
+        self.centers = np.stack([box.center for box in boxes])
+        self.limits = np.stack([box.limits for box in boxes])
+        self.volumes = np.array([box.volume for box in boxes])
+
+    def sample(self, n, seeds):
+        """n uniform draws in each box, box k's from default_rng(seeds[k])
+        (an int or a numpy Generator, used as is), as rows grouped by box."""
+        if n < 1:
+            raise ValueError("n must be positive")
+        z = np.stack([np.random.default_rng(seed).uniform(
+            limits[:, 0], limits[:, 1], size=(n, len(limits)))
+            for seed, limits in zip(seeds, self.limits, strict=True)])
+        return (z @ self.rotations.transpose(0, 2, 1)
+                + self.centers[:, None]).reshape(-1, self.centers.shape[1])
+
+    def contains(self, thetas, owners, atol=1e-10):
+        """Whether each row of thetas lies in the box of its owner."""
+        z = ((thetas - self.centers[owners])[:, None] @ self.rotations[owners])[:, 0]
+        lo, hi = np.moveaxis(self.limits[owners], 2, 0)
+        return np.all((z >= lo - atol) & (z <= hi + atol), axis=1)
 
 
 def build_boxes(func, results, curvatures, eps, settings):

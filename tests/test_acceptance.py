@@ -29,7 +29,7 @@ from romc import (
 from romc.inference import PosteriorApproximation
 from romc.model import BoxUniformPrior, DistanceStack, finite_difference_gradient
 from romc.optimize import compute_eps, solve_gradient
-from romc.regions import RegionSettings, build_box, line_search_extent
+from romc.regions import RegionSettings, RegionStack, build_box, line_search_extent
 
 
 def verdict(number, ok, detail):
@@ -212,12 +212,13 @@ def test_criterion_5_parallel_training(tmp_path):
 def _check_region_suite():
     solve = solve_problems(make_toy_model(), n1=40, seed=7)
     bundle = estimate_regions(solve, eps=0.75)
-    for entry in bundle.entries:
+    stack = RegionStack([entry.region for entry in bundle.entries])
+    for k, entry in enumerate(bundle.entries):
         box = entry.region
         np.testing.assert_allclose(
             box.rotation.T @ box.rotation, np.eye(box.dimension), atol=1e-10
         )
-        assert box.contains(entry.result.x_min)
+        assert stack.contains(entry.result.x_min[None], [k]).all()
         assert np.all(box.limits[:, 0] < 0.0)
         assert np.all(box.limits[:, 1] > 0.0)
 

@@ -361,6 +361,44 @@ class TestErrorPaths:
         assert "--at has 1 components" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("at", ["nan", "0.5,inf", "-inf,0.1"])
+    def test_posterior_point_must_be_finite(self, ma2_dir, tmp_path, capsys,
+                                            at):
+        assert run("posterior", "--regions", ma2_dir / "regions.json",
+                   f"--at={at}", "--out", tmp_path) == 1
+        assert capsys.readouterr().err == f"error: --at must be finite, got {at}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("model_args, message", [
+        ('{"bogus": 1}', "unexpected keyword argument 'bogus'"),
+        ('{"n_obs": "abc"}', "n_obs must be an integer of at least 3, got 'abc'"),
+        ('{"n_obs": 3.7}', "n_obs must be an integer of at least 3, got 3.7"),
+        ('{"theta_true": [0.6]}', "theta_true must be 2 finite numbers, got [0.6]"),
+        ('{"theta_true": [0.6, NaN]}',
+         "theta_true must be 2 finite numbers, got [0.6, nan]"),
+        ('{"observation_seed": 2.5}', "SeedSequence expects int"),
+    ])
+    def test_bad_model_args(self, tmp_path, capsys, model_args, message):
+        assert run("solve", "--model", "ma2", "--model-args", model_args,
+                   "--n1", 4, "--out", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: model 'ma2': ") and message in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("stage, command", [("solutions", "regions"),
+                                                ("regions", "sample")])
+    def test_bad_model_recipe_in_artifact(self, ma2_dir, tmp_path, capsys,
+                                          stage, command):
+        payload = json.loads((ma2_dir / f"{stage}.json").read_text())
+        payload["model"]["n_obs"] = "abc"
+        path = tmp_path / f"{stage}.json"
+        path.write_text(json.dumps(payload))
+        assert run(command, f"--{stage}", path, "--out", tmp_path) == 1
+        assert capsys.readouterr().err == (
+            "error: model 'ma2': n_obs must be an integer of at least 3, "
+            "got 'abc'\n")
+        assert list(tmp_path.iterdir()) == [path]
+
     @pytest.mark.parametrize("command", [
         ["posterior", "--regions", "regions.json"],
         ["evaluate", "--reference", "true-1d", "--regions", "regions.json",

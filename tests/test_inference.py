@@ -214,10 +214,10 @@ class TestSample:
     def test_draws_come_from_their_regions(self):
         posterior = two_bump_posterior()
         result = sample(posterior, 80, seed=1)
-        by_index = dict(zip(posterior.problem_indices, posterior.regions))
-        for pi, region in by_index.items():
+        for k, pi in enumerate(posterior.problem_indices):
             block = result.thetas[result.problem_indices == pi]
-            assert region.contains(block).all()
+            owners = np.full(len(block), k)
+            assert posterior.stack.contains(block, owners).all()
 
     def test_draw_indices_run_per_region(self):
         posterior = two_bump_posterior()

@@ -17,6 +17,7 @@ from romc.model import DistanceStack, draw_nuisance_seeds, make_objective
 from romc.optimize import _fit_gp
 from romc.regions import (
     RegionSettings,
+    RegionStack,
     build_box,
     build_boxes,
     choose_curvature,
@@ -318,25 +319,20 @@ class TestBoundingBox:
         box = self.make_rotated_box()
         assert box.volume == pytest.approx(3.0 * 1.0)
 
-    def test_rotation_round_trip(self):
-        box = self.make_rotated_box()
-        z = np.array([[0.3, -0.2], [1.5, 0.4]])
-        np.testing.assert_allclose(box.to_rotated(box.from_rotated(z)), z,
-                                   atol=1e-12)
-
     def test_center_is_contained(self):
         box = self.make_rotated_box()
-        assert box.contains(box.center)
+        assert RegionStack([box]).contains(box.center[None], [0]).all()
 
     def test_contains_matches_rotated_limits(self):
         box = self.make_rotated_box()
         rng = np.random.default_rng(12)
         z = rng.uniform(-2, 3, size=(200, 2))
-        thetas = box.from_rotated(z)
+        thetas = z @ box.rotation.T + box.center
         expected = np.all(
             (z >= box.limits[:, 0]) & (z <= box.limits[:, 1]), axis=1
         )
-        np.testing.assert_array_equal(box.contains(thetas), expected)
+        np.testing.assert_array_equal(
+            RegionStack([box]).contains(thetas, np.zeros(200, int)), expected)
 
     def test_record_round_trip(self):
         box = self.make_rotated_box()
@@ -382,9 +378,9 @@ class TestProposalRegion:
         box = self.make_box()
         draws = box.sample(200, 5)
         assert draws.shape == (200, 2)
-        assert box.contains(draws).all()
+        assert RegionStack([box]).contains(draws, np.zeros(200, int)).all()
         np.testing.assert_array_equal(draws, box.sample(200, 5))
-        z = box.to_rotated(draws)
+        z = (draws - box.center) @ box.rotation
         # uniform in rotated coordinates: both limits are approached
         np.testing.assert_allclose(z.min(axis=0), box.limits[:, 0], atol=0.1)
         np.testing.assert_allclose(z.max(axis=0), box.limits[:, 1], atol=0.1)
@@ -399,6 +395,57 @@ class TestProposalRegion:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             self.make_box().sample(0, 1)
+
+
+def _random_boxes(rng, k, d):
+    boxes = []
+    for _ in range(k):
+        rotation, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        limits = np.stack([-rng.uniform(0.1, 2.0, d), rng.uniform(0.1, 2.0, d)],
+                          axis=1)
+        boxes.append(BoundingBox(rotation, rng.uniform(-3, 3, d), limits))
+    return boxes
+
+
+class TestRegionStack:
+    """The stacked map equals each box's z @ R^T + c bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 30])
+    def test_sample_equals_per_box_formula(self, d, n):
+        boxes = _random_boxes(np.random.default_rng(d), 3, d)
+
+        def seeds():  # an int, a list of ints and a Generator
+            return [7, [3, 1], np.random.default_rng(11)]
+
+        draws = RegionStack(boxes).sample(n, seeds())
+        expected = np.concatenate([
+            np.random.default_rng(seed).uniform(
+                box.limits[:, 0], box.limits[:, 1], size=(n, d))
+            @ box.rotation.T + box.center
+            for seed, box in zip(seeds(), boxes)])
+        assert draws.shape == (3 * n, d)
+        np.testing.assert_array_equal(_bits(draws), _bits(expected))
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_sample_rejects_nonpositive_n(self, n):
+        boxes = _random_boxes(np.random.default_rng(0), 2, 2)
+        with pytest.raises(ValueError, match="n must be positive"):
+            RegionStack(boxes).sample(n, [1, 2])
+
+    def test_sample_needs_one_seed_per_box(self):
+        boxes = _random_boxes(np.random.default_rng(0), 2, 2)
+        with pytest.raises(ValueError):
+            RegionStack(boxes).sample(5, [1])
+
+    def test_contains_tests_each_row_against_its_owner(self):
+        boxes = [BoundingBox(np.eye(2), [0.0, 0.0], [[-1, 1], [-1, 1]]),
+                 BoundingBox(np.eye(2), [5.0, 0.0], [[-1, 1], [-1, 1]])]
+        thetas = np.array([[0.5, 0.5], [0.5, 0.5], [5.5, 0.0], [5.5, 0.0],
+                           [1.0 + 5e-11, 0.0], [1.0 + 2e-10, 0.0]])
+        np.testing.assert_array_equal(
+            RegionStack(boxes).contains(thetas, [0, 1, 0, 1, 0, 0]),
+            [True, False, False, True, True, False])
 
 
 class TestBuildBox:
@@ -440,7 +487,7 @@ class TestBuildBox:
             box = build_box(BatchDistance(dist), result,
                             float(rng.uniform(0.1, 2.0)),
                             settings)
-            assert box.contains(result.x_min)
+            assert RegionStack([box]).contains(result.x_min[None], [0]).all()
             np.testing.assert_allclose(box.rotation.T @ box.rotation,
                                        np.eye(2), atol=1e-8)
             assert box.volume > 0
