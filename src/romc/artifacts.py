@@ -245,8 +245,14 @@ def load_regions(path):
     failures = {int(k): v for k, v in payload.get("failures", {}).items()}
     if failures.keys() & set(indices):
         raise ValueError("a region index is also listed as failed")
+    records = payload["regions"]
+    for record in records:
+        _check_dimension("box", np.size(record["box"]["center"]), model)
+    boxes = BoundingBox.stacked(*(
+        np.array([record["box"][key] for record in records], dtype=np.float64)
+        for key in ("rotation", "center", "limits"))) if records else []
     entries = []
-    for record in payload["regions"]:
+    for record, box in zip(records, boxes):
         gp = None
         if "gp" in record:
             gp = _gp_from_record(record["gp"], model)
@@ -257,8 +263,6 @@ def load_regions(path):
         quadratic = None
         if "quadratic" in record:
             quadratic = QuadraticSurrogate.from_record(record["quadratic"])
-        box = BoundingBox.from_record(record["box"])
-        _check_dimension("box", box.dimension, model)
         entries.append(RegionEntry(
             index=record["index"],
             seed=record["seed"],

@@ -202,6 +202,8 @@ def _build_model(options):
         extra = json.loads(raw_args) if isinstance(raw_args, str) else raw_args
         if not isinstance(extra, dict):
             raise ValueError("model_args must be a JSON object")
+        if "name" in extra:
+            raise ValueError("model_args may not name the model; use --model")
         config.update(extra)
     return build_model(config)
 
@@ -271,6 +273,10 @@ def cmd_regions(options):
         f"region volumes: min {volumes.min():.3e} "
         f"median {np.median(volumes):.3e} max {volumes.max():.3e}"
     )
+    sources = [entry.curvature_source for entry in bundle.entries]
+    print("curvature sources: " + ", ".join(
+        f"{source} {sources.count(source)}"
+        for source in ("hess_appr", "jacobian", "identity")))
     if bundle.region_failures:
         print(f"{len(bundle.region_failures)} regions failed")
     print(f"wrote {out / 'regions.json'}")

@@ -54,7 +54,8 @@ from .regions import (
     RegionSettings,
     build_box,  # noqa: F401 - unused here; perfbench/tracing.py wraps it
     build_boxes,
-    choose_curvature,
+    choose_curvature,  # noqa: F401 - unused here; perfbench/tracing.py wraps it
+    choose_curvatures,
 )
 from .surrogate import fit_quadratic, training_size
 
@@ -215,9 +216,11 @@ def solve_problems(model, n1, seed, use_bo=False, restarts=1, max_iters=200,
 
 
 def _region_chunk_task(payload):
-    """Regions of a run of accepted problems: the boxes from one lockstep
-    walk over all of them, else from the custom region_builder one region
-    at a time, then, when fit is given, each region's quadratic fit."""
+    """Regions of a run of accepted problems, then, when fit is given, each
+    region's quadratic fit.  Without a custom region_builder, the chunk's
+    curvatures are chosen on one stack, its boxes come from one lockstep
+    walk and are checked together; with one, it builds one region at a
+    time."""
     (model, master_seed, eps, settings, region_builder, fit), items = payload
     objectives, distances, results = [], [], []
     for index, seed, result, gp in items:
@@ -229,9 +232,7 @@ def _region_chunk_task(payload):
                  for distance, result in zip(distances, results)]
         sources = ["custom"] * len(boxes)
     else:
-        curvatures, sources = zip(*(
-            choose_curvature(result, objective=objective)
-            for result, objective in zip(results, objectives)))
+        curvatures, sources = choose_curvatures(results, objectives)
         boxes = build_boxes(DistanceStack(distances), results, curvatures,
                             eps, settings)
     quadratics = [None] * len(boxes)
@@ -334,10 +335,11 @@ def estimate_regions(solve_output, eps=None, quantile=None, fraction=0.05,
     quadratic fit of that distance over each region, in the chunk task
     that builds its box; a region whose box or fit failed is left out and
     listed in region_failures.  The boxes of a worker's chunk come from
-    one lockstep walk; region_builder, a picklable callable (distance,
-    result, eps, settings) -> BoundingBox, replaces that walk and is
-    called once per region of the chunk (again if another region of its
-    chunk raised), as surrogate_fitter is.
+    one stacked curvature choice, one lockstep walk and one box check;
+    region_builder, a picklable callable (distance, result, eps,
+    settings) -> BoundingBox, replaces all three and is called once per
+    region of the chunk (again if another region of its chunk raised), as
+    surrogate_fitter is.
     """
     if eps is not None and quantile is not None:
         raise ValueError("give either eps or quantile, not both")

@@ -8,8 +8,13 @@ eigenvectors of a curvature matrix at the minimizer; extents along each
 direction come from a step-doubling-free, step-halving line search that
 walks outward until the distance exceeds eps.  Boxes may stick out of the
 prior bounds; the prior density zeroes those samples, so none is clipped.
+
+Regions are built on stacks, one eigvalsh, one eigh, one lockstep walk
+and one check_boxes call for many; the one-region functions are the
+one-row cases, so a region gets the same bits in any stack.
 """
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,25 +29,23 @@ EXTRA_HALVINGS = 60
 
 
 def curvature_axes(hess):
-    """Orthonormal axes from a symmetric curvature matrix.
+    """Orthonormal axes from symmetric curvature matrices: a (k, D, D)
+    stack, in one eigh call, or one (D, D) matrix, its one-row case.
 
     Columns are eigenvectors ordered by descending eigenvalue (stable for
-    ties), each with its first nonzero component made positive so the
-    result is unique.
+    ties), each with its first component above 1e-12 in magnitude made
+    positive so the result is unique.
     """
     hess = np.asarray(hess, dtype=np.float64)
-    if hess.ndim != 2 or hess.shape[0] != hess.shape[1]:
+    if hess.ndim < 2 or hess.shape[-1] != hess.shape[-2]:
         raise ValueError("curvature matrix must be square")
-    sym = (hess + hess.T) / 2.0
-    eigvals, eigvecs = np.linalg.eigh(sym)
-    order = np.argsort(-eigvals, kind="stable")
-    axes = eigvecs[:, order]
-    for m in range(axes.shape[1]):
-        col = axes[:, m]
-        nonzero = np.nonzero(np.abs(col) > 1e-12)[0]
-        if nonzero.size and col[nonzero[0]] < 0:
-            axes[:, m] = -col
-    return axes
+    eigvals, eigvecs = np.linalg.eigh((hess + np.swapaxes(hess, -1, -2)) / 2.0)
+    order = np.argsort(-eigvals, axis=-1, kind="stable")
+    axes = np.take_along_axis(eigvecs, order[..., None, :], axis=-1)
+    big = np.abs(axes) > 1e-12
+    lead = np.take_along_axis(np.where(big, axes, 0.0),
+                              big.argmax(axis=-2)[..., None, :], axis=-2)
+    return np.where(lead < 0, -axes, axes)
 
 
 def jacobian_curvature(objective, theta, step=1e-5):
@@ -70,25 +73,35 @@ def jacobian_curvature(objective, theta, step=1e-5):
     return jac.T @ jac
 
 
-def choose_curvature(result, objective=None, step=1e-5):
-    """Pick the curvature matrix for the axes, with fallbacks.
+def choose_curvatures(results, objectives=None, step=1e-5):
+    """Pick the curvature matrix at each of k minimizers, with fallbacks.
 
-    Uses the optimizer's hess_appr when it is positive semidefinite, else
-    J^T J of the summaries when an objective is supplied, else the
-    identity.  Returns (matrix, source) with source one of "hess_appr",
-    "jacobian", "identity".
+    Row k keeps its optimizer's hess_appr when that is positive
+    semidefinite, decided for every row by one eigvalsh over the stack.
+    Only the other rows fall back, one at a time: to J^T J of the
+    summaries of objectives[k] when it is given (objectives may be None
+    or hold None), else to the identity.  Returns the (k, D, D) matrices
+    and a list of sources, each "hess_appr", "jacobian" or "identity".
     """
-    hess = result.hess_appr
-    eigvals = np.linalg.eigvalsh((hess + hess.T) / 2.0)
-    tol = 1e-8 * max(1.0, float(np.max(np.abs(eigvals))))
-    if np.all(np.isfinite(eigvals)) and eigvals.min() >= -tol:
-        return hess, "hess_appr"
-    if objective is not None:
-        try:
-            return jacobian_curvature(objective, result.x_min, step=step), "jacobian"
-        except NumericalFailure:
-            pass
-    return np.eye(result.x_min.size), "identity"
+    hess = np.stack([result.hess_appr for result in results])
+    eigvals = np.linalg.eigvalsh((hess + hess.transpose(0, 2, 1)) / 2.0)
+    # fmax skips a NaN, as the scalar max(1.0, nan) does
+    tol = 1e-8 * np.fmax(1.0, np.max(np.abs(eigvals), axis=1))
+    psd = np.isfinite(eigvals).all(axis=1) & (eigvals.min(axis=1) >= -tol)
+    sources = ["hess_appr"] * len(results)
+    for k in np.flatnonzero(~psd):
+        hess[k], sources[k] = np.eye(hess.shape[1]), "identity"
+        if objectives is not None and objectives[k] is not None:
+            with contextlib.suppress(NumericalFailure):
+                hess[k], sources[k] = jacobian_curvature(
+                    objectives[k], results[k].x_min, step=step), "jacobian"
+    return hess, sources
+
+
+def choose_curvature(result, objective=None, step=1e-5):
+    """choose_curvatures for one minimizer: (matrix, source)."""
+    matrices, sources = choose_curvatures([result], [objective], step=step)
+    return matrices[0], sources[0]
 
 
 @dataclass
@@ -169,6 +182,37 @@ def line_search_extent(distance, center, direction, eps, settings):
                                      direction[None], [0], eps, settings)[0])
 
 
+def check_boxes(rotations, centers, limits):
+    """The one validation of boxes, of all k in a stack at once.
+
+    Each center (row of centers, (k, D)) must be finite, each rotation
+    ((k, D, D)) finite with orthonormal columns within ORTHO_TOL, and each
+    limits ((k, D, 2)) negative in the first column and positive in the
+    second, with a finite volume.  Returns the (k,) volumes; raises
+    ValueError for the first of these checks that any box fails.
+    """
+    shape = centers.shape
+    if len(shape) != 2 or rotations.shape != shape + shape[1:]:
+        raise ValueError("rotation must be square and match the center")
+    if limits.shape != shape + (2,):
+        raise ValueError("limits must have shape (D, 2)")
+    volumes = np.prod(limits[..., 1] - limits[..., 0], axis=1)
+    # written so that a NaN or infinite entry fails its comparison
+    orthogonality = np.abs(rotations.transpose(0, 2, 1) @ rotations
+                           - np.eye(shape[1])).max(axis=(1, 2))
+    for passed, message in [
+        (np.isfinite(centers).all(axis=1), "center must be finite"),
+        (orthogonality <= ORTHO_TOL,
+         "rotation must be finite with orthonormal columns"),
+        ((limits[..., 0] < 0.0).all(axis=1) & (limits[..., 1] > 0.0).all(axis=1),
+         "limits must straddle zero on every axis"),
+        (volumes < np.inf, "limits must be finite and give a finite volume"),
+    ]:
+        if not passed.all():
+            raise ValueError(message)
+    return volumes
+
+
 class BoundingBox:
     """One region's validated record: the center, orthonormal rotation
     and per-axis signed limits of an oriented box.
@@ -176,31 +220,30 @@ class BoundingBox:
     A point theta maps to rotated coordinates z = R^T (theta - center);
     the box is {z : limits[m, 0] <= z_m <= limits[m, 1]} with the lower
     limit negative and the upper positive, so the center is interior.
+    Every box is checked by check_boxes: a constructed one as a stack of
+    one, the boxes of BoundingBox.stacked together.
     """
 
     def __init__(self, rotation, center, limits):
-        rotation = np.asarray(rotation, dtype=np.float64)
-        center = np.asarray(center, dtype=np.float64)
-        limits = np.asarray(limits, dtype=np.float64)
-        d = center.size
-        if not np.isfinite(center).all():
-            raise ValueError("center must be finite")
-        if rotation.shape != (d, d):
-            raise ValueError("rotation must be square and match the center")
-        # written so that a NaN or infinite entry fails the comparison
-        if not np.max(np.abs(rotation.T @ rotation - np.eye(d))) <= ORTHO_TOL:
-            raise ValueError("rotation must be finite with orthonormal columns")
-        if limits.shape != (d, 2):
-            raise ValueError("limits must have shape (D, 2)")
-        if not (np.all(limits[:, 0] < 0.0) and np.all(limits[:, 1] > 0.0)):
-            raise ValueError("limits must straddle zero on every axis")
-        volume = float(np.prod(limits[:, 1] - limits[:, 0]))
-        if not volume < np.inf:
-            raise ValueError("limits must be finite and give a finite volume")
-        self.rotation = rotation.copy()
-        self.center = center.copy()
-        self.limits = limits.copy()
-        self.volume = volume
+        rotation, center, limits = (np.array(a, dtype=np.float64)
+                                    for a in (rotation, center, limits))
+        self.volume = float(
+            check_boxes(rotation[None], center[None], limits[None])[0])
+        self.rotation, self.center, self.limits = rotation, center, limits
+
+    @classmethod
+    def stacked(cls, rotations, centers, limits):
+        """The k boxes of a (k, D, D), (k, D), (k, D, 2) stack, checked
+        together by check_boxes; box k holds views of row k."""
+        rotations, centers, limits = (np.asarray(a, dtype=np.float64)
+                                      for a in (rotations, centers, limits))
+        boxes = []
+        for row in zip(rotations, centers, limits,
+                       check_boxes(rotations, centers, limits).tolist()):
+            box = cls.__new__(cls)
+            box.rotation, box.center, box.limits, box.volume = row
+            boxes.append(box)
+        return boxes
 
     @property
     def dimension(self):
@@ -254,23 +297,25 @@ def build_boxes(func, results, curvatures, eps, settings):
     """Bounding boxes around several minimizers from one lockstep walk.
 
     func(points, owners) evaluates points under the distance of result
-    owners (a DistanceStack indexed like results); box k takes its axes
-    from curvatures[k] and its extents from a pair of line searches per
-    axis.  Requires every f_min <= eps so each center is acceptable.
+    owners (a DistanceStack indexed like results).  Box k takes its axes
+    from curvatures[k], all of them from one curvature_axes call on the
+    stack, and its extents from a pair of line searches per axis; the
+    boxes are checked together by BoundingBox.stacked.  Requires every
+    f_min <= eps so each center is acceptable.
     """
     if any(result.f_min > eps for result in results):
         raise ValueError("cannot build a region around a rejected minimizer")
-    axes = [curvature_axes(curvature) for curvature in curvatures]
-    d = results[0].x_min.size
+    axes = curvature_axes(curvatures)
+    k, d, _ = axes.shape
     # row (k, m, 0) walks box k along +axis m, row (k, m, 1) along -axis m
-    directions = np.stack([np.stack([a.T, -a.T], axis=1) for a in axes])
+    directions = np.stack([axes, -axes], axis=-1).transpose(0, 2, 3, 1)
     centers = np.stack([result.x_min for result in results])
     extents = line_search_extents(
         func, np.repeat(centers, 2 * d, axis=0), directions.reshape(-1, d),
-        np.repeat(np.arange(len(results)), 2 * d), eps, settings,
-    ).reshape(len(results), d, 2)
-    return [BoundingBox(a, result.x_min, np.stack([-e[:, 1], e[:, 0]], axis=1))
-            for a, result, e in zip(axes, results, extents)]
+        np.repeat(np.arange(k), 2 * d), eps, settings,
+    ).reshape(k, d, 2)
+    return BoundingBox.stacked(
+        axes, centers, np.stack([-extents[..., 1], extents[..., 0]], axis=-1))
 
 
 def build_box(distance, result, eps, settings, curvature=None, objective=None):

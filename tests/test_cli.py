@@ -87,6 +87,22 @@ class TestPipeline:
         assert "partition mass" in text
         assert "posterior at [0.25]:" in text
 
+    def test_regions_prints_curvature_sources(self, pipeline_dir, tmp_path,
+                                              capsys):
+        # an indefinite hess_appr sends its region to the Jacobian fallback
+        payload = json.loads((pipeline_dir / "solutions.json").read_text())
+        solved = [p for p in payload["problems"] if p["status"] == "ok"]
+        solved[0]["result"]["hess_appr"] = [[-1.0]]
+        path = tmp_path / "solutions.json"
+        path.write_text(json.dumps(payload))
+        assert run("regions", "--solutions", path, "--quantile", 1.0,
+                   "--out", tmp_path) == 0
+        out = capsys.readouterr().out
+        assert (f"curvature sources: hess_appr {len(solved) - 1}, "
+                "jacobian 1, identity 0\n") in out
+        bundle = artifacts.load_regions(tmp_path / "regions.json")
+        assert bundle.entry(solved[0]["index"]).curvature_source == "jacobian"
+
     def test_posterior_evaluates_grid_once(self, pipeline_dir, tmp_path,
                                            monkeypatch, capsys):
         rows = []
@@ -383,6 +399,13 @@ class TestErrorPaths:
                    "--n1", 4, "--out", tmp_path) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: model 'ma2': ") and message in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_model_args_may_not_name_the_model(self, tmp_path, capsys):
+        assert run("solve", "--model", "ma2", "--model-args", '{"name": "1d"}',
+                   "--n1", 3, "--out", tmp_path) == 1
+        assert capsys.readouterr().err == (
+            "error: model_args may not name the model; use --model\n")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("stage, command", [("solutions", "regions"),

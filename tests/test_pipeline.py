@@ -407,6 +407,46 @@ class TestChunkedRegions:
                 np.testing.assert_array_equal(_bits(getattr(a.region, name)),
                                               _bits(getattr(b.region, name)))
 
+    def test_mixed_curvature_sources_do_not_depend_on_chunking(
+            self, monkeypatch, ma2_gradient_solve):
+        # 21 problems with an indefinite hess_appr at 3 and 5; problem 5's
+        # summaries are NaN, so its Jacobian fallback fails to the identity
+        records = [replace(r) for r in ma2_gradient_solve.records[:21]]
+        for i in (3, 5):
+            result = records[i].result
+            records[i].result = OptimisationResult(
+                result.x_min, result.f_min, np.diag([-1.0, 1.0]))
+        solve = replace(ma2_gradient_solve, n1=21, records=records)
+        build = romc.pipeline.make_objective
+
+        def make(model, seed, index):
+            objective = build(model, seed, index)
+            if index == 5:
+                objective.summaries = lambda theta: np.full(3, np.nan)
+            return objective
+
+        monkeypatch.setattr(romc.pipeline, "make_objective", make)
+        bundles = []
+        for n_chunks in (1, 3, 21):  # chunks of 21, 7 and 1 regions
+            monkeypatch.setattr(romc.pipeline, "effective_workers",
+                                lambda workers, n=n_chunks: n)
+            bundles.append(estimate_regions(solve, quantile=1.0))
+        first = bundles[0]
+        assert first.accepted == list(range(21))
+        sources = [entry.curvature_source for entry in first.entries]
+        assert sources == ["hess_appr"] * 3 + ["jacobian", "hess_appr",
+                                               "identity"] + ["hess_appr"] * 15
+        np.testing.assert_array_equal(first.entry(5).region.rotation,
+                                      np.eye(2))
+        for bundle in bundles[1:]:
+            assert [e.curvature_source for e in bundle.entries] == sources
+            for a, b in zip(first.entries, bundle.entries):
+                for name in ("rotation", "center", "limits"):
+                    np.testing.assert_array_equal(
+                        _bits(getattr(a.region, name)),
+                        _bits(getattr(b.region, name)))
+                assert a.region.volume == b.region.volume
+
     @pytest.mark.parametrize("make_model, options", [
         (make_toy_model, {"eps": 0.75}),
         (make_ma2_model, {"quantile": 0.97}),

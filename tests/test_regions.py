@@ -5,12 +5,18 @@ eps walks max_steps per pass, so the extent telescopes to
 max_steps * eta * (2 - 2^(1-K)); a distance that exceeds eps immediately
 collapses every pass and must land on the minimum-step fallback
 eta / 2^K.  The analytic ellipse d = t1^2 + 4 t2^2 at eps = 1 has
-semi-axes (1, 0.5).
+semi-axes (1, 0.5).  The stacked curvature choice, axes and box check are
+held bit for bit to the per-region forms in reference_regions.py.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_regions as reference
 from conftest import BatchDistance
 from romc import BoundingBox, OptimisationResult, make_ma2_model
 from romc.model import DistanceStack, draw_nuisance_seeds, make_objective
@@ -20,7 +26,9 @@ from romc.regions import (
     RegionStack,
     build_box,
     build_boxes,
+    check_boxes,
     choose_curvature,
+    choose_curvatures,
     curvature_axes,
     jacobian_curvature,
     line_search_extent,
@@ -111,6 +119,172 @@ class TestChooseCurvature:
         matrix, source = choose_curvature(result)
         assert source == "identity"
         np.testing.assert_array_equal(matrix, np.eye(2))
+
+
+@st.composite
+def _curvature(draw, d):
+    """One D-by-D curvature matrix of a kind that stresses the eigen step."""
+    kind = draw(st.sampled_from(
+        ["random", "repeated", "tiny_lead", "near_psd", "non_finite"]))
+    if kind == "random":
+        entries = draw(st.lists(st.floats(-10, 10), min_size=d * d,
+                                max_size=d * d))
+        m = np.array(entries).reshape(d, d)
+        return m + m.T
+    if kind == "repeated":
+        # tied eigenvalues; eigenvectors with first components exactly zero
+        return np.diag(draw(st.lists(st.sampled_from([-1.0, 0.0, 2.0]),
+                                     min_size=d, max_size=d)))
+    if kind == "tiny_lead":
+        # a coupling so weak that eigenvector components land within 1e-12
+        # of zero, on either side of the sign rule's threshold
+        m = np.diag(np.arange(d, 0, -1.0) + 1.0)
+        if d > 1:
+            m[0, -1] = m[-1, 0] = draw(st.sampled_from(
+                [1e-14, -1e-14, 5e-13, -5e-13, 3e-12, -3e-12]))
+        return m
+    if kind == "near_psd":
+        # smallest eigenvalue on either side of -1e-8 * max(1.0, max |eig|)
+        scale = draw(st.sampled_from([0.5, 1.0, 100.0]))
+        factor = draw(st.sampled_from([0.5, 0.999, 1.001, 2.0]))
+        return np.diag([scale] * (d - 1) + [-factor * 1e-8 * max(1.0, scale)])
+    # an infinite entry: eigvalsh and eigh return NaN eigenvalues
+    m = np.eye(d)
+    m[0, 0] = draw(st.sampled_from([np.inf, -np.inf]))
+    return m
+
+
+def _curvature_stacks():
+    return st.sampled_from([1, 2, 3]).flatmap(
+        lambda d: st.lists(_curvature(d), min_size=1, max_size=6))
+
+
+class LinearSummaries:
+    """Finite summaries A theta + 1: the Jacobian fallback succeeds."""
+
+    def summaries(self, theta):
+        theta = np.asarray(theta)
+        a = np.arange(1.0, 1.0 + 3 * theta.size).reshape(3, theta.size)
+        return a @ theta + 1.0
+
+
+class NanSummaries:
+    """Non-finite summaries: the Jacobian fallback fails to the identity."""
+
+    def summaries(self, theta):
+        return np.full(3, np.nan)
+
+
+class TestStackedCurvature:
+    """One eigh and one eigvalsh over a stack give every row the bits of
+    its one-matrix call and of the per-matrix reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_curvature_stacks())
+    def test_axes_equal_one_matrix_axes(self, hessians):
+        axes = curvature_axes(np.stack(hessians))
+        for row, hess in zip(axes, hessians):
+            np.testing.assert_array_equal(_bits(row),
+                                          _bits(curvature_axes(hess)))
+            np.testing.assert_array_equal(_bits(row),
+                                          _bits(reference.curvature_axes(hess)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_choice_equals_one_matrix_choice(self, data):
+        hessians = data.draw(_curvature_stacks())
+        d = len(hessians[0])
+        results = [SimpleNamespace(hess_appr=h, x_min=np.linspace(-0.5, 0.5, d))
+                   for h in hessians]
+        objectives = data.draw(st.lists(
+            st.sampled_from([None, LinearSummaries(), NanSummaries()]),
+            min_size=len(results), max_size=len(results)))
+        for given_objectives in (objectives, None):
+            matrices, sources = choose_curvatures(results, given_objectives)
+            assert matrices.shape == (len(results), d, d)
+            for k, result in enumerate(results):
+                objective = None if given_objectives is None else objectives[k]
+                alone = choose_curvature(result, objective=objective)
+                oracle = reference.choose_curvature(result, objective=objective)
+                assert sources[k] == alone[1] == oracle[1]
+                np.testing.assert_array_equal(_bits(matrices[k]),
+                                              _bits(alone[0]))
+                np.testing.assert_array_equal(_bits(matrices[k]),
+                                              _bits(oracle[0]))
+
+    def test_each_source_on_one_stack(self):
+        x_min = np.array([0.2, -0.1])
+        results = [SimpleNamespace(hess_appr=h, x_min=x_min) for h in
+                   (np.diag([2.0, 8.0]), np.diag([-1.0, 1.0]),
+                    np.diag([-1.0, 1.0]))]
+        matrices, sources = choose_curvatures(
+            results, [None, LinearSummaries(), NanSummaries()])
+        assert sources == ["hess_appr", "jacobian", "identity"]
+        np.testing.assert_array_equal(matrices[2], np.eye(2))
+
+    def test_tolerance_scales_with_the_largest_eigenvalue(self):
+        # -5e-7 is within 1e-8 * 100 but not within 1e-8 * max(1.0, 0.5)
+        for scale, source in [(100.0, "hess_appr"), (0.5, "identity")]:
+            result = SimpleNamespace(hess_appr=np.diag([scale, -5e-7]),
+                                     x_min=np.zeros(2))
+            assert choose_curvatures([result])[1] == [source]
+
+
+@st.composite
+def _box(draw, d):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rotation, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    center = rng.uniform(-3, 3, d)
+    limits = np.stack([-rng.uniform(0.1, 2.0, d), rng.uniform(0.1, 2.0, d)],
+                      axis=1)
+    flaw = draw(st.sampled_from([None, None, None, "nan center", "skewed",
+                                 "nan rotation", "one-sided", "inf limit"]))
+    if flaw == "nan center":
+        center[-1] = np.nan
+    elif flaw == "skewed":
+        rotation[0, 0] += 1e-6
+    elif flaw == "nan rotation":
+        rotation[-1, 0] = np.nan
+    elif flaw == "one-sided":
+        limits[-1] = [0.1, 0.5]
+    elif flaw == "inf limit":
+        limits[0, 1] = np.inf
+    return rotation, center, limits
+
+
+class TestStackedBoxCheck:
+    """check_boxes on a stack passes exactly when every box passes the
+    per-box reference, with the reference's volumes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([1, 2, 3]).flatmap(
+        lambda d: st.lists(_box(d), min_size=1, max_size=5)))
+    def test_stack_check_equals_per_box_check(self, boxes):
+        rotations, centers, limits = (np.stack(part) for part in zip(*boxes))
+        try:
+            expected = [reference.box_volume(*box) for box in boxes]
+        except ValueError:
+            with pytest.raises(ValueError):
+                check_boxes(rotations, centers, limits)
+            return
+        stacked = BoundingBox.stacked(rotations, centers, limits)
+        np.testing.assert_array_equal(
+            _bits(check_boxes(rotations, centers, limits)), _bits(expected))
+        for box, (rotation, center, limit), volume in zip(stacked, boxes,
+                                                          expected):
+            alone = BoundingBox(rotation, center, limit)
+            assert box.volume == alone.volume == volume
+            for name, value in [("rotation", rotation), ("center", center),
+                                ("limits", limit)]:
+                np.testing.assert_array_equal(_bits(getattr(box, name)),
+                                              _bits(value))
+
+    def test_shapes_must_agree(self):
+        eye = np.eye(2)[None]
+        with pytest.raises(ValueError, match="rotation must be square"):
+            check_boxes(eye, np.zeros((1, 3)), np.ones((1, 3, 2)))
+        with pytest.raises(ValueError, match="limits must have shape"):
+            check_boxes(eye, np.zeros((1, 2)), np.ones((1, 3, 2)))
 
 
 class TestRegionSettings:
@@ -469,6 +643,23 @@ class TestBuildBox:
         ]:
             assert extent <= boundary + 1e-12
             assert boundary - extent <= 2 * resolution
+
+    def test_rotated_ellipse_extents_follow_the_axes(self):
+        # d = theta^T A theta with A = R diag(4, 1) R^T: semi-axis 0.5 along
+        # R's first column and 1 along its second; R is a rotation, not a
+        # symmetric reflection, so walking its rows instead would show
+        c, s = np.cos(np.pi / 6), np.sin(np.pi / 6)
+        r = np.array([[c, s], [-s, c]])
+        a = r @ np.diag([4.0, 1.0]) @ r.T
+        ellipse = BatchDistance(lambda theta: float(theta @ a @ theta))
+        settings = RegionSettings(eta_start=0.1, refinements=12, max_steps=100)
+        box = build_box(ellipse, OptimisationResult([0.0, 0.0], 0.0, a), 1.0,
+                        settings)
+        np.testing.assert_allclose(np.abs(box.rotation), np.abs(r), atol=1e-12)
+        resolution = 0.1 / 2**11
+        for m, boundary in enumerate([0.5, 1.0]):
+            for extent in (-box.limits[m, 0], box.limits[m, 1]):
+                assert boundary - 2 * resolution <= extent <= boundary + 1e-12
 
     def test_minimizer_always_inside_box(self):
         # core region property over random quadratic bowls
