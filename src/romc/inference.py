@@ -1,7 +1,10 @@
 """Posterior approximation and weighted sampling over the trained regions.
 
 The unnormalized posterior at theta is the prior density times the number
-of accepted problems whose distance at theta is within eps.  Sampling
+of accepted problems whose distance at theta is within eps.  Its mass is
+a midpoint quadrature over the prior bounds, where a Gaussian-process
+mean is taken in product form over the grid's axes and checked row-wise
+near eps, so the grid counts the acceptance sets the sampler does.  Sampling
 draws uniformly from every region's box through one RegionStack and
 weights each draw by indicator * prior / proposal, so expectations are
 simple weighted averages and zero-weight draws stay in the output.
@@ -19,8 +22,9 @@ GRID_MAX_DIMENSION = 3
 GRID_MAX_CELLS = GRID_CELLS_PER_AXIS ** GRID_MAX_DIMENSION
 
 
-def midpoint_grid(bounds, grid_step=None):
-    """Cell centers and cell volume of a midpoint quadrature grid.
+def grid_axes(bounds, grid_step=None):
+    """Cell centers along each axis and the cell volume of a midpoint
+    quadrature grid.
 
     grid_step may be None (range / 200 per axis), a scalar, or one step
     per axis; the step is rounded so a whole number of cells covers each
@@ -61,9 +65,18 @@ def midpoint_grid(bounds, grid_step=None):
     axes = [
         bounds[m, 0] + (np.arange(n_cells[m]) + 0.5) * widths[m] for m in range(d)
     ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.column_stack([g.ravel() for g in mesh])
-    return points, float(np.prod(widths))
+    return axes, float(np.prod(widths))
+
+
+def _mesh(axes):
+    return np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+
+
+def midpoint_grid(bounds, grid_step=None):
+    """Cell centers, in C order over grid_axes, and cell volume of a
+    midpoint quadrature grid."""
+    axes, volume = grid_axes(bounds, grid_step)
+    return _mesh(axes), volume
 
 
 def _grid_key(grid_step):
@@ -98,8 +111,13 @@ class PosteriorApproximation:
     def n_regions(self):
         return len(self.regions)
 
-    def eval_unnorm_batch(self, thetas):
-        """Prior density times the count of distances within eps, per row."""
+    def eval_unnorm_batch(self, thetas, axes=None):
+        """Prior density times the count of distances within eps, per row.
+
+        Given axes, thetas must be their C-order mesh, and a distance with
+        evaluate_grid is taken on it, then again with evaluate_batch at the
+        cells within its bound of eps, so each indicator is the batch one.
+        """
         thetas = np.asarray(thetas, dtype=np.float64)
         pdf = np.asarray(self.prior.pdf_batch(thetas), dtype=np.float64)
         out = np.zeros(thetas.shape[0])
@@ -108,20 +126,29 @@ class PosteriorApproximation:
             counts = np.zeros(int(active.sum()))
             subset = thetas[active]
             for distance in self.distances:
-                counts += distance.evaluate_batch(subset) <= self.eps
+                if axes is not None and hasattr(distance, "evaluate_grid"):
+                    values, bound = distance.evaluate_grid(axes)
+                    values = values[active]
+                    near = np.abs(values - self.eps) <= bound
+                    values[near] = distance.evaluate_batch(subset[near])
+                else:
+                    values = distance.evaluate_batch(subset)
+                counts += values <= self.eps
             out[active] = pdf[active] * counts
         return out
 
     def grid(self, grid_step=None):
         """Midpoint grid over the prior bounds: (points, unnorm, mass).
 
-        unnorm is the unnormalized posterior at each cell center and mass
-        its midpoint-quadrature integral, which is cached for
+        unnorm is the unnormalized posterior at each cell center, from one
+        eval_unnorm_batch call on the grid and its axes, and mass its
+        midpoint-quadrature integral, which is cached for
         partition_function; raises DegenerateResult when no grid cell
         carries mass.
         """
-        points, volume = midpoint_grid(self.prior.bounds, grid_step)
-        unnorm = self.eval_unnorm_batch(points)
+        axes, volume = grid_axes(self.prior.bounds, grid_step)
+        points = _mesh(axes)
+        unnorm = self.eval_unnorm_batch(points, axes)
         mass = float(np.sum(unnorm) * volume)
         if not np.isfinite(mass) or mass <= 0.0:
             raise DegenerateResult("posterior mass is zero on the normalization grid")

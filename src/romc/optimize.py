@@ -319,6 +319,32 @@ class GaussianProcessSurrogate:
         """Posterior mean at each row, without the variance."""
         return self._posterior(thetas)
 
+    def evaluate_grid(self, axes):
+        """Posterior mean at every cell of the C-order mesh of `axes` (one
+        array per input dimension), and a bound on its distance from
+        evaluate_batch's mean at any cell.
+
+        The kernel factors over the axes, exp(-|u|^2/2) = prod_m
+        exp(-u_m^2/2) (Rasmussen & Williams 2006, section 4.2), so the mean
+        takes n exps per axis value and one matrix product, not n per cell.
+        With u the machine epsilon and scale = |offset| + variance *
+        sum |alpha_j|, the two forms' sums over the n terms differ by at
+        most (n - 1) u scale and the rest by under 13 u scale at D <= 3 for
+        an exp within 2 ulp, to first order; the bound is 4 (n + 16) u scale.
+        """
+        n = self._scaled.shape[0]
+        factors = [np.exp(-0.5 * (g[:, None] / ell - x) ** 2)
+                   for g, ell, x in zip(axes, self.lengthscales, self._scaled.T)]
+        weights = self.variance * self._alpha
+        folded = factors[0] * weights
+        for factor in factors[1:-1]:
+            folded = (folded[:, None, :] * factor).reshape(-1, n)
+        mean = (folded.sum(axis=1) if len(factors) == 1
+                else folded @ factors[-1].T)
+        scale = abs(self._mean_offset) + np.abs(weights).sum()
+        bound = 4.0 * (n + 16) * np.finfo(np.float64).eps * scale
+        return self._mean_offset + mean.ravel(), bound
+
     def hessian(self, theta):
         """Exact Hessian of the posterior mean at one point:
         sum_j alpha_j k_j (u_j u_j^T - I) / (l l^T) with u_j = theta/l - x_j/l

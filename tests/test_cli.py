@@ -108,9 +108,9 @@ class TestPipeline:
         rows = []
         original = PosteriorApproximation.eval_unnorm_batch
 
-        def counting(self, thetas):
+        def counting(self, thetas, axes=None):
             rows.append(len(thetas))
-            return original(self, thetas)
+            return original(self, thetas, axes)
 
         monkeypatch.setattr(PosteriorApproximation, "eval_unnorm_batch",
                             counting)

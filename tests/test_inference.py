@@ -14,10 +14,14 @@ from romc import (
     BoundingBox,
     DegenerateResult,
     UnsupportedDimension,
+    build_model,
+    estimate_regions,
     midpoint_grid,
+    solve_problems,
 )
-from romc.inference import PosteriorApproximation, sample
+from romc.inference import PosteriorApproximation, grid_axes, sample
 from romc.model import BoxUniformPrior
+from romc.optimize import GaussianProcessSurrogate, _fit_gp
 
 
 class TestMidpointGrid:
@@ -61,6 +65,17 @@ class TestMidpointGrid:
             midpoint_grid(np.array([[0.0, 1.0]]), -0.1)
         with pytest.raises(ValueError):
             midpoint_grid(np.array([[0.0, 1.0]]), [0.1, 0.2])
+
+    def test_points_are_the_c_order_mesh_of_the_axes(self):
+        bounds = np.array([[0.0, 1.0], [-1.0, 2.0], [3.0, 4.0]])
+        axes, volume = grid_axes(bounds, [0.25, 1.0, 0.5])
+        assert [len(a) for a in axes] == [4, 3, 2]
+        points, expected = midpoint_grid(bounds, [0.25, 1.0, 0.5])
+        assert volume == expected
+        flat = np.arange(len(points))
+        for m, axis in enumerate(axes):
+            index = np.unravel_index(flat, (4, 3, 2))[m]
+            np.testing.assert_array_equal(points[:, m], axis[index])
 
     @pytest.mark.parametrize("step", [1.0 / 8_000_000.5, 1e-320])
     def test_cell_count_capped(self, step):
@@ -127,9 +142,9 @@ class TestPosteriorApproximation:
         calls = {"n": 0}
         original = posterior.eval_unnorm_batch
 
-        def counting(thetas):
+        def counting(thetas, axes=None):
             calls["n"] += 1
-            return original(thetas)
+            return original(thetas, axes)
 
         posterior.eval_unnorm_batch = counting
         posterior.partition_function(0.01)
@@ -167,6 +182,106 @@ class TestPosteriorApproximation:
             PosteriorApproximation(prior, 0.1, [box],
                                    [BatchDistance(lambda t: 0.0)],
                                    problem_indices=[1, 2])
+
+
+def row_loop_unnorm(posterior, points):
+    """The prior density times a count of evaluate_batch indicators, one
+    distance at a time, at every row."""
+    counts = sum(distance.evaluate_batch(points) <= posterior.eps
+                 for distance in posterior.distances)
+    return posterior.prior.pdf_batch(points) * counts
+
+
+@pytest.fixture(scope="module")
+def ma2_bo_posterior():
+    # the benchmark's BO configuration
+    solve = solve_problems(build_model("ma2"), n1=30, seed=21, use_bo=True)
+    return estimate_regions(solve, quantile=0.97).posterior()
+
+
+@pytest.fixture(scope="module")
+def mixed_posterior(ma2_bo_posterior):
+    """GP means of a BO run next to the kernel objectives of a gradient run."""
+    gradient = estimate_regions(
+        solve_problems(build_model("ma2"), n1=20, seed=5, restarts=2),
+        quantile=0.97).posterior()
+    return PosteriorApproximation(
+        ma2_bo_posterior.prior, 0.05,
+        ma2_bo_posterior.regions[:10] + gradient.regions,
+        ma2_bo_posterior.distances[:10] + gradient.distances)
+
+
+@pytest.fixture(scope="module")
+def bo_1d_posterior():
+    solve = solve_problems(build_model("1d"), n1=10, seed=3, use_bo=True)
+    return estimate_regions(solve, eps=0.75).posterior()
+
+
+class TestProductGrid:
+    """grid() takes GP means in product form on the grid's axes, yet counts
+    exactly the indicators that evaluate_batch gives."""
+
+    @pytest.mark.parametrize("name", ["mixed_posterior", "bo_1d_posterior",
+                                      "ma2_bo_posterior"])
+    def test_unnorm_equals_row_loop(self, request, name):
+        posterior = request.getfixturevalue(name)
+        assert any(isinstance(d, GaussianProcessSurrogate)
+                   for d in posterior.distances)
+        points, unnorm, mass = posterior.grid()
+        expected = row_loop_unnorm(posterior, points)
+        np.testing.assert_array_equal(unnorm, expected)
+        assert np.sum(unnorm) > 0.0
+
+    def test_mixed_posterior_counts_both_kinds(self, mixed_posterior):
+        points, _ = midpoint_grid(mixed_posterior.prior.bounds)
+        for distances in (mixed_posterior.distances[:10],
+                          mixed_posterior.distances[10:]):
+            assert sum(np.sum(d.evaluate_batch(points) <= 0.05)
+                       for d in distances) > 0
+
+    def test_fast_path_sends_no_grid_rows_through_evaluate_batch(
+            self, ma2_bo_posterior, monkeypatch):
+        posterior = PosteriorApproximation(
+            ma2_bo_posterior.prior, ma2_bo_posterior.eps,
+            ma2_bo_posterior.regions, ma2_bo_posterior.distances)
+        rows = []
+        original = GaussianProcessSurrogate.evaluate_batch
+
+        def counting(self, thetas):
+            rows.append(len(thetas))
+            return original(self, thetas)
+
+        monkeypatch.setattr(GaussianProcessSurrogate, "evaluate_batch",
+                            counting)
+        assert posterior.partition_function() > 0.0
+        assert sum(rows) == 0
+
+    def test_cell_near_eps_is_evaluated_again(self):
+        rng = np.random.default_rng(8)
+        inputs = rng.uniform(-1.0, 1.0, size=(40, 2))
+        gp = _fit_gp(inputs, np.sum(inputs**2, axis=1))
+        prior = BoxUniformPrior([[-1.0, 1.0], [-1.0, 1.0]])
+        axes, _ = grid_axes(prior.bounds, 0.05)
+        points, _ = midpoint_grid(prior.bounds, 0.05)
+        product, _ = gp.evaluate_grid(axes)
+        batch = gp.evaluate_batch(points)
+        # a cell whose product-form mean rounds above its batch mean: with
+        # eps at the batch mean, only the batch value counts it
+        cell = int(np.flatnonzero(product > batch)[0])
+        box = BoundingBox(np.eye(2), np.zeros(2), np.array([[-1.0, 1.0]] * 2))
+        posterior = PosteriorApproximation(prior, batch[cell], [box], [gp])
+        evaluated = []
+
+        def spying(thetas):
+            evaluated.append(np.array(thetas))
+            return GaussianProcessSurrogate.evaluate_batch(gp, thetas)
+
+        gp.evaluate_batch = spying
+        _, unnorm, _ = posterior.grid(0.05)
+        assert any((rows == points[cell]).all(axis=1).any()
+                   for rows in evaluated)
+        assert unnorm[cell] == prior.pdf_batch(points[cell:cell + 1])[0]
+        np.testing.assert_array_equal(unnorm, row_loop_unnorm(posterior, points))
 
 
 class TestSample:

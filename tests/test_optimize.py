@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import BatchDistance, CountingDistance
 from romc import OptimisationResult
+from romc.inference import _mesh
 from romc.model import BoxUniformPrior
 from romc.optimize import (
     GaussianProcessSurrogate,
@@ -287,6 +288,51 @@ class TestGaussianProcessSurrogate:
         with pytest.raises(ValueError, match="must be finite"):
             GaussianProcessSurrogate([[0.0], [bad]], [1.0, 3.0], [0.5], 2.0,
                                      1e-6)
+
+
+def _grid_gap(gp, axes):
+    """evaluate_grid's bound and its largest distance from evaluate_batch
+    on the mesh of axes."""
+    mean, bound = gp.evaluate_grid(axes)
+    batch = gp.evaluate_batch(_mesh(axes))
+    assert mean.shape == batch.shape
+    return np.max(np.abs(mean - batch)), bound
+
+
+class TestEvaluateGrid:
+    """The product-form mean on a grid stays within its stated bound of the
+    row-wise mean, cell by cell in C order."""
+
+    @pytest.mark.parametrize("sizes", [(53,), (41, 37), (9, 7, 11)])
+    def test_within_bound_of_batch(self, sizes):
+        rng = np.random.default_rng(len(sizes))
+        d = len(sizes)
+        inputs = rng.uniform(-1.0, 1.0, size=(30, d))
+        values = np.abs(np.sin(3.0 * inputs[:, 0]) + np.sum(inputs**2, axis=1))
+        gp = _fit_gp(inputs, values)
+        axes = [np.linspace(-1.2, 1.1, a) for a in sizes]
+        gap, bound = _grid_gap(gp, axes)
+        assert gap <= bound
+        scale = abs(gp._mean_offset) + gp.variance * np.abs(gp._alpha).sum()
+        assert bound == pytest.approx(
+            4.0 * (30 + 16) * np.finfo(np.float64).eps * scale)
+
+    def test_bound_grows_with_badly_conditioned_fit(self):
+        rng = np.random.default_rng(5)
+        inputs = rng.uniform(-1.0, 1.0, size=(24, 2))
+        values = np.sin(3.0 * inputs[:, 0]) + inputs[:, 1] ** 2
+        axes = [np.linspace(-1.2, 1.2, 41), np.linspace(-1.1, 1.3, 37)]
+        well = GaussianProcessSurrogate(inputs, values, [0.5, 0.5], 1.0, 1e-2)
+        # long lengthscales and almost no noise: sum |alpha_j| near 1e8
+        bad = GaussianProcessSurrogate(inputs, values, [2.0, 2.0], 1.0, 1e-12)
+        assert np.abs(bad._alpha).sum() > 1e6 * np.abs(well._alpha).sum()
+        well_gap, well_bound = _grid_gap(well, axes)
+        bad_gap, bad_bound = _grid_gap(bad, axes)
+        assert well_gap <= well_bound
+        assert bad_gap <= bad_bound
+        # the rounding gap grows with the fit's weights, and so does the bound
+        assert bad_gap > 1e3 * well_gap
+        assert bad_bound > 1e5 * well_bound
 
 
 class TestSolveBayesian:

@@ -51,6 +51,11 @@ GOLDEN = {
     "ma2-bo-n12-s21": (["--model", "ma2", "--n1", "12", "--seed", "21",
                         "--use-bo"], ["--quantile", "0.97"], 20, "0.5,0.1",
                        REJECTION),
+    # the benchmark's BO config, whose posterior step prints the mass of
+    # the GP means on the default normalization grid
+    "ma2-bo-n30-s21": (["--model", "ma2", "--n1", "30", "--seed", "21",
+                        "--use-bo"], ["--quantile", "0.97"], 30, "0.5,0.1",
+                       REJECTION),
 }
 
 # name: (solve flags, regions flags, n2, seeds); each runs at its seeds
