@@ -20,7 +20,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DegenerateResult
-from .inference import midpoint_grid
+from .inference import grid_axes, midpoint_grid
 from .model import SEED_MAX, BoxUniformPrior, IdentitySummary, Model, Prior
 from .optimize import compute_eps
 
@@ -221,11 +221,9 @@ class RejectionResult:
         if self.n_accepted == 0:
             raise DegenerateResult("no accepted draws to build a density from")
         bounds = np.asarray(bounds, dtype=np.float64)
-        points, volume = midpoint_grid(bounds, grid_step)
-        d = bounds.shape[0]
+        axes, volume = grid_axes(bounds, grid_step)
         edges = []
-        for m in range(d):
-            centers = np.unique(points[:, m])
+        for m, centers in enumerate(axes):
             width = centers[1] - centers[0] if centers.size > 1 else (
                 bounds[m, 1] - bounds[m, 0]
             )

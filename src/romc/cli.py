@@ -31,6 +31,7 @@ from . import artifacts
 from .benchmarks import ToyTruePosterior, build_model, rejection_abc
 from .errors import DegenerateResult, NumericalFailure, UnsupportedDimension
 from .evaluate import compute_divergence, compute_ess
+from .inference import grid_axes
 from .pipeline import estimate_regions, solve_problems
 
 
@@ -361,8 +362,10 @@ def cmd_evaluate(options):
                 quantile=options["rejection_quantile"],
                 seed=options["seed"],
             ).grid_density(bounds, options["grid_step"])
+        axes, _ = grid_axes(bounds, options["grid_step"])
         value = compute_divergence(
-            posterior.eval_unnorm_batch, reference, bounds,
+            lambda points: posterior.eval_unnorm_batch(points, axes),
+            reference, bounds,
             grid_step=options["grid_step"], kind=options["kind"],
         )
         metrics[options["kind"]] = value

@@ -13,13 +13,14 @@ import logging
 
 import numpy as np
 
-from .errors import NumericalFailure
 from .model import DistanceStack, finite_difference_gradient
 
 logger = logging.getLogger(__name__)
 
 ARMIJO_C1 = 1e-4
 MAX_BACKTRACKS = 30
+GTOL = 1e-8  # the gradient solve stops where every |df/dx_m| is within it
+N_CANDIDATES = 512  # uniform draws scored by expected improvement per step
 ROW_BLOCK = 512  # GP rows per kernel block; keeps the temporaries in cache
 
 
@@ -161,17 +162,6 @@ def _bfgs(func, x0, bounds, max_iters, gtol, step):
     return x, f, h_inv, int(iterations[done].sum()), iterations
 
 
-def _inverse(matrix):
-    sym = (matrix + matrix.T) / 2.0
-    try:
-        inv = np.linalg.inv(sym)
-    except np.linalg.LinAlgError:
-        inv = np.linalg.pinv(sym)
-    if not np.all(np.isfinite(inv)):
-        inv = np.eye(sym.shape[0])
-    return inv
-
-
 def check_gradient_options(restarts, max_iters):
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
@@ -180,7 +170,7 @@ def check_gradient_options(restarts, max_iters):
 
 
 def solve_gradients(objectives, prior, seeds, restarts=1, max_iters=200,
-                    step=1e-5, gtol=1e-8):
+                    step=1e-5):
     """Minimize several objectives with BFGS from prior-drawn start points.
 
     Objective k runs `restarts` independent descents from start points
@@ -189,8 +179,9 @@ def solve_gradients(objectives, prior, seeds, restarts=1, max_iters=200,
     same bits as it would alone, so a result does not depend on which
     other objectives were solved with it.  Returns one entry per
     objective: an OptimisationResult whose x_min lies inside the prior
-    bounds and whose f_min is the objective value there, or None when
-    every restart fails numerically.
+    bounds, f_min is the objective value there and hess_appr the inverse
+    of the kept run's symmetrized inverse-Hessian estimate (a singular
+    one raises LinAlgError), or None when every restart fails.
     """
     check_gradient_options(restarts, max_iters)
     starts = []
@@ -199,27 +190,27 @@ def solve_gradients(objectives, prior, seeds, restarts=1, max_iters=200,
         starts.extend(prior.sample(rng) for _ in range(restarts))
     runs = DistanceStack(o for o in objectives for _ in range(restarts))
     x, f, h_inv, _, iterations = _bfgs(runs, np.array(starts), prior.bounds,
-                                       max_iters, gtol, step)
-    results = []
-    for first in range(0, len(starts), restarts):
-        best = None
-        for r in range(first, first + restarts):
-            if np.isfinite(f[r]) and (best is None or f[r] < f[best]):
-                best = r
-        results.append(None if best is None else OptimisationResult(
-            x[best], f[best], _inverse(h_inv[best]),
-            iterations=int(iterations[best]),
-        ))
+                                       max_iters, GTOL, step)
+    # a failed run's NaN counts as inf, and argmin keeps the first minimum
+    best = np.where(np.isfinite(f), f, np.inf).reshape(-1, restarts).argmin(1)
+    best += restarts * np.arange(best.size)
+    solved = np.flatnonzero(np.isfinite(f[best]))
+    kept = h_inv[best[solved]]
+    hess = np.linalg.inv((kept + kept.transpose(0, 2, 1)) / 2.0)
+    results = [None] * best.size
+    for k, run, matrix in zip(solved, best[solved], hess):
+        results[k] = OptimisationResult(x[run], f[run], matrix,
+                                        iterations=int(iterations[run]))
     return results
 
 
 def solve_gradient(objective, prior, restarts=1, max_iters=200, seed=0,
-                   step=1e-5, gtol=1e-8):
+                   step=1e-5):
     """Minimize one objective with BFGS from `restarts` prior-drawn start
     points: solve_gradients for this objective alone, so the result (or
     None when every restart fails) is the one it gets in any batch."""
     return solve_gradients([objective], prior, [seed], restarts=restarts,
-                           max_iters=max_iters, step=step, gtol=gtol)[0]
+                           max_iters=max_iters, step=step)[0]
 
 
 def _se_kernel(rows, train, variance):
@@ -243,23 +234,6 @@ def _se_kernel(rows, train, variance):
     return sq
 
 
-def _gp_posterior(scaled, train, variance, offset, alpha, chol=None):
-    """Posterior mean of one fit at lengthscale-scaled rows, in blocks of
-    ROW_BLOCK rows, or, given the Cholesky factor, (mean, variance) with
-    the variance clipped at 0."""
-    from scipy.linalg import solve_triangular
-
-    mean, var = np.empty(len(scaled)), np.empty(len(scaled))
-    for start in range(0, len(scaled), ROW_BLOCK):
-        rows = slice(start, start + ROW_BLOCK)
-        k = _se_kernel(scaled[rows], train, variance)
-        mean[rows] = offset + (k * alpha).sum(axis=1)
-        if chol is not None:
-            v = solve_triangular(chol, k.T, lower=True, check_finite=False)
-            var[rows] = variance - np.sum(v**2, axis=0)
-    return mean if chol is None else (mean, np.maximum(var, 0.0))
-
-
 class GaussianProcessSurrogate:
     """Gaussian-process fit of one objective with a squared-exponential
     kernel; the posterior mean doubles as a cheap distance stand-in.
@@ -274,10 +248,6 @@ class GaussianProcessSurrogate:
     """
 
     def __init__(self, inputs, values, lengthscales, variance, noise_variance):
-        # scipy is imported by each GP function that uses it, so that
-        # `import romc` and the gradient path never load it
-        from scipy.linalg import cho_solve
-
         self.inputs = np.asarray(inputs, dtype=np.float64)
         self.values = np.asarray(values, dtype=np.float64)
         self.lengthscales = np.asarray(lengthscales, dtype=np.float64)
@@ -296,28 +266,47 @@ class GaussianProcessSurrogate:
             raise ValueError("variance must be positive and finite")
         if not 0.0 <= self.noise_variance < np.inf:
             raise ValueError("noise_variance must be nonnegative and finite")
-        n = self.inputs.shape[0]
-        self._mean_offset = float(np.mean(self.values))
-        self._scaled = self.inputs / self.lengthscales
-        k = _se_kernel(self._scaled, self._scaled, self.variance)
-        k[np.diag_indices(n)] += self.noise_variance
+        scaled = self.inputs / self.lengthscales
+        k = _se_kernel(scaled, scaled, self.variance)
+        k[np.diag_indices(len(k))] += self.noise_variance
         # raises LinAlgError when the matrix is not positive definite
-        self._chol = np.linalg.cholesky(k)
-        centered = self.values - self._mean_offset
-        self._alpha = cho_solve((self._chol, True), centered)
+        self._factor(scaled, np.linalg.cholesky(k))
 
-    def _posterior(self, thetas, chol=None):
+    def _factor(self, scaled, chol):
+        """Keep the scaled inputs and the kernel's Cholesky factor; set the
+        mean offset and the weights alpha = K^-1 (values - offset)."""
+        # scipy is imported by each GP function that uses it, so that
+        # `import romc` and the gradient path never load it
+        from scipy.linalg import cho_solve
+
+        self._scaled, self._chol = scaled, chol
+        self._mean_offset = float(np.mean(self.values))
+        self._alpha = cho_solve((chol, True), self.values - self._mean_offset,
+                                check_finite=False)
+
+    def _posterior(self, thetas, with_variance):
+        """Mean (and clipped variance) at each row, ROW_BLOCK rows at a time."""
+        from scipy.linalg import solve_triangular
+
         scaled = np.asarray(thetas, dtype=np.float64) / self.lengthscales
-        return _gp_posterior(scaled, self._scaled, self.variance,
-                             self._mean_offset, self._alpha, chol)
+        mean, var = np.empty(len(scaled)), np.empty(len(scaled))
+        for start in range(0, len(scaled), ROW_BLOCK):
+            rows = slice(start, start + ROW_BLOCK)
+            k = _se_kernel(scaled[rows], self._scaled, self.variance)
+            mean[rows] = self._mean_offset + (k * self._alpha).sum(axis=1)
+            if with_variance:
+                v = solve_triangular(self._chol, k.T, lower=True,
+                                     check_finite=False)
+                var[rows] = self.variance - np.sum(v**2, axis=0)
+        return (mean, np.maximum(var, 0.0)) if with_variance else mean
 
     def predict_batch(self, thetas):
         """Posterior mean and variance at each row; variance is clipped at 0."""
-        return self._posterior(thetas, self._chol)
+        return self._posterior(thetas, with_variance=True)
 
     def evaluate_batch(self, thetas):
         """Posterior mean at each row, without the variance."""
-        return self._posterior(thetas)
+        return self._posterior(thetas, with_variance=False)
 
     def evaluate_grid(self, axes):
         """Posterior mean at every cell of the C-order mesh of `axes` (one
@@ -383,16 +372,16 @@ SINGULAR = "kernel matrix stayed singular under jitter escalation"
 
 
 def _fit_gps(inputs, values):
-    """Fit P surrogates' hyperparameters and kernel factors in lockstep,
-    each bit for bit as _fit_gp fits it alone, from (P, n, D) inputs and
-    (P, n) values.
+    """Fit P surrogates in lockstep, each bit for bit as it is fitted
+    alone, from (P, n, D) inputs and (P, n) finite values.
 
     Lengthscales are per-axis median pairwise distances (else the axis's
     range, else 1), kernel variance is the sample variance of the values,
     at least 1e-12, and the noise jitter starts at 1e-6 times that
     variance, escalating tenfold for the fits whose Cholesky fails, up to
-    8 tries.  Returns (lengthscales, variance, noise, scaled inputs,
-    Cholesky factors), the factor NaN for a fit that never factorizes.
+    8 tries.  Returns one GaussianProcessSurrogate per fit, built on its
+    row of the stacked Cholesky factor, or None, with a logged warning,
+    for a fit whose kernel never factorizes.
     """
     n_fits, n, d = inputs.shape
     first, second = np.triu_indices(n, k=1)
@@ -426,20 +415,17 @@ def _fit_gps(inputs, values):
                 except np.linalg.LinAlgError:
                     noise[p] *= 10.0
                     kernel[p, diag, diag] = base[p] + noise[p]
-    return lengthscales, variance, noise, scaled, chol
-
-
-def _fit_gp(inputs, values):
-    """_fit_gps for one fit, as a surrogate; raises NumericalFailure when
-    its kernel never factorizes."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    lengthscales, variance, noise, _, chol = _fit_gps(inputs[None],
-                                                      values[None])
-    if np.isnan(chol[0, 0, 0]):
-        raise NumericalFailure(SINGULAR)
-    return GaussianProcessSurrogate(inputs, values, lengthscales[0],
-                                    variance[0], noise[0])
+            else:
+                logger.warning("surrogate fit failed: %s", SINGULAR)
+    gps = [None] * n_fits
+    for p in np.flatnonzero(~np.isnan(chol[:, 0, 0])):
+        # valid by construction, so __init__'s checks and factor are skipped
+        gps[p] = gp = object.__new__(GaussianProcessSurrogate)
+        gp.inputs, gp.values = inputs[p], values[p]
+        gp.lengthscales, gp.variance = lengthscales[p], float(variance[p])
+        gp.noise_variance = float(noise[p])
+        gp._factor(scaled[p], chol[p])
+    return gps
 
 
 def _expected_improvement(mean, var, f_best):
@@ -487,29 +473,21 @@ def check_bayesian_options(budget, init_points):
         raise ValueError("budget must exceed init_points")
 
 
-def _acquire(inputs, values, rngs, lo, hi, n_candidates):
+def _acquire(inputs, values, rngs, lo, hi):
     """One lockstep step of P problems with (P, n, D) inputs and (P, n)
     values: fit their surrogates, then draw each problem's candidates from
     its generator in rngs.  Returns (fitted, chosen): the mask of the fits
     that factorized, and for each of those problems the candidate of
     highest expected improvement, the first on ties, that is not already
     an input (or that candidate when every one is)."""
-    from scipy.linalg import cho_solve
-
-    *fit, chol = _fit_gps(inputs, values)
-    fitted = ~np.isnan(chol[:, 0, 0])
-    lengthscales, variance, _, scaled = (a[fitted] for a in fit)
-    inputs, values, chol = inputs[fitted], values[fitted], chol[fitted]
-    offset = np.mean(values, axis=1)
-    centered = values - offset[:, None]
-    candidates = np.empty((len(inputs), n_candidates, lo.size))
-    mean, var = np.empty((2, len(inputs), n_candidates))
-    for j, rng in enumerate(rng for rng, ok in zip(rngs, fitted) if ok):
-        candidates[j] = rng.uniform(lo, hi, size=(n_candidates, lo.size))
-        alpha = cho_solve((chol[j], True), centered[j], check_finite=False)
-        mean[j], var[j] = _gp_posterior(
-            candidates[j] / lengthscales[j], scaled[j], variance[j],
-            offset[j], alpha, chol[j])
+    gps = _fit_gps(inputs, values)
+    fitted = np.array([gp is not None for gp in gps])
+    inputs, values = inputs[fitted], values[fitted]
+    candidates = np.empty((len(inputs), N_CANDIDATES, lo.size))
+    mean, var = np.empty((2, len(inputs), N_CANDIDATES))
+    for j, p in enumerate(np.flatnonzero(fitted)):
+        candidates[j] = rngs[p].uniform(lo, hi, size=(N_CANDIDATES, lo.size))
+        mean[j], var[j] = gps[p].predict_batch(candidates[j])
     ei = _expected_improvement(mean, var, values.min(axis=1)[:, None])
     # the first maximum, where a stable sort of -ei starts (NaN last)
     top = np.argmax(np.where(np.isnan(ei), -np.inf, ei), axis=1)
@@ -522,20 +500,20 @@ def _acquire(inputs, values, rngs, lo, hi, n_candidates):
     return fitted, chosen
 
 
-def solve_bayesians(objectives, prior, seeds, budget=64, init_points=10,
-                    n_candidates=512):
+def solve_bayesians(objectives, prior, seeds, budget=64, init_points=10):
     """Minimize several objectives with expected-improvement Bayesian
     optimization, in lockstep.
 
     Each objective, a distance with evaluate_batch(thetas), spends `budget`
     evaluations: a Latin-hypercube design of init_points, then per step
-    the candidate of highest expected improvement among n_candidates
+    the candidate of highest expected improvement among N_CANDIDATES
     uniform draws that is not already an input.  Objective k draws from
     its own generator, seeded with seeds[k].  All problems have the same
-    number of inputs at each step, so a step's GP fits are one stack and
-    its evaluations one DistanceStack call; candidates and their
-    posterior are computed one problem at a time.  So each problem gets
-    the bits it gets alone.  Returns one entry per objective:
+    number of inputs at each step, so a step's GP fits, and the final fit
+    over all evaluations, are one stack each, and a step's evaluations
+    one DistanceStack call; candidates are drawn and scored with
+    predict_batch one problem at a time.  So each problem gets the bits
+    it gets alone.  Returns one entry per objective:
     (OptimisationResult, GaussianProcessSurrogate) where x_min is the best
     evaluated point and hess_appr the exact Hessian of the surrogate mean
     there, or None when a value is not finite or the surrogate fit fails.
@@ -559,21 +537,15 @@ def solve_bayesians(objectives, prior, seeds, budget=64, init_points=10,
         if not live.size:
             break
         fitted, chosen = _acquire(inputs[live, :n], values[live, :n],
-                                  [rngs[p] for p in live], lo, hi,
-                                  n_candidates)
-        for _ in range(np.count_nonzero(~fitted)):
-            logger.warning("surrogate fit failed: %s", SINGULAR)
+                                  [rngs[p] for p in live], lo, hi)
         live = live[fitted]
         inputs[live, n] = chosen
         values[live, n] = stack(chosen, live)
         live = live[np.isfinite(values[live, n])]
 
     results = [None] * len(rngs)
-    for p in live:
-        try:
-            gp = _fit_gp(inputs[p], values[p])
-        except NumericalFailure as exc:
-            logger.warning("surrogate fit failed: %s", exc)
+    for p, gp in zip(live, _fit_gps(inputs[live], values[live])):
+        if gp is None:
             continue
         best = int(np.argmin(values[p]))
         x_min = inputs[p, best]
@@ -583,15 +555,12 @@ def solve_bayesians(objectives, prior, seeds, budget=64, init_points=10,
     return results
 
 
-def solve_bayesian(objective, prior, budget=64, init_points=10, seed=0,
-                   n_candidates=512):
+def solve_bayesian(objective, prior, budget=64, init_points=10, seed=0):
     """Minimize one objective with expected-improvement Bayesian
     optimization: solve_bayesians for this objective alone, so the result,
     (OptimisationResult, GaussianProcessSurrogate) or None, is the one it
     gets in any batch."""
-    return solve_bayesians([objective], prior, [seed], budget=budget,
-                           init_points=init_points,
-                           n_candidates=n_candidates)[0]
+    return solve_bayesians([objective], prior, [seed], budget, init_points)[0]
 
 
 def compute_eps(values, quantile):

@@ -73,7 +73,7 @@ def jacobian_curvature(objective, theta, step=1e-5):
     return jac.T @ jac
 
 
-def choose_curvatures(results, objectives=None, step=1e-5):
+def choose_curvatures(results, objectives=None):
     """Pick the curvature matrix at each of k minimizers, with fallbacks.
 
     Row k keeps its optimizer's hess_appr when that is positive
@@ -94,13 +94,13 @@ def choose_curvatures(results, objectives=None, step=1e-5):
         if objectives is not None and objectives[k] is not None:
             with contextlib.suppress(NumericalFailure):
                 hess[k], sources[k] = jacobian_curvature(
-                    objectives[k], results[k].x_min, step=step), "jacobian"
+                    objectives[k], results[k].x_min), "jacobian"
     return hess, sources
 
 
-def choose_curvature(result, objective=None, step=1e-5):
+def choose_curvature(result, objective=None):
     """choose_curvatures for one minimizer: (matrix, source)."""
-    matrices, sources = choose_curvatures([result], [objective], step=step)
+    matrices, sources = choose_curvatures([result], [objective])
     return matrices[0], sources[0]
 
 

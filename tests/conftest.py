@@ -10,6 +10,7 @@ import pytest
 
 from romc import make_toy_model
 from romc.model import BoxUniformPrior
+from romc.optimize import _fit_gps
 
 ACCEPTANCE_LINES = []
 
@@ -35,6 +36,12 @@ def toy_model():
 @pytest.fixture
 def unit_square_prior():
     return BoxUniformPrior([[-1.0, 1.0], [-1.0, 1.0]])
+
+
+def fit_gp(inputs, values):
+    """One surrogate, fitted as Bayesian optimization fits it."""
+    return _fit_gps(np.asarray(inputs, dtype=np.float64)[None],
+                    np.asarray(values, dtype=np.float64)[None])[0]
 
 
 class BatchDistance:

@@ -13,7 +13,8 @@ import pytest
 
 from romc import artifacts
 from romc.cli import main
-from romc.inference import PosteriorApproximation
+from romc.inference import PosteriorApproximation, grid_axes
+from romc.optimize import GaussianProcessSurrogate
 
 
 def run(*argv):
@@ -122,6 +123,33 @@ class TestPipeline:
         unnorm = float(lines[1].split(": ")[1])
         norm = float(lines[2].split(": ")[1])
         assert norm == pytest.approx(unnorm / mass, rel=1e-5)
+
+    def test_evaluate_takes_gp_means_on_the_grid(self, bo_dir, tmp_path,
+                                                 monkeypatch):
+        # each GP mean is taken in product form on the divergence grid, so
+        # only the cells within its bound of eps are evaluated row-wise
+        regions = bo_dir / "regions.json"
+        assert run("sample", "--regions", regions, "--n2", 5,
+                   "--out", tmp_path) == 0
+        bundle = artifacts.load_regions(regions)
+        axes, _ = grid_axes(bundle.model.prior.bounds)
+        guards = []
+        for entry in bundle.entries:
+            values, bound = entry.gp.evaluate_grid(axes)
+            guards.append(int(np.sum(np.abs(values - bundle.eps) <= bound)))
+        rows = []
+        original = GaussianProcessSurrogate.evaluate_batch
+
+        def counting(self, thetas):
+            rows.append(len(thetas))
+            return original(self, thetas)
+
+        monkeypatch.setattr(GaussianProcessSurrogate, "evaluate_batch",
+                            counting)
+        assert run("evaluate", "--reference", "rejection",
+                   "--rejection-draws", 500, "--regions", regions,
+                   "--out", tmp_path) == 0
+        assert rows == guards
 
     def test_marginals_file_shape(self, pipeline_dir):
         lines = (pipeline_dir / "samples_marginals.csv").read_text().splitlines()

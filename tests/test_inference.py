@@ -9,7 +9,7 @@ closed form: unnorm = 0.5 * count, mass = 0.4, posterior = count / 0.8.
 import numpy as np
 import pytest
 
-from conftest import BatchDistance
+from conftest import BatchDistance, fit_gp
 from romc import (
     BoundingBox,
     DegenerateResult,
@@ -21,7 +21,7 @@ from romc import (
 )
 from romc.inference import PosteriorApproximation, grid_axes, sample
 from romc.model import BoxUniformPrior
-from romc.optimize import GaussianProcessSurrogate, _fit_gp
+from romc.optimize import GaussianProcessSurrogate
 
 
 class TestMidpointGrid:
@@ -259,7 +259,7 @@ class TestProductGrid:
     def test_cell_near_eps_is_evaluated_again(self):
         rng = np.random.default_rng(8)
         inputs = rng.uniform(-1.0, 1.0, size=(40, 2))
-        gp = _fit_gp(inputs, np.sum(inputs**2, axis=1))
+        gp = fit_gp(inputs, np.sum(inputs**2, axis=1))
         prior = BoxUniformPrior([[-1.0, 1.0], [-1.0, 1.0]])
         axes, _ = grid_axes(prior.bounds, 0.05)
         points, _ = midpoint_grid(prior.bounds, 0.05)

@@ -17,6 +17,7 @@ import pytest
 from conftest import BatchDistance
 from reference_bfgs import reference_bfgs, reference_gradient
 
+import romc.optimize
 import romc.pipeline
 from romc import (
     estimate_regions,
@@ -418,6 +419,27 @@ class TestChunking:
                 assert a.error is None
                 _same_record(a, b)
 
+    def test_singular_inverse_hessian_fails_only_its_problem(
+            self, monkeypatch):
+        model = make_ma2_model()
+        clean = solve_problems(model, n1=5, seed=21)
+        start = model.prior.sample(np.random.default_rng([21, 2, STREAM_SOLVE]))
+        bfgs = romc.optimize._bfgs
+
+        def singular_for_2(func, x0, *args):
+            x, f, h_inv, total, iterations = bfgs(func, x0, *args)
+            h_inv[(x0 == start).all(axis=1)] = 0.0
+            return x, f, h_inv, total, iterations
+
+        monkeypatch.setattr(romc.optimize, "_bfgs", singular_for_2)
+        out = solve_problems(model, n1=5, seed=21)
+        assert out.records[2].result is None
+        assert "Singular matrix" in out.records[2].error
+        for a, b in zip(out.records, clean.records):
+            if a.index != 2:
+                assert a.error is None
+                _same_record(a, b)
+
     def test_raising_solver_fails_only_its_problem(self):
         # the custom solver runs solve_gradient, which equals a problem's
         # row of the lockstep solve
@@ -451,10 +473,11 @@ def test_perfbench_tracer_still_wraps_the_solve():
     with tracing.instrument(tracer):
         bo = solve_problems(make_ma2_model(), n1=3, seed=3, **BO)
         bundle = estimate_regions(bo, quantile=1.0, fit_models=True)
-    # the BO solve is one lockstep chunk, which builds one surrogate per
-    # problem, at its end
+    # the BO solve is one lockstep chunk, which scores each problem's
+    # candidates with one predict_batch call per acquisition
     assert not tracer.named("optimize.solve_bayesian")
-    assert tracer.counter("optimize.gp_fit")[0] == len(bo.records)
+    assert tracer.counter("optimize.gp_predict")[0] == len(bo.records) * (
+        BO["budget"] - BO["init_points"])
     # one chunk per stage at workers=1: the solve, and the regions with
     # their fits
     assert len(tracer.named("parallel.run_tasks")) == 2

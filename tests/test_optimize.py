@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BatchDistance, CountingDistance
+from conftest import BatchDistance, CountingDistance, fit_gp
+
+import romc.optimize
 from romc import OptimisationResult
 from romc.inference import _mesh
 from romc.model import BoxUniformPrior
@@ -25,8 +27,9 @@ from romc.optimize import (
     filter_solutions,
     solve_bayesian,
     solve_gradient,
+    solve_gradients,
 )
-from romc.optimize import _fit_gp, _latin_hypercube
+from romc.optimize import _latin_hypercube
 
 
 def quadratic(target, scale):
@@ -111,6 +114,25 @@ class TestSolveGradient:
         np.testing.assert_array_equal(a.x_min, b.x_min)
         assert a.f_min == b.f_min
 
+    def test_best_restart_is_the_first_lowest_finite(self, monkeypatch,
+                                                      unit_square_prior):
+        # three restarts each: a tie, non-finite runs around a finite
+        # one, and every run failed; iterations name the run kept
+        f = np.array([2.0, 1.0, 1.0, np.nan, 3.0, -np.inf] + [np.nan] * 3)
+        scales = 2.0 ** np.arange(9)
+
+        def bfgs(func, x0, bounds, max_iters, gtol, step):
+            h_inv = np.eye(2) * scales[:, None, None]
+            return x0, f, h_inv, 0, np.arange(9)
+
+        monkeypatch.setattr(romc.optimize, "_bfgs", bfgs)
+        out = solve_gradients([quadratic([0.0, 0.0], [1.0, 1.0])] * 3,
+                              unit_square_prior, [0, 1, 2], restarts=3)
+        assert [(r.iterations, r.f_min) for r in out[:2]] == [(1, 1.0),
+                                                               (4, 3.0)]
+        np.testing.assert_array_equal(out[1].hess_appr, np.eye(2) / 16.0)
+        assert out[2] is None
+
     def test_all_restarts_failing_returns_none(self, unit_square_prior):
         result = solve_gradient(BatchDistance(lambda x: np.nan),
                                 unit_square_prior, seed=0)
@@ -129,7 +151,7 @@ class TestGaussianProcessSurrogate:
         rng = np.random.default_rng(4)
         inputs = rng.uniform(-1, 1, size=(30, 2))
         values = np.sum(inputs**2, axis=1)
-        return _fit_gp(inputs, values), inputs, values
+        return fit_gp(inputs, values), inputs, values
 
     def test_interpolates_training_data(self):
         gp, inputs, values = self.make_gp()
@@ -151,7 +173,7 @@ class TestGaussianProcessSurrogate:
         for n in (10, 30, 64):
             inputs = rng.uniform(-2.0, 2.0, size=(n, 2))
             values = np.abs(np.sin(3.0 * inputs[:, 0]) + inputs[:, 1] ** 2)
-            fits.append(_fit_gp(inputs, values))
+            fits.append(fit_gp(inputs, values))
         return fits
 
     @pytest.fixture(scope="class")
@@ -241,17 +263,18 @@ class TestGaussianProcessSurrogate:
         np.testing.assert_allclose(gp.hessian([theta]), [[expected]],
                                    rtol=1e-12)
 
-    def test_record_round_trip(self):
-        gp, inputs, _ = self.make_gp()
-        clone = GaussianProcessSurrogate.from_record(gp.to_record())
-        np.testing.assert_array_equal(
-            clone.evaluate_batch(inputs), gp.evaluate_batch(inputs)
-        )
+    def test_record_round_trip(self, gps, probes):
+        # a reload factorizes in __init__; the fit took its stacked factor
+        for gp in gps:
+            clone = GaussianProcessSurrogate.from_record(gp.to_record())
+            for a, b in zip(clone.predict_batch(probes),
+                            gp.predict_batch(probes)):
+                np.testing.assert_array_equal(a, b)
 
     def test_duplicate_points_survive_via_jitter(self):
         inputs = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.5, 0.2]])
         values = np.array([1.0, 1.0, 2.0, 1.5])
-        gp = _fit_gp(inputs, values)
+        gp = fit_gp(inputs, values)
         assert np.isfinite(gp.evaluate_batch(inputs)).all()
 
     def test_shape_validation(self):
@@ -309,7 +332,7 @@ class TestEvaluateGrid:
         d = len(sizes)
         inputs = rng.uniform(-1.0, 1.0, size=(30, d))
         values = np.abs(np.sin(3.0 * inputs[:, 0]) + np.sum(inputs**2, axis=1))
-        gp = _fit_gp(inputs, values)
+        gp = fit_gp(inputs, values)
         axes = [np.linspace(-1.2, 1.1, a) for a in sizes]
         gap, bound = _grid_gap(gp, axes)
         assert gap <= bound

@@ -17,10 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_regions as reference
-from conftest import BatchDistance
+from conftest import BatchDistance, fit_gp
 from romc import BoundingBox, OptimisationResult, make_ma2_model
 from romc.model import DistanceStack, draw_nuisance_seeds, make_objective
-from romc.optimize import _fit_gp
 from romc.regions import (
     RegionSettings,
     RegionStack,
@@ -446,7 +445,7 @@ class TestLockstepWalk:
     def test_gp_and_quadratic_rows(self):
         rng = np.random.default_rng(4)
         inputs = rng.uniform(-1.0, 1.0, size=(30, 2))
-        gp = _fit_gp(inputs, np.sum(inputs**2, axis=1))
+        gp = fit_gp(inputs, np.sum(inputs**2, axis=1))
         bowl = QuadraticSurrogate(0.0, [0.1, 0.0], [[1.0, 0.2], [0.2, 2.0]])
         flat = QuadraticSurrogate(0.0, [0.0, 0.0], np.zeros((2, 2)))
         high = QuadraticSurrogate(5.0, [0.0, 0.0], np.zeros((2, 2)))
