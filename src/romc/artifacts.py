@@ -260,9 +260,13 @@ def load_regions(path):
             # inference would silently run the simulator for this region
             raise ValueError(f"region {record['index']} has no GP, but "
                              "use_surrogate is on")
-        quadratic = None
-        if "quadratic" in record:
-            quadratic = QuadraticSurrogate.from_record(record["quadratic"])
+        if ("quadratic" in record) != payload["fit_models"]:
+            # inference would silently run this region on another distance
+            raise ValueError(f"region {record['index']} " + (
+                "has no quadratic, but fit_models is on" if payload["fit_models"]
+                else "has a quadratic, but fit_models is off"))
+        quadratic = (QuadraticSurrogate.from_record(record["quadratic"])
+                     if payload["fit_models"] else None)
         entries.append(RegionEntry(
             index=record["index"],
             seed=record["seed"],

@@ -46,11 +46,12 @@ class ToySimulator:
         theta = np.asarray(theta, dtype=np.float64)
         return kernels.toy_location(theta[:1]) + self.noise(seed)
 
-    def batch_distance(self, seed, observed_summary):
-        """The seed's distance as (kernel, args); the kernel is looked up
-        on every call."""
+    def batch_distance(self, seeds, observed_summary):
+        """The seeds' distances as (kernel, args), each arg with one entry
+        per seed; the kernel is looked up on every call."""
         return (kernels.toy_distance_batch,
-                (self.noise(seed), float(observed_summary[0])))
+                (np.array([self.noise(seed) for seed in seeds]),
+                 np.full(len(seeds), float(observed_summary[0]))))
 
 
 def make_toy_model():
@@ -134,13 +135,13 @@ class Ma2Simulator:
     def run(self, theta, seed):
         return kernels.ma2_series(float(theta[0]), float(theta[1]), self.noise(seed))
 
-    def batch_distance(self, seed, observed_summary):
-        """The seed's distance as (kernel, args); the kernel is looked up
-        on every call, and the gram is nested floats for cheap one-row
-        calls."""
-        gram = kernels.ma2_gram(self.noise(seed)).tolist()
+    def batch_distance(self, seeds, observed_summary):
+        """The seeds' distances as (kernel, args), each arg with one entry
+        per seed; the kernel is looked up on every call."""
+        noise = np.array([self.noise(seed) for seed in seeds])
         return (kernels.ma2_distance_batch,
-                (gram, float(observed_summary[0]), float(observed_summary[1])))
+                (kernels.ma2_gram(noise),
+                 *(np.full(len(seeds), float(s)) for s in observed_summary)))
 
 
 class Ma2Summary:

@@ -13,7 +13,7 @@ simple weighted averages and zero-weight draws stay in the output.
 import numpy as np
 
 from .errors import DegenerateResult, UnsupportedDimension
-from .model import STREAM_SAMPLE, DistanceStack, derive_rng
+from .model import STREAM_SAMPLE, derive_rng
 from .regions import RegionStack
 
 GRID_CELLS_PER_AXIS = 200
@@ -86,14 +86,15 @@ def _grid_key(grid_step):
 class PosteriorApproximation:
     """Mixture-of-regions posterior built from accepted problems.
 
-    regions and distances are aligned lists, one entry per accepted
-    problem; problem_indices carries the original problem numbering.
+    regions is a list with one entry per accepted problem and distances
+    their DistanceStack; problem_indices carries the original problem
+    numbering.
     """
 
     def __init__(self, prior, eps, regions, distances, problem_indices=None):
         if len(regions) == 0:
             raise ValueError("at least one accepted region is required")
-        if len(regions) != len(distances):
+        if len(regions) != len(distances.distances):
             raise ValueError("regions and distances must align")
         if problem_indices is None:
             problem_indices = list(range(len(regions)))
@@ -102,7 +103,7 @@ class PosteriorApproximation:
         self.prior = prior
         self.eps = float(eps)
         self.regions = list(regions)
-        self.distances = list(distances)
+        self.distances = distances
         self.problem_indices = [int(i) for i in problem_indices]
         self.stack = RegionStack(self.regions)
         self._partition = {}
@@ -125,14 +126,14 @@ class PosteriorApproximation:
         if np.any(active):
             counts = np.zeros(int(active.sum()))
             subset = thetas[active]
-            for distance in self.distances:
+            for k, distance in enumerate(self.distances.distances):
                 if axes is not None and hasattr(distance, "evaluate_grid"):
                     values, bound = distance.evaluate_grid(axes)
                     values = values[active]
                     near = np.abs(values - self.eps) <= bound
                     values[near] = distance.evaluate_batch(subset[near])
                 else:
-                    values = distance.evaluate_batch(subset)
+                    values = self.distances(subset, k)
                 counts += values <= self.eps
             out[active] = pdf[active] * counts
         return out
@@ -260,13 +261,13 @@ def sample(posterior, n2, seed):
     index), so results do not depend on evaluation order.  Weights are
     indicator(distance <= eps) * prior(theta) * box volume, the box volume
     being 1 / proposal density; the k * n2 draws come from one RegionStack
-    and are evaluated in one DistanceStack call and one pdf_batch.
+    and are evaluated in one posterior.distances call and one pdf_batch.
     """
     k = posterior.n_regions
     thetas = posterior.stack.sample(n2, [derive_rng(seed, pi, STREAM_SAMPLE)
                                          for pi in posterior.problem_indices])
     owners = np.repeat(np.arange(k), n2)
-    dist = DistanceStack(posterior.distances)(thetas, owners)
+    dist = posterior.distances(thetas, owners)
     pdf = np.asarray(posterior.prior.pdf_batch(thetas), dtype=np.float64)
     weights = np.where(dist <= posterior.eps,
                        pdf * posterior.stack.volumes[owners], 0.0)

@@ -43,33 +43,34 @@ def autocov_summaries(series):
 def ma2_gram(noise):
     """Coefficients of the lag-1 and lag-2 summaries as quadratic forms.
 
-    Returns a (2, 6) array whose row k-1 holds (c0, c1, c2, c11, c12, c22)
-    with s_k = c0 + c1 t1 + c2 t2 + c11 t1^2 + c12 t1 t2 + c22 t2^2, equal
-    to autocov_summaries(ma2_series(t1, t2, noise))[k-1] up to rounding.
+    Returns a (2, 6, ...) array, ... the axes of a stack of noise vectors,
+    whose row k-1 holds (c0, c1, c2, c11, c12, c22) with s_k = c0 + c1 t1
+    + c2 t2 + c11 t1^2 + c12 t1 t2 + c22 t2^2, equal to
+    autocov_summaries(ma2_series(t1, t2, noise))[k-1] up to rounding.
     """
     w = np.asarray(noise, dtype=np.float64)
-    if w.shape[0] < 5:
+    if w.shape[-1] < 5:
         raise ValueError("noise must yield a series of at least 3 observations")
-    n = w.shape[0] - 2
+    n = w.shape[-1] - 2
     # row j is the series term multiplied by a_j
-    u = np.array([w[2:], w[1:-1], w[:-2]])
+    u = np.stack([w[..., 2:], w[..., 1:-1], w[..., :-2]])
     gram = []
     for k in (1, 2):
-        # pairwise summation, whose result does not depend on memory layout
-        m = np.sum(u[:, None, k:] * u[None, :, :n - k], axis=2).tolist()
-        coeffs = (m[0][0], m[0][1] + m[1][0], m[0][2] + m[2][0],
-                  m[1][1], m[1][2] + m[2][1], m[2][2])
-        gram.append([c / (n - k) for c in coeffs])
-    return np.array(gram)
+        # pairwise summation, whose result depends on neither memory
+        # layout nor the other vectors of a stack
+        m = np.sum(u[:, None, ..., k:] * u[None, :, ..., :n - k], axis=-1)
+        coeffs = (m[0, 0], m[0, 1] + m[1, 0], m[0, 2] + m[2, 0],
+                  m[1, 1], m[1, 2] + m[2, 1], m[2, 2])
+        gram.append(np.stack(coeffs) / (n - k))
+    return np.stack(gram)
 
 
 def _ma2_residual(coeffs, s_obs, t1, t2):
     """s_k - s_obs in Horner form.
 
-    t1, t2 are floats or equal-length arrays; the coefficients and s_obs
-    are floats shared by every row or arrays with one entry per row.  The
-    one expression serves all of them, so a row gives the same bits either
-    way.
+    t1, t2 are equal-length arrays; the coefficients and s_obs are shared
+    by every row or arrays with one entry per row.  The one expression
+    serves both, elementwise, so a row gives the same bits either way.
     """
     c0, c1, c2, c11, c12, c22 = coeffs
     return (c0 - s_obs) + t1 * (c1 + t1 * c11 + t2 * c12) + t2 * (c2 + t2 * c22)
@@ -78,25 +79,19 @@ def _ma2_residual(coeffs, s_obs, t1, t2):
 def ma2_distance_batch(thetas, gram, s1_obs, s2_obs):
     """Squared euclidean summary distance for a batch of MA(2) parameters.
 
-    thetas: (n, 2) array; gram: the ma2_gram of the seed's noise, as an
-    array or as nested lists of floats (plain floats make one-row calls
-    cheaper), or a (2, 6, n) array holding each row's own coefficients,
-    with s1_obs and s2_obs then (n,) arrays too.  Returns (n,) distances
-    against the observed summaries (s1_obs, s2_obs).  Each row is computed
+    thetas: (n, 2) array; gram: the (2, 6) ma2_gram of the seed's noise,
+    or a (2, 6, n) array holding each row's own coefficients, with s1_obs
+    and s2_obs then (n,) arrays too.  Returns (n,) distances against the
+    observed summaries (s1_obs, s2_obs).  Each row is computed
     elementwise, so its value depends neither on the batch it is part of
     nor on whether its coefficients are shared or its own.
     """
     th = np.asarray(thetas, dtype=np.float64)
+    t1, t2 = th[:, 0], th[:, 1]
     lag1, lag2 = gram
-    if th.shape[0] == 1:
-        # plain floats skip numpy's per-operation overhead on a single row
-        (t1, t2), = th.tolist()
-    else:
-        t1, t2 = th[:, 0], th[:, 1]
     r1 = _ma2_residual(lag1, s1_obs, t1, t2)
     r2 = _ma2_residual(lag2, s2_obs, t1, t2)
-    d = r1 * r1 + r2 * r2
-    return np.array([d]) if isinstance(d, float) else d
+    return r1 * r1 + r2 * r2
 
 
 def toy_location(theta):

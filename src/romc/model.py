@@ -1,5 +1,5 @@
 """Problem definition layer: priors, seeded simulators, summaries and the
-deterministic per-seed objectives that the optimizers and regions consume.
+deterministic per-seed distances that the optimizers and regions consume.
 
 Densities and distances are evaluated on batches of parameter rows: a
 prior is bounds, sample(rng) and pdf_batch(thetas), and a distance is
@@ -13,11 +13,11 @@ With the seed fixed the map theta -> distance(summary(output), observed
 summary) is an ordinary deterministic function; that is what
 DeterministicObjective represents and everything downstream optimizes,
 bounds and samples.  A Model checks and summarizes its observation once,
-when it is built.  Its optional batch_distance_factory(seed,
-observed_summary) is the one fast path: it draws the seed's noise once
-and returns (kernel, args), a vectorized distance kernel(thetas, *args)
-over (n, D) rows and the seed's coefficients.  Without it, every
-evaluation calls run(theta, seed), which draws the noise again.
+when it is built.  Its optional batch_distance_factory(seeds, observed
+summary), one call per stage, is the one fast path: it draws each seed's
+noise once and returns (kernel, args), a vectorized distance
+kernel(thetas, *args) over (n, D) rows, each arg with one entry per seed
+on its last axis.  Without it, run(theta, seed) draws the noise again.
 """
 
 from dataclasses import dataclass, field
@@ -205,35 +205,45 @@ class DeterministicObjective:
 
 
 def make_objective(model, seed, index):
-    """Build the deterministic objective for one nuisance seed."""
-    fast = ()
-    if model.batch_distance_factory is not None:
-        fast = model.batch_distance_factory(seed, model.observed_summary)
-    return DeterministicObjective(model, seed, index, *fast)
+    """Build the deterministic objective of one nuisance seed: the one-seed
+    case of DistanceStack.of_model."""
+    stack = DistanceStack.of_model(model, [seed], [index])
+    if stack.kernel is None:
+        return stack.distances[0]
+    return DeterministicObjective(model, seed, index, stack.kernel,
+                                  [arg[..., 0] for arg in stack.args])
 
 
 class DistanceStack:
     """Several distances, evaluated together.
 
-    A distance is any object with evaluate_batch(thetas) whose rows do not
-    depend on the batch.  stack(thetas, owners)[i] is row i of thetas under
-    distance owners[i], bit for bit its value alone.  When every distance
-    has the same elementwise kernel(thetas, *args), a call is one kernel
-    call, each of the args given a trailing axis of one entry per row.
-    Otherwise a call is one evaluate_batch per owner present.
+    stack(thetas, owners)[i] is row i of thetas under distance owners[i],
+    bit for bit its value alone; an int owner takes every row.  A list of
+    distances (objects with evaluate_batch(thetas) whose rows do not
+    depend on the batch) makes one evaluate_batch per owner present; a
+    stack from of_model, one kernel call, its distances being None.
     """
 
-    def __init__(self, distances):
+    def __init__(self, distances, kernel=None, args=()):
         self.distances = list(distances)
-        kernels = [getattr(d, "kernel", None) for d in self.distances]
-        self.kernel = kernels[0] if all(k is kernels[0] for k in kernels) else None
-        if self.kernel is not None:
-            self.args = [np.moveaxis(np.array(column), 0, -1)
-                         for column in zip(*(d.args for d in self.distances))]
+        self.kernel, self.args = kernel, args
+
+    @classmethod
+    def of_model(cls, model, seeds, indices):
+        """The distances of a model's seeds, seeds[k] being problem
+        indices[k]: one batch_distance_factory call, or, for a model
+        without one, a list of DeterministicObjective."""
+        if model.batch_distance_factory is None:
+            return cls(DeterministicObjective(model, seed, index)
+                       for seed, index in zip(seeds, indices))
+        return cls([None] * len(seeds), *model.batch_distance_factory(
+            seeds, model.observed_summary))
 
     def __call__(self, thetas, owners):
         if self.kernel is not None:
             return self.kernel(thetas, *[arg[..., owners] for arg in self.args])
+        if np.ndim(owners) == 0:
+            return self.distances[owners].evaluate_batch(thetas)
         owners = np.asarray(owners)
         out = np.empty(len(owners))
         for owner in np.unique(owners):

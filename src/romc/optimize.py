@@ -69,7 +69,7 @@ def _bfgs(func, x0, bounds, max_iters, gtol, step):
     for P independent runs in lockstep.
 
     func(thetas, runs) evaluates row i of thetas under the objective of
-    run runs[i] (a DistanceStack); x0 holds one start point per run.
+    run runs[i], as a DistanceStack does; x0 holds one start point per run.
     Each iteration moves the runs still active, each with its own step
     cap, backtracking and inverse-Hessian update, so every run takes
     exactly the steps it would take alone.  A run stops at its first exit:
@@ -169,28 +169,28 @@ def check_gradient_options(restarts, max_iters):
         raise ValueError("max_iters must be at least 1")
 
 
-def solve_gradients(objectives, prior, seeds, restarts=1, max_iters=200,
+def solve_gradients(stack, prior, seeds, restarts=1, max_iters=200,
                     step=1e-5):
-    """Minimize several objectives with BFGS from prior-drawn start points.
+    """Minimize a DistanceStack's distances with BFGS from prior draws.
 
-    Objective k runs `restarts` independent descents from start points
-    drawn with seeds[k] and keeps the lowest minimum (the first, on ties).
-    All descents of all objectives run in lockstep, and each gives the
-    same bits as it would alone, so a result does not depend on which
-    other objectives were solved with it.  Returns one entry per
-    objective: an OptimisationResult whose x_min lies inside the prior
-    bounds, f_min is the objective value there and hess_appr the inverse
-    of the kept run's symmetrized inverse-Hessian estimate (a singular
-    one raises LinAlgError), or None when every restart fails.
+    Distance k runs `restarts` independent descents from start points
+    drawn with seeds[k] and keeps the lowest minimum (the first, on ties);
+    run r evaluates distance r // restarts.  All descents of all distances
+    run in lockstep, and each gives the same bits as it would alone, so a
+    result does not depend on which other distances were solved with it.
+    Returns one entry per distance: an OptimisationResult whose x_min lies
+    inside the prior bounds, f_min is the distance there and hess_appr the
+    inverse of the kept run's symmetrized inverse-Hessian estimate (a
+    singular one raises LinAlgError), or None when every restart fails.
     """
     check_gradient_options(restarts, max_iters)
     starts = []
     for seed in seeds:
         rng = np.random.default_rng(seed)
         starts.extend(prior.sample(rng) for _ in range(restarts))
-    runs = DistanceStack(o for o in objectives for _ in range(restarts))
-    x, f, h_inv, _, iterations = _bfgs(runs, np.array(starts), prior.bounds,
-                                       max_iters, GTOL, step)
+    x, f, h_inv, _, iterations = _bfgs(
+        lambda thetas, runs: stack(thetas, runs // restarts),
+        np.array(starts), prior.bounds, max_iters, GTOL, step)
     # a failed run's NaN counts as inf, and argmin keeps the first minimum
     best = np.where(np.isfinite(f), f, np.inf).reshape(-1, restarts).argmin(1)
     best += restarts * np.arange(best.size)
@@ -209,8 +209,8 @@ def solve_gradient(objective, prior, restarts=1, max_iters=200, seed=0,
     """Minimize one objective with BFGS from `restarts` prior-drawn start
     points: solve_gradients for this objective alone, so the result (or
     None when every restart fails) is the one it gets in any batch."""
-    return solve_gradients([objective], prior, [seed], restarts=restarts,
-                           max_iters=max_iters, step=step)[0]
+    return solve_gradients(DistanceStack([objective]), prior, [seed],
+                           restarts, max_iters, step)[0]
 
 
 def _se_kernel(rows, train, variance):
@@ -500,20 +500,19 @@ def _acquire(inputs, values, rngs, lo, hi):
     return fitted, chosen
 
 
-def solve_bayesians(objectives, prior, seeds, budget=64, init_points=10):
-    """Minimize several objectives with expected-improvement Bayesian
-    optimization, in lockstep.
+def solve_bayesians(stack, prior, seeds, budget=64, init_points=10):
+    """Minimize the distances of a DistanceStack with expected-improvement
+    Bayesian optimization, in lockstep.
 
-    Each objective, a distance with evaluate_batch(thetas), spends `budget`
-    evaluations: a Latin-hypercube design of init_points, then per step
-    the candidate of highest expected improvement among N_CANDIDATES
-    uniform draws that is not already an input.  Objective k draws from
-    its own generator, seeded with seeds[k].  All problems have the same
-    number of inputs at each step, so a step's GP fits, and the final fit
-    over all evaluations, are one stack each, and a step's evaluations
-    one DistanceStack call; candidates are drawn and scored with
-    predict_batch one problem at a time.  So each problem gets the bits
-    it gets alone.  Returns one entry per objective:
+    Each distance spends `budget` evaluations: a Latin-hypercube design
+    of init_points, then per step the candidate of highest expected
+    improvement among N_CANDIDATES uniform draws that is not already an
+    input.  Distance k draws from its own generator, seeded with
+    seeds[k].  All problems have the same number of inputs at each step,
+    so a step's GP fits, and the final fit over all evaluations, are one
+    stack each, and a step's evaluations one stack call; candidates are
+    drawn and scored with predict_batch one problem at a time.  So each
+    problem gets the bits it gets alone.  Returns one entry per distance:
     (OptimisationResult, GaussianProcessSurrogate) where x_min is the best
     evaluated point and hess_appr the exact Hessian of the surrogate mean
     there, or None when a value is not finite or the surrogate fit fails.
@@ -522,7 +521,6 @@ def solve_bayesians(objectives, prior, seeds, budget=64, init_points=10):
     lo, hi = prior.bounds[:, 0], prior.bounds[:, 1]
     d = prior.dimension
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    stack = DistanceStack(objectives)
     inputs = np.empty((len(rngs), budget, d))
     values = np.empty((len(rngs), budget))
     inputs[:, :init_points] = [_latin_hypercube(rng, init_points, lo, hi)
@@ -560,7 +558,8 @@ def solve_bayesian(objective, prior, budget=64, init_points=10, seed=0):
     optimization: solve_bayesians for this objective alone, so the result,
     (OptimisationResult, GaussianProcessSurrogate) or None, is the one it
     gets in any batch."""
-    return solve_bayesians([objective], prior, [seed], budget, init_points)[0]
+    return solve_bayesians(DistanceStack([objective]), prior, [seed], budget,
+                           init_points)[0]
 
 
 def compute_eps(values, quantile):

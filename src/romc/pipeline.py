@@ -3,8 +3,9 @@
 solve_problems draws one nuisance seed per problem and minimizes every
 deterministic objective; estimate_regions picks the acceptance threshold,
 builds a bounding box per accepted problem and optionally fits local
-quadratic models.  The resulting InferenceBundle knows how to hand out the
-per-problem distance, the posterior approximation and weighted samples.
+quadratic models.  The resulting InferenceBundle builds the posterior
+approximation, on one stack of the accepted problems' distances, and
+draws weighted samples from it.
 
 Both stages run through one runner, _run_in_chunks, which hands each
 worker one contiguous chunk of problems: the gradient solve, Bayesian
@@ -74,22 +75,24 @@ class ProblemRecord:
 
 def _solve_chunk_task(payload):
     """Solves of a run of problems: one lockstep gradient descent or
-    Bayesian optimization over all of them, else the custom solver on one
-    problem at a time."""
+    Bayesian optimization over the DistanceStack of all of them, else the
+    custom solver on one problem's objective at a time."""
     (model, master_seed, options, solver), items = payload
-    objectives = [make_objective(model, seed, index) for index, seed in items]
-    streams = [[master_seed, index, STREAM_SOLVE] for index, _ in items]
+    indices, seeds = zip(*items)
+    streams = [[master_seed, index, STREAM_SOLVE] for index in indices]
     if solver is not None:
-        outputs = [solver(objective, model.prior, stream)
-                   for objective, stream in zip(objectives, streams)]
+        outputs = [solver(make_objective(model, seed, i), model.prior, stream)
+                   for i, seed, stream in zip(indices, seeds, streams)]
     elif options["use_bo"]:
         outputs = solve_bayesians(
-            objectives, model.prior, streams, budget=options["budget"],
+            DistanceStack.of_model(model, seeds, indices), model.prior,
+            streams, budget=options["budget"],
             init_points=options["init_points"],
         )
     else:
         outputs = solve_gradients(
-            objectives, model.prior, streams, restarts=options["restarts"],
+            DistanceStack.of_model(model, seeds, indices), model.prior,
+            streams, restarts=options["restarts"],
             max_iters=options["max_iters"], step=options["gradient_step"],
         )
     return [out if isinstance(out, tuple) else (out, None) for out in outputs]
@@ -219,28 +222,30 @@ def _region_chunk_task(payload):
     """Regions of a run of accepted problems, then, when fit is given, each
     region's quadratic fit.  Without a custom region_builder, the chunk's
     curvatures are chosen on one stack, its boxes come from one lockstep
-    walk and are checked together; with one, it builds one region at a
-    time."""
+    walk over its GP means or its seeds' DistanceStack and are checked
+    together; with one, it builds one region at a time."""
     (model, master_seed, eps, settings, region_builder, fit), items = payload
-    objectives, distances, results = [], [], []
-    for index, seed, result, gp in items:
-        objectives.append(make_objective(model, seed, index))
-        distances.append(gp if gp is not None else objectives[-1])
-        results.append(result)
+    indices, seeds, results, gps = zip(*items)
+    if region_builder is not None or fit is not None:
+        distances = [gp if gp is not None else make_objective(model, seed, index)
+                     for index, seed, _, gp in items]
     if region_builder is not None:
         boxes = [region_builder(distance, result, eps, settings)
                  for distance, result in zip(distances, results)]
         sources = ["custom"] * len(boxes)
     else:
-        curvatures, sources = choose_curvatures(results, objectives)
-        boxes = build_boxes(DistanceStack(distances), results, curvatures,
-                            eps, settings)
+        # every item carries its GP when the regions run on the surrogates
+        stack = (DistanceStack(gps) if gps[0] is not None
+                 else DistanceStack.of_model(model, seeds, indices))
+        curvatures, sources = choose_curvatures(
+            results, lambda k: make_objective(model, seeds[k], indices[k]))
+        boxes = build_boxes(stack, results, curvatures, eps, settings)
     quadratics = [None] * len(boxes)
     if fit is not None:
         n_train, fitter = fit
         quadratics = [fitter(distance, box, n_train=n_train,
-                             seed=[master_seed, item[0], STREAM_FIT])
-                      for item, distance, box in zip(items, distances, boxes)]
+                             seed=[master_seed, index, STREAM_FIT])
+                      for index, distance, box in zip(indices, distances, boxes)]
     return list(zip(boxes, sources, quadratics))
 
 
@@ -262,8 +267,8 @@ class InferenceBundle:
     """Trained state: accepted problems, their regions and distances.
 
     use_surrogate records whether inference runs on the Gaussian-process
-    means (True) or the real objectives (False); quadratic fits, when
-    present, take precedence over both.
+    means (True) or the real objectives (False); under fit_models, every
+    entry has a quadratic fit, which takes precedence over both.
     """
 
     model: Model
@@ -276,46 +281,31 @@ class InferenceBundle:
     entries: list
     region_failures: dict = field(default_factory=dict)
     region_seconds: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self._objectives = {}
+    _posterior: object = field(default=None, init=False, repr=False,
+                               compare=False)
 
     @property
     def accepted(self):
         return [entry.index for entry in self.entries]
 
-    def entry(self, index):
-        for candidate in self.entries:
-            if candidate.index == index:
-                return candidate
-        raise KeyError(f"problem {index} has no region")
-
-    def objective(self, index):
-        """Deterministic objective of one accepted problem (cached)."""
-        if index not in self._objectives:
-            entry = self.entry(index)
-            self._objectives[index] = make_objective(
-                self.model, entry.seed, index
-            )
-        return self._objectives[index]
-
-    def distance(self, entry):
-        """Distance inference uses for one entry: its fitted quadratic, else
-        its GP mean when use_surrogate is on, else the real objective."""
-        if entry.quadratic is not None:
-            return entry.quadratic
-        if self.use_surrogate:
-            return entry.gp
-        return self.objective(entry.index)
-
     def posterior(self):
-        return PosteriorApproximation(
-            prior=self.model.prior,
-            eps=self.eps,
-            regions=[entry.region for entry in self.entries],
-            distances=[self.distance(entry) for entry in self.entries],
-            problem_indices=self.accepted,
-        )
+        """The posterior approximation over the entries, built once.  Its
+        distances are the fitted quadratics under fit_models, else the GP
+        means under use_surrogate, else one DistanceStack of the accepted
+        seeds."""
+        if self._posterior is None:
+            entries = self.entries
+            if self.fit_models:
+                distances = DistanceStack(e.quadratic for e in entries)
+            elif self.use_surrogate:
+                distances = DistanceStack(e.gp for e in entries)
+            else:
+                distances = DistanceStack.of_model(
+                    self.model, [e.seed for e in entries], self.accepted)
+            self._posterior = PosteriorApproximation(
+                self.model.prior, self.eps, [e.region for e in entries],
+                distances, self.accepted)
+        return self._posterior
 
     def sample(self, n2, seed):
         return sample_posterior(self.posterior(), n2, seed)

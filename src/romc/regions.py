@@ -73,15 +73,15 @@ def jacobian_curvature(objective, theta, step=1e-5):
     return jac.T @ jac
 
 
-def choose_curvatures(results, objectives=None):
+def choose_curvatures(results, objective_of=lambda k: None):
     """Pick the curvature matrix at each of k minimizers, with fallbacks.
 
     Row k keeps its optimizer's hess_appr when that is positive
     semidefinite, decided for every row by one eigvalsh over the stack.
     Only the other rows fall back, one at a time: to J^T J of the
-    summaries of objectives[k] when it is given (objectives may be None
-    or hold None), else to the identity.  Returns the (k, D, D) matrices
-    and a list of sources, each "hess_appr", "jacobian" or "identity".
+    summaries of objective_of(k), asked for no other row, unless it is
+    None, else to the identity.  Returns the (k, D, D) matrices and a
+    list of sources, each "hess_appr", "jacobian" or "identity".
     """
     hess = np.stack([result.hess_appr for result in results])
     eigvals = np.linalg.eigvalsh((hess + hess.transpose(0, 2, 1)) / 2.0)
@@ -91,16 +91,16 @@ def choose_curvatures(results, objectives=None):
     sources = ["hess_appr"] * len(results)
     for k in np.flatnonzero(~psd):
         hess[k], sources[k] = np.eye(hess.shape[1]), "identity"
-        if objectives is not None and objectives[k] is not None:
+        if (objective := objective_of(k)) is not None:
             with contextlib.suppress(NumericalFailure):
                 hess[k], sources[k] = jacobian_curvature(
-                    objectives[k], results[k].x_min), "jacobian"
+                    objective, results[k].x_min), "jacobian"
     return hess, sources
 
 
 def choose_curvature(result, objective=None):
     """choose_curvatures for one minimizer: (matrix, source)."""
-    matrices, sources = choose_curvatures([result], [objective])
+    matrices, sources = choose_curvatures([result], lambda k: objective)
     return matrices[0], sources[0]
 
 

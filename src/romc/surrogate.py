@@ -3,9 +3,9 @@
 After regions exist, each distance can be replaced by a quadratic fitted
 on points drawn inside its bounding box, which makes posterior evaluation
 and weighting orders of magnitude cheaper for expensive simulators.
-InferenceBundle.distance picks, per problem, which stand-in inference
-uses: fitted quadratic first, then Gaussian-process mean, then the true
-objective.
+InferenceBundle.posterior picks the one kind inference uses for every
+problem: fitted quadratics first, then Gaussian-process means, then the
+true objectives.
 """
 
 import logging

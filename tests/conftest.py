@@ -5,6 +5,8 @@ terminal-summary hook below reprints them at the end of the run so the
 pass/fail verdicts are visible even when pytest captures stdout.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -68,3 +70,22 @@ class CountingDistance(BatchDistance):
     def __call__(self, theta):
         self.calls += 1
         return super().__call__(theta)
+
+
+def raising_for_seed(model, bad_seed):
+    """A copy of model whose batch distance factory gives a kernel that
+    raises on any row under the distance of bad_seed."""
+    factory = model.batch_distance_factory
+
+    def batch_distance(seeds, observed_summary):
+        kernel, args = factory(seeds, observed_summary)
+
+        def raising(thetas, *row_args):
+            *row_args, row_seeds = row_args
+            if np.any(row_seeds == bad_seed):
+                raise RuntimeError("simulator crashed")
+            return kernel(thetas, *row_args)
+
+        return raising, (*args, np.array(seeds))
+
+    return replace(model, batch_distance_factory=batch_distance)

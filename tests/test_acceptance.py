@@ -252,13 +252,13 @@ def _check_weight_suite():
     posterior = bundle.posterior()
     result = bundle.sample(20, seed=3)
 
-    by_index = dict(zip(posterior.problem_indices,
-                        zip(posterior.regions, posterior.distances)))
+    owner = {index: k for k, index in enumerate(posterior.problem_indices)}
     for j in range(result.n_samples):
         theta = result.thetas[j]
-        region, distance = by_index[int(result.problem_indices[j])]
+        k = owner[int(result.problem_indices[j])]
+        region = posterior.regions[k]
         expected = 0.0
-        if distance(theta) <= posterior.eps:
+        if posterior.distances(theta[None, :], k)[0] <= posterior.eps:
             expected = posterior.prior.pdf_batch(theta[None, :])[0] * region.volume
         assert result.weights[j] == pytest.approx(expected, rel=1e-12)
 

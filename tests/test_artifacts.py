@@ -442,6 +442,21 @@ class TestLoadValidation:
         with pytest.raises(ValueError, match="unique and increasing"):
             artifacts.load_regions(regions)
 
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda p: p["regions"][1].pop("quadratic"),
+         "has no quadratic, but fit_models is on"),
+        (lambda p: p.update(fit_models=False),
+         "has a quadratic, but fit_models is off"),
+    ], ids=["missing", "unexpected"])
+    def test_fit_models_must_match_the_quadratics(self, bundle, regions, edit,
+                                                  problem):
+        # inference runs every region on its quadratic under fit_models and
+        # on none otherwise, so a mismatch would mix distances silently
+        index = bundle.entries[1 if "no quadratic" in problem else 0].index
+        _tamper(regions, edit)
+        with pytest.raises(ValueError, match=f"region {index} {problem}"):
+            artifacts.load_regions(regions)
+
     def test_surrogate_region_must_have_a_gp(self, bo_solve_output, tmp_path):
         # without its GP, inference would quietly run the simulator instead
         path = tmp_path / "regions.json"

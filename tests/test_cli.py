@@ -102,7 +102,8 @@ class TestPipeline:
         assert (f"curvature sources: hess_appr {len(solved) - 1}, "
                 "jacobian 1, identity 0\n") in out
         bundle = artifacts.load_regions(tmp_path / "regions.json")
-        assert bundle.entry(solved[0]["index"]).curvature_source == "jacobian"
+        sources = {e.index: e.curvature_source for e in bundle.entries}
+        assert sources[solved[0]["index"]] == "jacobian"
 
     def test_posterior_evaluates_grid_once(self, pipeline_dir, tmp_path,
                                            monkeypatch, capsys):

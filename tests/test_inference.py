@@ -20,7 +20,7 @@ from romc import (
     solve_problems,
 )
 from romc.inference import PosteriorApproximation, grid_axes, sample
-from romc.model import BoxUniformPrior
+from romc.model import BoxUniformPrior, DistanceStack, make_objective
 from romc.optimize import GaussianProcessSurrogate
 
 
@@ -96,7 +96,7 @@ def two_bump_posterior(eps=0.04):
         distances.append(BatchDistance(
             lambda t, c=center: float((np.asarray(t).ravel()[0] - c) ** 2)
         ))
-    return PosteriorApproximation(prior, eps, regions, distances,
+    return PosteriorApproximation(prior, eps, regions, DistanceStack(distances),
                                   problem_indices=[4, 9])
 
 
@@ -175,20 +175,20 @@ class TestPosteriorApproximation:
         prior = BoxUniformPrior([[-1.0, 1.0]])
         box = BoundingBox(np.eye(1), np.zeros(1), np.array([[-0.5, 0.5]]))
         with pytest.raises(ValueError):
-            PosteriorApproximation(prior, 0.1, [], [])
+            PosteriorApproximation(prior, 0.1, [], DistanceStack([]))
         with pytest.raises(ValueError):
-            PosteriorApproximation(prior, 0.1, [box], [])
+            PosteriorApproximation(prior, 0.1, [box], DistanceStack([]))
         with pytest.raises(ValueError):
             PosteriorApproximation(prior, 0.1, [box],
-                                   [BatchDistance(lambda t: 0.0)],
+                                   DistanceStack([BatchDistance(lambda t: 0.0)]),
                                    problem_indices=[1, 2])
 
 
 def row_loop_unnorm(posterior, points):
     """The prior density times a count of evaluate_batch indicators, one
     distance at a time, at every row."""
-    counts = sum(distance.evaluate_batch(points) <= posterior.eps
-                 for distance in posterior.distances)
+    counts = sum(posterior.distances(points, k) <= posterior.eps
+                 for k in range(posterior.n_regions))
     return posterior.prior.pdf_batch(points) * counts
 
 
@@ -204,11 +204,13 @@ def mixed_posterior(ma2_bo_posterior):
     """GP means of a BO run next to the kernel objectives of a gradient run."""
     gradient = estimate_regions(
         solve_problems(build_model("ma2"), n1=20, seed=5, restarts=2),
-        quantile=0.97).posterior()
+        quantile=0.97)
     return PosteriorApproximation(
         ma2_bo_posterior.prior, 0.05,
-        ma2_bo_posterior.regions[:10] + gradient.regions,
-        ma2_bo_posterior.distances[:10] + gradient.distances)
+        ma2_bo_posterior.regions[:10] + [e.region for e in gradient.entries],
+        DistanceStack(ma2_bo_posterior.distances.distances[:10] + [
+            make_objective(gradient.model, e.seed, e.index)
+            for e in gradient.entries]))
 
 
 @pytest.fixture(scope="module")
@@ -226,7 +228,7 @@ class TestProductGrid:
     def test_unnorm_equals_row_loop(self, request, name):
         posterior = request.getfixturevalue(name)
         assert any(isinstance(d, GaussianProcessSurrogate)
-                   for d in posterior.distances)
+                   for d in posterior.distances.distances)
         points, unnorm, mass = posterior.grid()
         expected = row_loop_unnorm(posterior, points)
         np.testing.assert_array_equal(unnorm, expected)
@@ -234,8 +236,8 @@ class TestProductGrid:
 
     def test_mixed_posterior_counts_both_kinds(self, mixed_posterior):
         points, _ = midpoint_grid(mixed_posterior.prior.bounds)
-        for distances in (mixed_posterior.distances[:10],
-                          mixed_posterior.distances[10:]):
+        for distances in (mixed_posterior.distances.distances[:10],
+                          mixed_posterior.distances.distances[10:]):
             assert sum(np.sum(d.evaluate_batch(points) <= 0.05)
                        for d in distances) > 0
 
@@ -269,7 +271,8 @@ class TestProductGrid:
         # eps at the batch mean, only the batch value counts it
         cell = int(np.flatnonzero(product > batch)[0])
         box = BoundingBox(np.eye(2), np.zeros(2), np.array([[-1.0, 1.0]] * 2))
-        posterior = PosteriorApproximation(prior, batch[cell], [box], [gp])
+        posterior = PosteriorApproximation(prior, batch[cell], [box],
+                                           DistanceStack([gp]))
         evaluated = []
 
         def spying(thetas):
@@ -290,7 +293,8 @@ class TestSample:
         posterior = two_bump_posterior()
         result = sample(posterior, 100, seed=11)
         by_index = dict(zip(posterior.problem_indices,
-                            zip(posterior.regions, posterior.distances)))
+                            zip(posterior.regions,
+                                posterior.distances.distances)))
         for j in range(result.n_samples):
             theta = result.thetas[j]
             region, distance = by_index[int(result.problem_indices[j])]
@@ -317,7 +321,7 @@ class TestSample:
         flipped = PosteriorApproximation(
             posterior.prior, posterior.eps,
             list(reversed(posterior.regions)),
-            list(reversed(posterior.distances)),
+            DistanceStack(reversed(posterior.distances.distances)),
             problem_indices=list(reversed(posterior.problem_indices)),
         )
         other = sample(flipped, 50, seed=7)

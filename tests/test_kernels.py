@@ -72,14 +72,18 @@ def test_single_row_is_bitwise_equal_to_its_row_in_a_batch():
         rng.uniform(-2.0, 2.0, 4096), rng.uniform(-3.0, 3.0, 4096),
     ])
     batch = kernels.ma2_distance_batch(thetas, gram, 0.3, -0.2)
-    # the batch factory hands the kernel plain floats
-    as_floats = gram.tolist()
     single = np.concatenate([
-        kernels.ma2_distance_batch(thetas[j:j + 1], as_floats, 0.3, -0.2)
+        kernels.ma2_distance_batch(thetas[j:j + 1], gram, 0.3, -0.2)
         for j in range(thetas.shape[0])
     ])
     assert single.shape == batch.shape
     np.testing.assert_array_equal(single.view(np.uint64), batch.view(np.uint64))
+    # each row with its own copy of the coefficients, as a stack hands them
+    n = len(thetas)
+    own = kernels.ma2_distance_batch(
+        thetas, np.repeat(gram[..., None], n, axis=-1), np.full(n, 0.3),
+        np.full(n, -0.2))
+    np.testing.assert_array_equal(own.view(np.uint64), batch.view(np.uint64))
 
 
 def test_ma2_distance_batch_rejects_short_noise():

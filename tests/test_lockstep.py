@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import BatchDistance
+from conftest import BatchDistance, raising_for_seed
 from reference_bfgs import reference_bfgs, reference_gradient
 
 import romc.optimize
@@ -396,22 +396,11 @@ class TestChunking:
 
     @pytest.mark.parametrize("options", [
         pytest.param({}, id="gradient"), pytest.param(BO, id="bo")])
-    def test_raising_objective_fails_only_its_problem(self, monkeypatch,
-                                                      options):
+    def test_raising_objective_fails_only_its_problem(self, options):
         model = make_toy_model()
         clean = solve_problems(model, n1=6, seed=2, **options)
-        build = romc.pipeline.make_objective
-
-        def broken(theta):
-            raise RuntimeError("simulator crashed")
-
-        def make(model, seed, index):
-            if index == 3:
-                return BatchDistance(broken)
-            return build(model, seed, index)
-
-        monkeypatch.setattr(romc.pipeline, "make_objective", make)
-        out = solve_problems(model, n1=6, seed=2, **options)
+        broken = raising_for_seed(model, clean.records[3].seed)
+        out = solve_problems(broken, n1=6, seed=2, **options)
         assert "simulator crashed" in out.records[3].error
         assert out.records[3].result is None
         for a, b in zip(out.records, clean.records):

@@ -21,6 +21,7 @@ from romc import make_ma2_model, make_toy_model, solve_problems
 from romc.model import (
     STREAM_SOLVE,
     BoxUniformPrior,
+    DistanceStack,
     draw_nuisance_seeds,
     make_objective,
 )
@@ -60,7 +61,8 @@ def check_against_reference(make_objectives, prior, seeds, **options):
     """Solve fresh objectives in lockstep and others alone with the
     reference, and check every problem bit for bit; returns the lockstep
     entries."""
-    out = solve_bayesians(make_objectives(), prior, seeds, **options)
+    out = solve_bayesians(DistanceStack(make_objectives()), prior, seeds,
+                          **options)
     for a, b in zip(out, _reference(make_objectives(), prior, seeds,
                                     **options)):
         _same(a, b)
@@ -140,7 +142,9 @@ class TestAgainstReference:
     def test_ma2_30_problems(self, request, master_seed):
         model = make_ma2_model()
         objectives, seeds = _problems(model, 30, master_seed)
-        out = solve_bayesians(objectives, model.prior, seeds)
+        out = solve_bayesians(
+            DistanceStack.of_model(model, draw_nuisance_seeds(30, master_seed),
+                                   range(30)), model.prior, seeds)
         if master_seed == 21:
             ref = request.getfixturevalue("ma2_reference")
         else:

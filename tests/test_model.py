@@ -1,5 +1,6 @@
 """Priors, seed derivation and the deterministic per-seed objectives."""
 
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -173,14 +174,16 @@ class TestDeterministicObjective:
 
 
 class TestObjectiveStack:
-    """A DistanceStack of objectives, as the gradient solve builds it."""
+    """A model's DistanceStack, as every stage builds it: one factory call
+    for all seeds."""
 
     @pytest.mark.parametrize("make_model", [make_toy_model, make_ma2_model])
     def test_rows_equal_each_objective_alone_bitwise(self, make_model):
         model = make_model()
+        seeds = draw_nuisance_seeds(40, 3)
         objectives = [make_objective(model, seed, i)
-                      for i, seed in enumerate(draw_nuisance_seeds(40, 3))]
-        stack = DistanceStack(objectives)
+                      for i, seed in enumerate(seeds)]
+        stack = DistanceStack.of_model(model, seeds, range(40))
         assert stack.kernel is not None
         rng = np.random.default_rng(5)
         runs = rng.integers(0, 40, size=300)
@@ -191,6 +194,11 @@ class TestObjectiveStack:
         for j in (0, 7):
             one = stack(thetas[j:j + 1], runs[j:j + 1])
             assert one.shape == (1,) and one[0] == alone[j]
+        # an int owner evaluates every row under that one distance
+        one_owner = stack(thetas, 7)
+        np.testing.assert_array_equal(
+            one_owner.view(np.uint64),
+            objectives[7].evaluate_batch(thetas).view(np.uint64))
 
     def test_objectives_without_a_stackable_kernel_go_one_call_per_owner(
             self, toy_model):
@@ -210,10 +218,18 @@ class TestObjectiveStack:
         np.testing.assert_array_equal(got, [2.0, 1.5, 6.0])
         # owners absent from the rows are not called
         assert calls == [(1.0, 1), (2.0, 2)]
-        # one objective with a kernel among other distances also goes
-        # owner by owner
-        mixed = DistanceStack([make_objective(toy_model, 4, 0), Scaled(1.0)])
-        assert mixed.kernel is None
+        # a list of objectives goes owner by owner even when they share a
+        # kernel, and so does a model without a factory
+        listed = DistanceStack([make_objective(toy_model, 4, 0)] * 2)
+        bare = replace(toy_model, batch_distance_factory=None)
+        assert listed.kernel is None
+        stack = DistanceStack.of_model(bare, [4, 9], [0, 5])
+        assert stack.kernel is None
+        assert [(o.seed, o.index) for o in stack.distances] == [(4, 0), (9, 5)]
+        thetas = np.array([[0.3], [1.2], [-0.4]])
+        np.testing.assert_array_equal(
+            stack(thetas, [1, 0, 1]),
+            DistanceStack.of_model(toy_model, [4, 9], [0, 5])(thetas, [1, 0, 1]))
 
 
 class _ShiftSimulator:
@@ -233,10 +249,9 @@ def _shift_kernel(thetas, c1, c2):
     return (thetas[:, 0] + c1) ** 2 + (thetas[:, 1] + c2) ** 2
 
 
-def _shift_distance(seed, observed_summary):
-    u = _ShiftSimulator.noise(seed)
-    return _shift_kernel, (float(u[0] - observed_summary[0]),
-                           float(u[1] - observed_summary[1]))
+def _shift_distance(seeds, observed_summary):
+    u = np.array([_ShiftSimulator.noise(seed) for seed in seeds])
+    return _shift_kernel, tuple(u.T - observed_summary[:, None])
 
 
 def _shift_model():
@@ -249,9 +264,10 @@ def _shift_model():
 def _shift_objectives(n, kernel_of, make=DeterministicObjective):
     """n objectives of the shift model, objective i with kernel_of(i)."""
     model = _shift_model()
-    return [make(model, seed, i, kernel_of(i),
-                 _shift_distance(seed, model.observed_summary)[1])
-            for i, seed in enumerate(draw_nuisance_seeds(n, 2))]
+    seeds = draw_nuisance_seeds(n, 2)
+    _, args = _shift_distance(seeds, model.observed_summary)
+    return [make(model, seed, i, kernel_of(i), [arg[i] for arg in args])
+            for i, seed in enumerate(seeds)]
 
 
 class _CountingObjective(DeterministicObjective):
@@ -264,23 +280,55 @@ class _CountingObjective(DeterministicObjective):
         return super().evaluate_batch(thetas)
 
 
-class TestKernelProtocol:
-    """batch_distance_factory returns (kernel, args); objectives that share
-    the kernel object stack into one kernel call."""
+@pytest.mark.parametrize("make_model", [
+    make_toy_model, _shift_model,
+    *(partial(make_ma2_model, n_obs) for n_obs in (3, 100, 257, 1000))])
+def test_many_seed_factory_equals_one_seed_factory_bitwise(make_model):
+    model = make_model()
+    factory = model.batch_distance_factory
+    seeds = draw_nuisance_seeds(200, 21)
+    kernel, args = factory(seeds, model.observed_summary)
+    for k in (0, 1, 57, 199):
+        one_kernel, one_args = factory([seeds[k]], model.observed_summary)
+        assert one_kernel is kernel and len(one_args) == len(args)
+        for arg, one in zip(args, one_args):
+            assert arg.shape[-1] == len(seeds) and one.shape[-1] == 1
+            np.testing.assert_array_equal(_bits(arg[..., k]),
+                                          _bits(one[..., 0]))
+    if model.name == "ma2":
+        # and the stacked Gram equals the Gram of one seed's noise vector
+        noise = model.simulator.noise(seeds[57])
+        np.testing.assert_array_equal(_bits(args[0][..., 57]),
+                                      _bits(romc.kernels.ma2_gram(noise)))
 
-    def test_shared_kernel_is_one_call_per_stack_call(self):
+
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestKernelProtocol:
+    """batch_distance_factory returns (kernel, args) for many seeds; their
+    DistanceStack evaluates rows of any of them in one kernel call."""
+
+    def test_shared_kernel_is_one_call_per_stack_call(self, monkeypatch):
         calls = []
 
         def kernel(thetas, c1, c2):
             calls.append(len(thetas))
             return _shift_kernel(thetas, c1, c2)
 
-        stack = DistanceStack(_shift_objectives(6, lambda i: kernel))
+        model = _shift_model()
+        monkeypatch.setattr(model, "batch_distance_factory",
+                            lambda seeds, observed: (
+                                kernel, _shift_distance(seeds, observed)[1]))
+        stack = DistanceStack.of_model(model, draw_nuisance_seeds(6, 2),
+                                       range(6))
         assert stack.kernel is kernel
         thetas = np.random.default_rng(1).uniform(-2.0, 2.0, size=(9, 2))
         stack(thetas, [0, 1, 2, 3, 4, 5, 0, 1, 5])
         stack(thetas[:4], [3, 3, 2, 2])
-        assert calls == [9, 4]
+        stack(thetas, 4)
+        assert calls == [9, 4, 9]
 
     def test_two_kernels_are_one_call_per_owner(self):
         def other(thetas, c1, c2):
@@ -306,9 +354,10 @@ class TestKernelProtocol:
         bundle = estimate_regions(solve, quantile=0.9)
         result = bundle.sample(5, seed=4)
         assert result.n_samples == 5 * len(bundle.entries)
-        objectives = [bundle.objective(e.index) for e in bundle.entries]
-        stack = DistanceStack(objectives)
+        stack = bundle.posterior().distances
         assert stack.kernel is _shift_kernel
+        objectives = [make_objective(model, e.seed, e.index)
+                      for e in bundle.entries]
         owners = np.repeat(np.arange(len(objectives)), 5)
         got = stack(result.thetas, owners)
         alone = np.concatenate([
@@ -330,12 +379,15 @@ class TestKernelProtocol:
             return kernel(thetas, *args)
 
         monkeypatch.setattr(romc.kernels, name, spy)
+        seeds = draw_nuisance_seeds(3, 6)
         objectives = [make_objective(model, seed, i)
-                      for i, seed in enumerate(draw_nuisance_seeds(3, 6))]
+                      for i, seed in enumerate(seeds)]
         assert all(o.kernel is spy for o in objectives)
+        stack = DistanceStack.of_model(model, seeds, range(3))
+        assert stack.kernel is spy
         thetas = np.array([model.prior.sample(np.random.default_rng(2))] * 4)
         objectives[0].evaluate(thetas[0])
-        DistanceStack(objectives)(thetas, [0, 1, 2, 1])
+        stack(thetas, [0, 1, 2, 1])
         assert calls == [1, 4]
 
 

@@ -5,9 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import romc.kernels
 import romc.parallel
 import romc.pipeline
-from conftest import BatchDistance
+from conftest import raising_for_seed
 from romc import (
     DegenerateResult,
     OptimisationResult,
@@ -17,7 +18,14 @@ from romc import (
     make_toy_model,
     solve_problems,
 )
-from romc.model import STREAM_SAMPLE, Prior, derive_rng, draw_nuisance_seeds
+from romc.model import (
+    STREAM_SAMPLE,
+    DeterministicObjective,
+    Prior,
+    derive_rng,
+    draw_nuisance_seeds,
+    make_objective,
+)
 from romc.regions import RegionSettings, RegionStack, build_box
 from romc.surrogate import fit_quadratic
 
@@ -245,17 +253,22 @@ class TestEstimateRegions:
                              budget=16, init_points=4)
         bundle = estimate_regions(out, quantile=1.0)
         assert bundle.use_surrogate
-        for entry in bundle.entries:
-            assert bundle.distance(entry) is entry.gp
-        bundle.posterior()
-        assert bundle._objectives == {}  # no objective built that goes unused
+        stack = bundle.posterior().distances
+        assert stack.kernel is None
+        assert all(d is e.gp for d, e in zip(stack.distances, bundle.entries,
+                                              strict=True))
 
     def test_surrogate_opt_out(self):
         out = solve_problems(make_toy_model(), n1=4, seed=5, use_bo=True,
                              budget=16, init_points=4)
         bundle = estimate_regions(out, quantile=1.0, use_surrogate=False)
-        for entry in bundle.entries:
-            assert bundle.distance(entry) is bundle.objective(entry.index)
+        stack = bundle.posterior().distances
+        assert stack.kernel is romc.kernels.toy_distance_batch
+        thetas = np.linspace(-2.0, 2.0, 9)[:, None]
+        for k, entry in enumerate(bundle.entries):
+            objective = make_objective(bundle.model, entry.seed, entry.index)
+            np.testing.assert_array_equal(_bits(stack(thetas, k)),
+                                          _bits(objective.evaluate_batch(thetas)))
 
     def test_fit_models_attaches_quadratics(self, toy_solve):
         bundle = estimate_regions(toy_solve, quantile=0.8, fit_models=True)
@@ -263,8 +276,9 @@ class TestEstimateRegions:
         for entry in bundle.entries:
             assert entry.quadratic is not None
         assert sorted(bundle.region_seconds) == bundle.accepted
-        for entry in bundle.entries:
-            assert bundle.distance(entry) is entry.quadratic
+        stack = bundle.posterior().distances
+        assert all(d is e.quadratic for d, e in zip(
+            stack.distances, bundle.entries, strict=True))
 
     def test_region_builder_hook(self, toy_solve):
         bundle = estimate_regions(toy_solve, quantile=0.8,
@@ -292,7 +306,7 @@ class TestEstimateRegions:
         for entry in bundle.entries:
             assert entry.quadratic is not None
             assert (entry.quadratic.to_record()
-                    == clean.entry(entry.index).quadratic.to_record())
+                    == _entry(clean, entry.index).quadratic.to_record())
         artifacts.write_region_telemetry(tmp_path / "telemetry.csv", bundle)
         rows = (tmp_path / "telemetry.csv").read_text().splitlines()
         assert [row for row in rows if row.startswith("3,")][0].startswith(
@@ -314,30 +328,32 @@ class TestInferenceBundle:
     def bundle(self, toy_bundle):
         return toy_bundle
 
-    def test_entry_lookup(self, bundle):
-        index = bundle.accepted[0]
-        assert bundle.entry(index).index == index
-        with pytest.raises(KeyError):
-            bundle.entry(10_000)
-
-    def test_objective_cached(self, bundle):
-        index = bundle.accepted[0]
-        assert bundle.objective(index) is bundle.objective(index)
+    def test_posterior_cached(self, bundle):
+        assert bundle.posterior() is bundle.posterior()
 
     def test_distance_precedence(self, bundle):
-        # fitted quadratic, then GP mean under use_surrogate, then objective
-        entry = bundle.entries[0]
-        gp, quadratic = object(), object()
-        with_gp = replace(entry, gp=gp)
-        with_both = replace(entry, gp=gp, quadratic=quadratic)
-        assert not bundle.use_surrogate
-        assert bundle.distance(with_gp) is bundle.objective(entry.index)
-        assert bundle.distance(with_both) is quadratic
-        # under use_surrogate every entry has a GP: estimate_regions and
-        # load_regions refuse one without, so none falls back to the objective
-        surrogate = replace(bundle, use_surrogate=True)
-        assert surrogate.distance(with_gp) is gp
-        assert surrogate.distance(with_both) is quadratic
+        # fitted quadratics under fit_models, then GP means under
+        # use_surrogate, then one stack of the model's distances; every
+        # entry has both, as estimate_regions and load_regions require
+        gps = [object() for _ in bundle.entries]
+        quadratics = [object() for _ in bundle.entries]
+        entries = [replace(entry, gp=gp, quadratic=quadratic)
+                   for entry, gp, quadratic in zip(bundle.entries, gps,
+                                                   quadratics)]
+        assert not bundle.use_surrogate and not bundle.fit_models
+        for options, expected in [
+                ({}, None),
+                ({"use_surrogate": True}, gps),
+                ({"use_surrogate": True, "fit_models": True}, quadratics),
+                ({"fit_models": True}, quadratics)]:
+            stack = replace(bundle, entries=entries,
+                            **options).posterior().distances
+            if expected is None:
+                assert stack.kernel is romc.kernels.toy_distance_batch
+            else:
+                assert stack.kernel is None
+                assert all(a is b for a, b in zip(stack.distances, expected,
+                                                  strict=True))
 
     def test_prior_needs_only_bounds_sample_and_pdf_batch(self):
         # without a batch factory the objectives check rows against
@@ -390,6 +406,11 @@ def _bits(values):
     return np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
 
 
+def _entry(bundle, index):
+    """The bundle's entry of one problem."""
+    return {entry.index: entry for entry in bundle.entries}[index]
+
+
 class TestChunkedRegions:
     """Without a region_builder, the boxes of a worker's chunk come from one
     lockstep walk, and each equals the box built for its region alone."""
@@ -436,7 +457,7 @@ class TestChunkedRegions:
         sources = [entry.curvature_source for entry in first.entries]
         assert sources == ["hess_appr"] * 3 + ["jacobian", "hess_appr",
                                                "identity"] + ["hess_appr"] * 15
-        np.testing.assert_array_equal(first.entry(5).region.rotation,
+        np.testing.assert_array_equal(_entry(first, 5).region.rotation,
                                       np.eye(2))
         for bundle in bundles[1:]:
             assert [e.curvature_source for e in bundle.entries] == sources
@@ -463,28 +484,20 @@ class TestChunkedRegions:
             written.append(path.read_bytes())
         assert written[0] == written[1]
 
-    def test_raising_distance_fails_only_its_region(self, monkeypatch,
+    def test_raising_distance_fails_only_its_region(self,
                                                     ma2_gradient_solve):
         clean = estimate_regions(ma2_gradient_solve, quantile=0.97)
         broken_index = clean.accepted[2]
-        build = romc.pipeline.make_objective
-
-        def broken(theta):
-            raise RuntimeError("simulator crashed")
-
-        def make(model, seed, index):
-            if index == broken_index:
-                return BatchDistance(broken)
-            return build(model, seed, index)
-
-        monkeypatch.setattr(romc.pipeline, "make_objective", make)
-        out = estimate_regions(ma2_gradient_solve, quantile=0.97)
+        model = raising_for_seed(ma2_gradient_solve.model,
+                                 _entry(clean, broken_index).seed)
+        out = estimate_regions(replace(ma2_gradient_solve, model=model),
+                               quantile=0.97)
         assert "simulator crashed" in out.region_failures[broken_index]
         assert out.accepted == [i for i in clean.accepted if i != broken_index]
         for entry in out.entries:
             np.testing.assert_array_equal(
                 _bits(entry.region.limits),
-                _bits(clean.entry(entry.index).region.limits))
+                _bits(_entry(clean, entry.index).region.limits))
 
 
     def test_raising_region_builder_fails_only_its_region(
@@ -502,7 +515,36 @@ class TestChunkedRegions:
             for name in ("rotation", "center", "limits"):
                 np.testing.assert_array_equal(
                     _bits(getattr(entry.region, name)),
-                    _bits(getattr(clean.entry(entry.index).region, name)))
+                    _bits(getattr(_entry(clean, entry.index).region, name)))
+
+
+def test_lockstep_stages_build_no_objective(monkeypatch):
+    """The solve, the regions and the sampler evaluate one DistanceStack per
+    chunk; a DeterministicObjective is built only for a row that takes the
+    Jacobian curvature fallback."""
+    built = []
+    init = DeterministicObjective.__init__
+
+    def counting(self, model, seed, index, *args):
+        built.append(index)
+        init(self, model, seed, index, *args)
+
+    monkeypatch.setattr(DeterministicObjective, "__init__", counting)
+    solve = solve_problems(make_ma2_model(), n1=20, seed=21)
+    bundle = estimate_regions(solve)
+    bundle.sample(10, seed=21)
+    assert len(bundle.entries) == 19
+    assert built == []
+
+    k = bundle.accepted[4]
+    records = [replace(r) for r in solve.records]
+    result = records[k].result
+    records[k].result = OptimisationResult(result.x_min, result.f_min,
+                                           np.diag([-1.0, 1.0]))
+    bundle = estimate_regions(replace(solve, records=records))
+    bundle.sample(10, seed=21)
+    assert built == [k]
+    assert _entry(bundle, k).curvature_source == "jacobian"
 
 
 class TestStackedSampler:
@@ -521,10 +563,13 @@ class TestStackedSampler:
         }[bundle]()
         posterior = bundle.posterior()
         result = bundle.sample(40, seed=5)
+        distances = [
+            entry.quadratic or entry.gp
+            or make_objective(bundle.model, entry.seed, entry.index)
+            for entry in bundle.entries]
         thetas, weights = [], []
         for pi, region, distance in zip(posterior.problem_indices,
-                                        posterior.regions,
-                                        posterior.distances):
+                                        posterior.regions, distances):
             draws = derive_rng(5, pi, STREAM_SAMPLE).uniform(
                 region.limits[:, 0], region.limits[:, 1],
                 size=(40, region.dimension)) @ region.rotation.T + region.center

@@ -199,7 +199,9 @@ class TestStackedCurvature:
             st.sampled_from([None, LinearSummaries(), NanSummaries()]),
             min_size=len(results), max_size=len(results)))
         for given_objectives in (objectives, None):
-            matrices, sources = choose_curvatures(results, given_objectives)
+            matrices, sources = (
+                choose_curvatures(results) if given_objectives is None
+                else choose_curvatures(results, objectives.__getitem__))
             assert matrices.shape == (len(results), d, d)
             for k, result in enumerate(results):
                 objective = None if given_objectives is None else objectives[k]
@@ -216,9 +218,17 @@ class TestStackedCurvature:
         results = [SimpleNamespace(hess_appr=h, x_min=x_min) for h in
                    (np.diag([2.0, 8.0]), np.diag([-1.0, 1.0]),
                     np.diag([-1.0, 1.0]))]
-        matrices, sources = choose_curvatures(
-            results, [None, LinearSummaries(), NanSummaries()])
+        objectives = [None, LinearSummaries(), NanSummaries()]
+        asked = []
+
+        def objective_of(k):
+            asked.append(k)
+            return objectives[k]
+
+        matrices, sources = choose_curvatures(results, objective_of)
         assert sources == ["hess_appr", "jacobian", "identity"]
+        # only the rows that fall back ask for their objective
+        assert asked == [1, 2]
         np.testing.assert_array_equal(matrices[2], np.eye(2))
 
     def test_tolerance_scales_with_the_largest_eigenvalue(self):
@@ -417,8 +427,9 @@ class TestLockstepWalk:
     """line_search_extents over many rows gives each row, bit for bit, the
     extent line_search_extent finds for it alone."""
 
-    def walk(self, distances, centers, directions, owners, eps, settings):
-        got = line_search_extents(DistanceStack(distances), centers,
+    def walk(self, distances, centers, directions, owners, eps, settings,
+             stack=None):
+        got = line_search_extents(stack or DistanceStack(distances), centers,
                                   directions, owners, eps, settings)
         alone = [line_search_extent(distances[o], c, u, eps, settings)
                  for c, u, o in zip(centers, directions, owners)]
@@ -427,16 +438,18 @@ class TestLockstepWalk:
 
     def test_kernel_stack_rows(self):
         model = make_ma2_model()
+        seeds = draw_nuisance_seeds(12, 5)
         objectives = [make_objective(model, seed, i)
-                      for i, seed in enumerate(draw_nuisance_seeds(12, 5))]
-        assert DistanceStack(objectives).kernel is not None
+                      for i, seed in enumerate(seeds)]
+        stack = DistanceStack.of_model(model, seeds, range(12))
+        assert stack.kernel is not None
         rng = np.random.default_rng(3)
         owners = rng.integers(0, 12, size=120)
         centers = np.array([model.prior.sample(rng) for _ in owners])
         values = [objectives[o](c) for o, c in zip(owners, centers)]
         settings = RegionSettings(eta_start=0.2, refinements=6, max_steps=4)
         got = self.walk(objectives, centers, _random_directions(rng, 120),
-                        owners, float(np.median(values)), settings)
+                        owners, float(np.median(values)), settings, stack)
         # rows whose first step leaves the set fall back to the floor, and
         # rows that never leave it in the first pass take max_steps steps
         assert np.any(got == 0.2 / 2**6)

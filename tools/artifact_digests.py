@@ -14,9 +14,11 @@ PYTHONPATH pointing at another checkout's src and diffing the two
 outputs checks that a change keeps every artifact byte-identical.
 
 Models without a batch distance factory cannot be written as artifacts,
-so their path is digested in process: for kernel-less copies of the
-bundled models, `config stage sha256` lines cover the solve's x_min and
-f_min, the region box limits and the sample weights.
+and the CLI takes no hooks, so both paths are digested in process: for
+kernel-less copies of the bundled models, and for runs whose solver,
+region builder and surrogate fitter hooks delegate to the built-in ones,
+`config stage sha256` lines cover the solve's x_min and f_min, the
+region box limits and the sample weights.
 """
 
 import contextlib
@@ -34,6 +36,9 @@ import numpy as np  # noqa: E402
 
 from romc import Model, build_model, estimate_regions, solve_problems  # noqa: E402
 from romc.cli import main as romc  # noqa: E402 - after the BLAS setting
+from romc.optimize import solve_gradient  # noqa: E402
+from romc.regions import build_box  # noqa: E402
+from romc.surrogate import fit_quadratic  # noqa: E402
 
 TRUE_1D = ["--reference", "true-1d"]
 REJECTION = ["--reference", "rejection", "--rejection-draws", "2000"]
@@ -86,6 +91,17 @@ KERNEL_LESS = {
     "1d-kernel-less-n20": ("1d", {}, {"eps": 0.75}, 20, 7),
     "ma2-kernel-less-n20": ("ma2", {"restarts": 3}, {"quantile": 0.97}, 20, 21),
 }
+
+# name: (bundled model, n1, regions keywords, n2, seed); each runs at 1 and
+# 2 workers with the hooks below and fit_models on
+HOOKS = {
+    "ma2-hooks-n20": ("ma2", 20, {"quantile": 0.97}, 20, 21),
+}
+
+
+def _solver(objective, prior, seed):
+    """The solver hook: the built-in gradient solve with 3 restarts."""
+    return solve_gradient(objective, prior, restarts=3, seed=seed)
 
 
 def _runs():
@@ -141,8 +157,22 @@ def _digest_kernel_less(name, model_name, solve, regions, n2, seed):
                   simulator=bundled.simulator, summary=bundled.summary,
                   observed=bundled.observed, distance=bundled.distance)
     output = solve_problems(model, n1=20, seed=seed, **solve)
+    _digest_stages(name, output, estimate_regions(output, **regions), n2, seed)
+
+
+def _digest_hooks(name, model_name, n1, regions, n2, seed):
+    model = build_model(model_name)
+    for workers in (1, 2):
+        output = solve_problems(model, n1=n1, seed=seed, solver=_solver,
+                                workers=workers)
+        bundle = estimate_regions(
+            output, fit_models=True, region_builder=build_box,
+            surrogate_fitter=fit_quadratic, workers=workers, **regions)
+        _digest_stages(f"{name}-w{workers}", output, bundle, n2, seed)
+
+
+def _digest_stages(name, output, bundle, n2, seed):
     results = [result for _, result in output.solved()]
-    bundle = estimate_regions(output, **regions)
     stages = {
         "solve": [r.x_min for r in results] + [[r.f_min for r in results]],
         "regions": [entry.region.limits for entry in bundle.entries],
@@ -161,6 +191,8 @@ def main():
             _digest_run(name, steps, out)
     for name, run in KERNEL_LESS.items():
         _digest_kernel_less(name, *run)
+    for name, run in HOOKS.items():
+        _digest_hooks(name, *run)
 
 
 if __name__ == "__main__":
