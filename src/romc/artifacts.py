@@ -5,6 +5,8 @@ numbers, but never wall times or worker counts: rerunning a stage with a
 different level of parallelism must produce byte-identical files.  Timing
 lives in separate telemetry CSVs that are exempt from that guarantee.
 Floats are serialized with shortest round-trip repr in both JSON and CSV.
+The solutions and regions artifacts hold the columns of a SolveOutput or
+an InferenceBundle; a loader validates each table once.
 """
 
 import csv
@@ -18,17 +20,13 @@ import numpy as np
 
 from .benchmarks import build_model
 from .inference import InferenceResult
-from .optimize import GaussianProcessSurrogate, OptimisationResult
-from .pipeline import (
-    InferenceBundle,
-    ProblemRecord,
-    RegionEntry,
-    SolveOutput,
-)
-from .regions import BoundingBox
+from .optimize import GaussianProcessSurrogate, check_results
+from .pipeline import InferenceBundle, SolveOutput
+from .regions import RegionStack
 from .surrogate import QuadraticSurrogate
 
 SCHEMA_VERSION = 1
+CURVATURE_SOURCES = ("hess_appr", "jacobian", "identity", "custom")
 
 
 def _model_config(model):
@@ -75,13 +73,15 @@ def _load_json(path, expected_kind):
     return payload
 
 
-def _result_record(result):
-    return {
-        "x_min": [float(v) for v in result.x_min],
-        "f_min": float(result.f_min),
-        "hess_appr": result.hess_appr.tolist(),
-        "iterations": None if result.iterations is None else int(result.iterations),
-    }
+def _row_records(table):
+    """The result record, with its GP's if any, of each row by index."""
+    return {i: {"result": {"x_min": x, "f_min": f, "hess_appr": h,
+                           "iterations": None if it is None else int(it)},
+                **({} if gp is None else {"gp": gp.to_record()})}
+            for i, x, f, h, it, gp in zip(
+                table.indices.tolist(), table.x_min.tolist(),
+                table.f_min.tolist(), table.hess.tolist(), table.iterations,
+                table.gps or [None] * len(table.indices))}
 
 
 def _check_dimension(what, size, model):
@@ -92,48 +92,75 @@ def _check_dimension(what, size, model):
         )
 
 
-def _result_from_record(record, model):
-    # OptimisationResult itself checks that hess_appr matches x_min
-    result = OptimisationResult(
-        record["x_min"],
-        record["f_min"],
-        record["hess_appr"],
-        iterations=record.get("iterations"),
-    )
-    _check_dimension("x_min", result.x_min.size, model)
-    return result
+def _checked(what, values, valid, rule):
+    """values, when valid(value) holds for each; else ValueError."""
+    for value in values:
+        if not valid(value):
+            raise ValueError(f"{what} must be {rule}, found {value!r}")
+    return values
 
 
-def _gp_from_record(record, model):
-    gp = GaussianProcessSurrogate.from_record(record)
-    _check_dimension("GP inputs", gp.inputs.shape[1], model)
-    return gp
+def _naturals(what, values):
+    """values, each a JSON integer in [0, 2**63), as an int64 array."""
+    return np.array(_checked(what, values, lambda v: type(v) is int
+                             and 0 <= v < 2**63, "a nonnegative integer"),
+                    dtype=np.int64)
+
+
+def _flag(payload, key):
+    return _checked(key, [payload[key]], lambda v: isinstance(v, bool),
+                    "true or false")[0]
+
+
+def _column(what, rows, shape, model):
+    """rows as one (k, *shape) float array, shape[0] being the model's
+    dimension; a row of another shape raises ValueError."""
+    try:
+        array = np.array(rows or np.empty((0, *shape)), dtype=np.float64)
+    except ValueError:  # rows of several shapes
+        array = np.empty(0)
+    if array.shape[1:] != shape:
+        for row in rows:
+            _check_dimension(what, np.shape(row)[0] if np.ndim(row) else 0,
+                             model)
+        raise ValueError(f"{what} must have shape {shape} in every row")
+    return array
+
+
+def _results_from_records(records, model):
+    """The x_min, f_min, hess, iterations and gps columns of records with
+    a result and maybe a GP; the results are checked by check_results."""
+    d = model.prior.dimension
+    results = [record["result"] for record in records]
+    x_min = _column("x_min", [r["x_min"] for r in results], (d,), model)
+    hess = _column("hess_appr", [r["hess_appr"] for r in results], (d, d),
+                   model)
+    f_min = np.array([r["f_min"] for r in results], dtype=np.float64)
+    iterations = [r.get("iterations") for r in results]
+    _naturals("iterations", [it for it in iterations if it is not None])
+    gps = [GaussianProcessSurrogate.from_record(record["gp"])
+           if "gp" in record else None for record in records]
+    for gp in filter(None, gps):
+        _check_dimension("GP inputs", gp.inputs.shape[1], model)
+    return (x_min, f_min, check_results(x_min, f_min, hess),
+            np.array(iterations, dtype=object), gps if any(gps) else None)
 
 
 def write_solutions(path, solve_output):
-    problems = []
-    for record in solve_output.records:
-        entry = {
-            "index": int(record.index),
-            "seed": int(record.seed),
-            "status": "ok" if record.result is not None else "failed",
-        }
-        if record.result is not None:
-            entry["result"] = _result_record(record.result)
-        else:
-            entry["error"] = record.error or "optimization failed"
-        if record.gp is not None:
-            entry["gp"] = record.gp.to_record()
-        problems.append(entry)
+    out, rows = solve_output, _row_records(solve_output)
     _dump_json(path, {
         "schema_version": SCHEMA_VERSION,
         "kind": "solutions",
-        "model": _model_config(solve_output.model),
-        "n1": int(solve_output.n1),
-        "seed": int(solve_output.master_seed),
-        "use_bo": bool(solve_output.use_bo),
-        "options": solve_output.options,
-        "problems": problems,
+        "model": _model_config(out.model),
+        "n1": int(out.n1),
+        "seed": int(out.master_seed),
+        "use_bo": bool(out.use_bo),
+        "options": out.options,
+        "problems": [
+            {"index": i, "seed": seed, "status": "ok", **rows[i]} if i in rows
+            else {"index": i, "seed": seed, "status": "failed",
+                  "error": out.errors.get(i) or "optimization failed"}
+            for i, seed in enumerate(out.seeds.tolist())],
     })
 
 
@@ -144,25 +171,23 @@ def load_solutions(path):
     problems = payload["problems"]
     if len(problems) != n1:
         raise ValueError(f"n1 is {n1} but {len(problems)} problems are stored")
-    if [entry["index"] for entry in problems] != list(range(n1)):
+    indices = _naturals("problem index", [entry["index"] for entry in problems])
+    if indices.tolist() != list(range(n1)):
         raise ValueError(f"problem indices must run 0..{n1 - 1} in order")
-    records = []
-    for entry in problems:
-        record = ProblemRecord(index=entry["index"], seed=entry["seed"])
-        if entry["status"] == "ok":
-            record.result = _result_from_record(entry["result"], model)
-        else:
-            record.error = entry.get("error", "optimization failed")
-        if "gp" in entry:
-            record.gp = _gp_from_record(entry["gp"], model)
-        records.append(record)
+    solved = [status == "ok" for status in _checked(
+        "status", [entry["status"] for entry in problems],
+        ("ok", "failed").__contains__, "'ok' or 'failed'")]
+    x_min, f_min, hess, iterations, gps = _results_from_records(
+        [entry for entry, ok in zip(problems, solved) if ok], model)
     return SolveOutput(
-        model=model,
-        n1=n1,
-        master_seed=int(payload["seed"]),
-        use_bo=bool(payload["use_bo"]),
-        options=payload["options"],
-        records=records,
+        model=model, n1=n1, master_seed=int(payload["seed"]),
+        use_bo=_flag(payload, "use_bo"), options=payload["options"],
+        seeds=_naturals("seed", [entry["seed"] for entry in problems]),
+        seconds=np.zeros(n1),
+        errors={entry["index"]: entry.get("error", "optimization failed")
+                for entry, ok in zip(problems, solved) if not ok},
+        indices=indices[solved], x_min=x_min, f_min=f_min, hess=hess,
+        iterations=iterations, gps=gps,
     )
 
 
@@ -177,17 +202,18 @@ def _write_csv(path, header, rows):
 
 def write_solve_telemetry(path, solve_output):
     """Per-problem status and wall time; excluded from byte-identity."""
+    out = solve_output
+    rows = dict(zip(out.indices.tolist(), zip(out.f_min.tolist(), out.iterations)))
     # f_min and the seconds are Python floats, so csv prints their repr
     _write_csv(path, ["index", "status", "f_min", "iterations", "seconds"], [
-        [r.index, "ok", r.result.f_min, r.result.iterations, r.seconds]
-        if r.result is not None else [r.index, "failed", None, None, r.seconds]
-        for r in solve_output.records
+        [i, "ok", *rows[i], s] if i in rows else [i, "failed", None, None, s]
+        for i, s in enumerate(out.seconds.tolist())
     ])
 
 
 def write_region_telemetry(path, bundle):
     """Per-task region timing; excluded from byte-identity."""
-    accepted = {entry.index for entry in bundle.entries}
+    accepted = set(bundle.indices.tolist())
     indices = sorted(set(bundle.region_seconds) | set(bundle.region_failures))
     _write_csv(path, ["index", "status", "region_seconds"], [
         [index, "ok" if index in accepted else "failed",
@@ -204,20 +230,7 @@ def write_histogram(path, counts, edges):
 
 
 def write_regions(path, bundle):
-    entries = []
-    for entry in bundle.entries:
-        record = {
-            "index": int(entry.index),
-            "seed": int(entry.seed),
-            "curvature_source": entry.curvature_source,
-            "result": _result_record(entry.result),
-            "box": entry.region.to_record(),
-        }
-        if entry.gp is not None:
-            record["gp"] = entry.gp.to_record()
-        if entry.quadratic is not None:
-            record["quadratic"] = entry.quadratic.to_record()
-        entries.append(record)
+    rows, regions = _row_records(bundle), bundle.regions
     _dump_json(path, {
         "schema_version": SCHEMA_VERSION,
         "kind": "regions",
@@ -229,7 +242,15 @@ def write_regions(path, bundle):
         "use_surrogate": bool(bundle.use_surrogate),
         "fit_models": bool(bundle.fit_models),
         "failures": {str(k): v for k, v in sorted(bundle.region_failures.items())},
-        "regions": entries,
+        "regions": [
+            {"index": i, "seed": seed, "curvature_source": source, **rows[i],
+             "box": {"center": center, "rotation": rotation, "limits": limits},
+             **({} if q is None else {"quadratic": q.to_record()})}
+            for i, seed, source, center, rotation, limits, q in zip(
+                bundle.indices.tolist(), bundle.seeds.tolist(),
+                bundle.curvature_sources, regions.centers.tolist(),
+                regions.rotations.tolist(), regions.limits.tolist(),
+                bundle.quadratics or [None] * len(bundle.indices))],
     })
 
 
@@ -239,53 +260,46 @@ def load_regions(path):
     eps = float(payload["eps"])
     if not (np.isfinite(eps) and eps >= 0.0):
         raise ValueError(f"eps must be finite and nonnegative, found {eps}")
-    indices = [record["index"] for record in payload["regions"]]
-    if any(a >= b for a, b in zip(indices, indices[1:])):
+    use_surrogate = _flag(payload, "use_surrogate")
+    fit_models = _flag(payload, "fit_models")
+    records = payload["regions"]
+    indices = _naturals("region index", [record["index"] for record in records])
+    if np.any(indices[1:] <= indices[:-1]):
         raise ValueError("region indices must be unique and increasing")
     failures = {int(k): v for k, v in payload.get("failures", {}).items()}
-    if failures.keys() & set(indices):
+    if failures.keys() & set(indices.tolist()):
         raise ValueError("a region index is also listed as failed")
-    records = payload["regions"]
     for record in records:
-        _check_dimension("box", np.size(record["box"]["center"]), model)
-    boxes = BoundingBox.stacked(*(
-        np.array([record["box"][key] for record in records], dtype=np.float64)
-        for key in ("rotation", "center", "limits"))) if records else []
-    entries = []
-    for record, box in zip(records, boxes):
-        gp = None
-        if "gp" in record:
-            gp = _gp_from_record(record["gp"], model)
-        elif payload["use_surrogate"]:
-            # inference would silently run the simulator for this region
+        # inference would silently run this region on another distance
+        if use_surrogate and "gp" not in record:
             raise ValueError(f"region {record['index']} has no GP, but "
                              "use_surrogate is on")
-        if ("quadratic" in record) != payload["fit_models"]:
-            # inference would silently run this region on another distance
+        if ("quadratic" in record) != fit_models:
             raise ValueError(f"region {record['index']} " + (
-                "has no quadratic, but fit_models is on" if payload["fit_models"]
+                "has no quadratic, but fit_models is on" if fit_models
                 else "has a quadratic, but fit_models is off"))
-        quadratic = (QuadraticSurrogate.from_record(record["quadratic"])
-                     if payload["fit_models"] else None)
-        entries.append(RegionEntry(
-            index=record["index"],
-            seed=record["seed"],
-            result=_result_from_record(record["result"], model),
-            region=box,
-            gp=gp,
-            quadratic=quadratic,
-            curvature_source=record.get("curvature_source", ""),
-        ))
+    x_min, f_min, hess, iterations, gps = _results_from_records(records, model)
+    for index, value in zip(indices.tolist(), f_min.tolist()):
+        if value > eps:
+            raise ValueError(f"region {index} has f_min {value} above eps {eps}")
+    d = model.prior.dimension
     return InferenceBundle(
-        model=model,
-        master_seed=int(payload["seed"]),
-        use_bo=bool(payload["use_bo"]),
-        options=payload["options"],
-        eps=eps,
-        use_surrogate=bool(payload["use_surrogate"]),
-        fit_models=bool(payload["fit_models"]),
-        entries=entries,
-        region_failures=failures,
+        model=model, master_seed=int(payload["seed"]),
+        use_bo=_flag(payload, "use_bo"), options=payload["options"], eps=eps,
+        use_surrogate=use_surrogate, fit_models=fit_models, indices=indices,
+        seeds=_naturals("seed", [record["seed"] for record in records]),
+        x_min=x_min, f_min=f_min, hess=hess, iterations=iterations,
+        curvature_sources=_checked(
+            "curvature_source", [record["curvature_source"] for record in records],
+            CURVATURE_SOURCES.__contains__, f"one of {CURVATURE_SOURCES}"),
+        regions=RegionStack(*(
+            _column("box", [record["box"][key] for record in records], shape,
+                    model)
+            for key, shape in [("rotation", (d, d)), ("center", (d,)),
+                               ("limits", (d, 2))])),
+        gps=gps, region_failures=failures,
+        quadratics=([QuadraticSurrogate.from_record(record["quadratic"])
+                     for record in records] if fit_models else None),
     )
 
 

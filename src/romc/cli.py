@@ -227,16 +227,15 @@ def cmd_solve(options):
     elapsed = time.perf_counter() - started
     artifacts.write_solutions(out / "solutions.json", solve_output)
     artifacts.write_solve_telemetry(out / "solve_telemetry.csv", solve_output)
-    solved = solve_output.solved()
-    if solved:
-        counts, edges = solve_output.histogram()
-        artifacts.write_histogram(out / "distance_hist.csv", counts, edges)
-    n_failed = solve_output.n1 - len(solved)
-    print(f"solved {len(solved)}/{solve_output.n1} problems in {elapsed:.2f}s")
+    n_solved = len(solve_output.indices)
+    n_failed = solve_output.n1 - n_solved
+    print(f"solved {n_solved}/{solve_output.n1} problems in {elapsed:.2f}s")
     if n_failed:
         print(f"{n_failed} problems failed; see solve_telemetry.csv")
-    if solved:
-        values = solve_output.f_min_values()
+    if n_solved:
+        artifacts.write_histogram(out / "distance_hist.csv",
+                                  *solve_output.histogram())
+        values = solve_output.f_min
         print(
             f"optimized distances: min {values.min():.6f} "
             f"median {np.median(values):.6f} max {values.max():.6f}"
@@ -265,18 +264,17 @@ def cmd_regions(options):
     )
     artifacts.write_regions(out / "regions.json", bundle)
     artifacts.write_region_telemetry(out / "region_telemetry.csv", bundle)
-    volumes = np.array([entry.region.volume for entry in bundle.entries])
+    volumes = bundle.regions.volumes
     print(
-        f"eps {bundle.eps:.6f}: accepted {len(bundle.entries)}/"
-        f"{len(solve_output.solved())} solved problems"
+        f"eps {bundle.eps:.6f}: accepted {len(bundle.indices)}/"
+        f"{len(solve_output.indices)} solved problems"
     )
     print(
         f"region volumes: min {volumes.min():.3e} "
         f"median {np.median(volumes):.3e} max {volumes.max():.3e}"
     )
-    sources = [entry.curvature_source for entry in bundle.entries]
     print("curvature sources: " + ", ".join(
-        f"{source} {sources.count(source)}"
+        f"{source} {bundle.curvature_sources.count(source)}"
         for source in ("hess_appr", "jacobian", "identity")))
     if bundle.region_failures:
         print(f"{len(bundle.region_failures)} regions failed")

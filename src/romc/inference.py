@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import DegenerateResult, UnsupportedDimension
 from .model import STREAM_SAMPLE, derive_rng
-from .regions import RegionStack
 
 GRID_CELLS_PER_AXIS = 200
 GRID_MAX_DIMENSION = 3
@@ -86,9 +85,9 @@ def _grid_key(grid_step):
 class PosteriorApproximation:
     """Mixture-of-regions posterior built from accepted problems.
 
-    regions is a list with one entry per accepted problem and distances
-    their DistanceStack; problem_indices carries the original problem
-    numbering.
+    regions is the RegionStack of their boxes and distances their
+    DistanceStack, both indexed by accepted problem; problem_indices
+    carries the original problem numbering.
     """
 
     def __init__(self, prior, eps, regions, distances, problem_indices=None):
@@ -102,10 +101,9 @@ class PosteriorApproximation:
             raise ValueError("problem_indices must align with regions")
         self.prior = prior
         self.eps = float(eps)
-        self.regions = list(regions)
+        self.regions = regions
         self.distances = distances
         self.problem_indices = [int(i) for i in problem_indices]
-        self.stack = RegionStack(self.regions)
         self._partition = {}
 
     @property
@@ -264,13 +262,13 @@ def sample(posterior, n2, seed):
     and are evaluated in one posterior.distances call and one pdf_batch.
     """
     k = posterior.n_regions
-    thetas = posterior.stack.sample(n2, [derive_rng(seed, pi, STREAM_SAMPLE)
-                                         for pi in posterior.problem_indices])
+    thetas = posterior.regions.sample(n2, [derive_rng(seed, pi, STREAM_SAMPLE)
+                                           for pi in posterior.problem_indices])
     owners = np.repeat(np.arange(k), n2)
     dist = posterior.distances(thetas, owners)
     pdf = np.asarray(posterior.prior.pdf_batch(thetas), dtype=np.float64)
     weights = np.where(dist <= posterior.eps,
-                       pdf * posterior.stack.volumes[owners], 0.0)
+                       pdf * posterior.regions.volumes[owners], 0.0)
     problem_indices = np.array(posterior.problem_indices, dtype=np.int64)[owners]
     draw_indices = np.tile(np.arange(n2, dtype=np.int64), k)
     return InferenceResult(thetas, weights, problem_indices, draw_indices,

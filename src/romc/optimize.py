@@ -24,38 +24,36 @@ N_CANDIDATES = 512  # uniform draws scored by expected improvement per step
 ROW_BLOCK = 512  # GP rows per kernel block; keeps the temporaries in cache
 
 
+def check_results(x_min, f_min, hess):
+    """The one validation of k results: finite x_min (k, D), f_min (k,)
+    and hess (k, D, D), or ValueError for the first check any row fails.
+    Returns hess symmetrized, (h + h^T) / 2."""
+    if (x_min.ndim != 2 or f_min.shape != x_min.shape[:1]
+            or hess.shape != x_min.shape + x_min.shape[1:]):
+        raise ValueError("result shapes must be (k, D), (k,) and (k, D, D)")
+    for name, values in [("x_min", x_min), ("f_min", f_min), ("hess_appr", hess)]:
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite")
+    return (hess + hess.transpose(0, 2, 1)) / 2.0
+
+
 class OptimisationResult:
-    """Outcome of minimizing one objective.
+    """Outcome of minimizing one objective, the row type of the hooks.
 
     hess_appr is a finite, symmetric approximation of the curvature at
     x_min; it is stored symmetrized and is not guaranteed positive definite
     (the region builder checks and substitutes a fallback when it is not).
-    A non-finite x_min, f_min or hess_appr raises ValueError.
+    check_results checks it as a stack of one.
     """
 
     def __init__(self, x_min, f_min, hess_appr, iterations=None):
-        x_min = np.asarray(x_min, dtype=np.float64)
-        if x_min.ndim != 1:
-            raise ValueError("x_min must be a 1d parameter vector")
-        if not np.isfinite(x_min).all():
-            raise ValueError("x_min must be finite")
-        f_min = float(f_min)
-        if not np.isfinite(f_min):
-            raise ValueError("f_min must be finite")
-        hess = np.asarray(hess_appr, dtype=np.float64)
-        if hess.shape != (x_min.size, x_min.size):
-            raise ValueError("hess_appr must be a square matrix matching x_min")
-        if not np.all(np.isfinite(hess)):
-            raise ValueError("hess_appr must be finite")
-        self.x_min = x_min.copy()
-        self.f_min = f_min
-        self.hess_appr = (hess + hess.T) / 2.0
+        x_min = np.array(x_min, dtype=np.float64)
+        self.f_min = float(f_min)
+        self.hess_appr = check_results(
+            x_min[None], np.array([self.f_min]),
+            np.asarray(hess_appr, dtype=np.float64)[None])[0]
+        self.x_min = x_min
         self.iterations = iterations
-
-    def __repr__(self):
-        return (
-            f"OptimisationResult(x_min={self.x_min!r}, f_min={self.f_min!r})"
-        )
 
 
 def _rows_dot(a, b):
@@ -178,10 +176,11 @@ def solve_gradients(stack, prior, seeds, restarts=1, max_iters=200,
     run r evaluates distance r // restarts.  All descents of all distances
     run in lockstep, and each gives the same bits as it would alone, so a
     result does not depend on which other distances were solved with it.
-    Returns one entry per distance: an OptimisationResult whose x_min lies
-    inside the prior bounds, f_min is the distance there and hess_appr the
-    inverse of the kept run's symmetrized inverse-Hessian estimate (a
-    singular one raises LinAlgError), or None when every restart fails.
+    Returns (solved, x_min, f_min, hess, iterations): the mask of the
+    distances with a finite minimum, and for those the minimizers inside
+    the prior bounds, the distances there, the inverses of the kept runs'
+    symmetrized inverse-Hessian estimates (a singular one raises
+    LinAlgError), checked by check_results, and the kept runs' iterations.
     """
     check_gradient_options(restarts, max_iters)
     starts = []
@@ -194,14 +193,12 @@ def solve_gradients(stack, prior, seeds, restarts=1, max_iters=200,
     # a failed run's NaN counts as inf, and argmin keeps the first minimum
     best = np.where(np.isfinite(f), f, np.inf).reshape(-1, restarts).argmin(1)
     best += restarts * np.arange(best.size)
-    solved = np.flatnonzero(np.isfinite(f[best]))
-    kept = h_inv[best[solved]]
+    solved = np.isfinite(f[best])
+    runs = best[solved]
+    kept = h_inv[runs]
     hess = np.linalg.inv((kept + kept.transpose(0, 2, 1)) / 2.0)
-    results = [None] * best.size
-    for k, run, matrix in zip(solved, best[solved], hess):
-        results[k] = OptimisationResult(x[run], f[run], matrix,
-                                        iterations=int(iterations[run]))
-    return results
+    return (solved, x[runs], f[runs], check_results(x[runs], f[runs], hess),
+            iterations[runs])
 
 
 def solve_gradient(objective, prior, restarts=1, max_iters=200, seed=0,
@@ -209,8 +206,10 @@ def solve_gradient(objective, prior, restarts=1, max_iters=200, seed=0,
     """Minimize one objective with BFGS from `restarts` prior-drawn start
     points: solve_gradients for this objective alone, so the result (or
     None when every restart fails) is the one it gets in any batch."""
-    return solve_gradients(DistanceStack([objective]), prior, [seed],
-                           restarts, max_iters, step)[0]
+    solved, x_min, f_min, hess, iterations = solve_gradients(
+        DistanceStack([objective]), prior, [seed], restarts, max_iters, step)
+    return (OptimisationResult(x_min[0], f_min[0], hess[0], int(iterations[0]))
+            if solved[0] else None)
 
 
 def _se_kernel(rows, train, variance):
@@ -541,16 +540,14 @@ def solve_bayesians(stack, prior, seeds, budget=64, init_points=10):
         values[live, n] = stack(chosen, live)
         live = live[np.isfinite(values[live, n])]
 
-    results = [None] * len(rngs)
-    for p, gp in zip(live, _fit_gps(inputs[live], values[live])):
-        if gp is None:
-            continue
-        best = int(np.argmin(values[p]))
-        x_min = inputs[p, best]
-        results[p] = (OptimisationResult(x_min, values[p, best],
-                                         gp.hessian(x_min), iterations=budget),
-                      gp)
-    return results
+    fits = _fit_gps(inputs[live], values[live])
+    rows = live[[gp is not None for gp in fits]]
+    gps = [gp for gp in fits if gp is not None]
+    best = np.argmin(values[rows], axis=1)
+    x_min, f_min = inputs[rows, best], values[rows, best]
+    hess = np.array([gp.hessian(x) for gp, x in zip(gps, x_min)]).reshape(-1, d, d)
+    return (np.isin(np.arange(len(rngs)), rows), x_min, f_min,
+            check_results(x_min, f_min, hess), np.full(rows.size, budget), gps)
 
 
 def solve_bayesian(objective, prior, budget=64, init_points=10, seed=0):
@@ -558,8 +555,10 @@ def solve_bayesian(objective, prior, budget=64, init_points=10, seed=0):
     optimization: solve_bayesians for this objective alone, so the result,
     (OptimisationResult, GaussianProcessSurrogate) or None, is the one it
     gets in any batch."""
-    return solve_bayesians(DistanceStack([objective]), prior, [seed], budget,
-                           init_points)[0]
+    solved, x_min, f_min, hess, iterations, gps = solve_bayesians(
+        DistanceStack([objective]), prior, [seed], budget, init_points)
+    return ((OptimisationResult(x_min[0], f_min[0], hess[0], int(iterations[0])),
+             gps[0]) if solved[0] else None)
 
 
 def compute_eps(values, quantile):
@@ -569,7 +568,7 @@ def compute_eps(values, quantile):
     to the last element, so quantile=0 gives the minimum and quantile=1
     the maximum.
     """
-    arr = np.asarray(list(values), dtype=np.float64)
+    arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("values must be nonempty")
     if not 0.0 <= quantile <= 1.0:
@@ -579,19 +578,11 @@ def compute_eps(values, quantile):
     return float(ordered[idx])
 
 
-def filter_solutions(results, eps):
-    """Indices of solved problems whose optimized distance is within eps.
-
-    results is an iterable of (problem_index, OptimisationResult or None);
-    failed problems are skipped.  The comparison is inclusive and the
-    returned indices are sorted ascending.
-    """
+def filter_solutions(f_min, eps):
+    """Mask of the optimized distances f_min within eps, inclusive."""
     if not np.isfinite(eps) or eps < 0.0:
         raise ValueError("eps must be finite and nonnegative")
-    return sorted(
-        index for index, result in results
-        if result is not None and result.f_min <= eps
-    )
+    return np.asarray(f_min, dtype=np.float64) <= eps
 
 
 def distance_histogram(values, bins=20):
@@ -600,7 +591,7 @@ def distance_histogram(values, bins=20):
     With identical values the range is widened by a tiny pad so every bin
     has positive width and all mass falls in a single bin.
     """
-    arr = np.asarray(list(values), dtype=np.float64)
+    arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("values must be nonempty")
     if bins < 1:

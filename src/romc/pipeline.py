@@ -1,23 +1,21 @@
 """End-to-end training driver.
 
-solve_problems draws one nuisance seed per problem and minimizes every
-deterministic objective; estimate_regions picks the acceptance threshold,
-builds a bounding box per accepted problem and optionally fits local
-quadratic models.  The resulting InferenceBundle builds the posterior
-approximation, on one stack of the accepted problems' distances, and
-draws weighted samples from it.
+solve_problems minimizes the deterministic objective of one nuisance seed
+per problem; estimate_regions picks the acceptance threshold, builds a
+bounding box per accepted problem and optionally fits local quadratic
+models.  Each stage hands on one table of columns, a SolveOutput or an
+InferenceBundle, and the bundle builds the posterior approximation on one
+stack of the accepted problems' distances and samples it.  The row types
+OptimisationResult and BoundingBox are built only for the hooks.
 
-Both stages run through one runner, _run_in_chunks, which hands each
-worker one contiguous chunk of problems: the gradient solve, Bayesian
-optimization and the boxes run a chunk in lockstep; the hooks and the
-region stage's quadratic fits go through it one problem at a time.  A
-chunk that raises is run again one problem at a time, so a failure stays
-with its problem.
-
-All task functions are module level and all payloads picklable, so the
-same code path runs sequentially or across a process pool; every random
-stream is derived from (master seed, problem index, stage) before
-dispatch, which makes results identical for any worker count.
+Both stages run through _run_in_chunks, which hands each worker one
+contiguous chunk of the stage's columns: the solves, the boxes and the
+built-in fits run a chunk in lockstep, the hooks one problem at a time,
+and a chunk that raises runs again one problem at a time, so a failure
+stays with its problem.  All task functions are module level and all
+payloads picklable, and every random stream is derived from (master seed,
+problem index, stage) before dispatch, so results are identical for any
+worker count.
 """
 
 from dataclasses import dataclass, field
@@ -41,6 +39,7 @@ from .optimize import (
     OptimisationResult,
     check_bayesian_options,
     check_gradient_options,
+    check_results,
     compute_eps,
     distance_histogram,
     filter_solutions,
@@ -51,19 +50,19 @@ from .optimize import (
 )
 from .parallel import effective_workers, run_tasks
 from .regions import (
-    BoundingBox,
     RegionSettings,
+    RegionStack,
     build_box,  # noqa: F401 - unused here; perfbench/tracing.py wraps it
     build_boxes,
     choose_curvature,  # noqa: F401 - unused here; perfbench/tracing.py wraps it
     choose_curvatures,
 )
-from .surrogate import fit_quadratic, training_size
+from .surrogate import fit_quadratics, training_size
 
 
 @dataclass
 class ProblemRecord:
-    """Per-problem optimization outcome; result is None on failure."""
+    """One row of SolveOutput.records; result is None on failure."""
 
     index: int
     seed: int
@@ -73,98 +72,129 @@ class ProblemRecord:
     seconds: float = 0.0
 
 
+def _stack_results(outputs, d):
+    """A custom solver's outputs, each an OptimisationResult, a (result,
+    surrogate) pair or None, as the columns solve_bayesians returns."""
+    pairs = [out if isinstance(out, tuple) else (out, None) for out in outputs]
+    kept = [(result, gp) for result, gp in pairs if result is not None]
+    x_min, f_min, hess = (
+        np.array([getattr(r, name) for r, _ in kept],
+                 dtype=np.float64).reshape(len(kept), *shape)
+        for name, shape in [("x_min", (d,)), ("f_min", ()), ("hess_appr", (d, d))])
+    return (np.array([result is not None for result, _ in pairs], dtype=bool),
+            x_min, f_min, check_results(x_min, f_min, hess),
+            np.array([r.iterations for r, _ in kept], dtype=object),
+            [gp for _, gp in kept])
+
+
 def _solve_chunk_task(payload):
-    """Solves of a run of problems: one lockstep gradient descent or
-    Bayesian optimization over the DistanceStack of all of them, else the
-    custom solver on one problem's objective at a time."""
-    (model, master_seed, options, solver), items = payload
-    indices, seeds = zip(*items)
+    """A chunk's solves as the columns of solve_bayesians: one lockstep
+    gradient descent or Bayesian optimization over the DistanceStack of
+    all of them, else the custom solver on one objective at a time."""
+    (model, master_seed, options, solver), (indices, seeds) = payload
+    indices, seeds = indices.tolist(), seeds.tolist()
     streams = [[master_seed, index, STREAM_SOLVE] for index in indices]
     if solver is not None:
-        outputs = [solver(make_objective(model, seed, i), model.prior, stream)
-                   for i, seed, stream in zip(indices, seeds, streams)]
-    elif options["use_bo"]:
-        outputs = solve_bayesians(
-            DistanceStack.of_model(model, seeds, indices), model.prior,
-            streams, budget=options["budget"],
-            init_points=options["init_points"],
-        )
-    else:
-        outputs = solve_gradients(
-            DistanceStack.of_model(model, seeds, indices), model.prior,
-            streams, restarts=options["restarts"],
-            max_iters=options["max_iters"], step=options["gradient_step"],
-        )
-    return [out if isinstance(out, tuple) else (out, None) for out in outputs]
+        return _stack_results(
+            [solver(make_objective(model, seed, i), model.prior, stream)
+             for i, seed, stream in zip(indices, seeds, streams)],
+            model.prior.dimension)
+    stack = DistanceStack.of_model(model, seeds, indices)
+    if options["use_bo"]:
+        return solve_bayesians(stack, model.prior, streams,
+                               budget=options["budget"],
+                               init_points=options["init_points"])
+    return (*solve_gradients(stack, model.prior, streams,
+                             restarts=options["restarts"],
+                             max_iters=options["max_iters"],
+                             step=options["gradient_step"]), None)
 
 
-def _run_in_chunks(chunk_task, context, tasks, workers):
-    """run_tasks with one contiguous chunk of (key, item) tasks per worker.
+def _join(parts):
+    """The chunks' parts of one output column (None, lists or arrays)."""
+    if isinstance(parts[0], list):
+        return [row for part in parts for row in part]
+    return None if parts[0] is None else np.concatenate(parts)
 
-    chunk_task takes (context, items), where the context is what every
-    item of a stage shares and is sent once per chunk, and returns one
-    value per item, each equal to the one it returns for that item alone,
-    so the output does not depend on the chunking.  An item's seconds are
-    its chunk's wall time divided by the chunk's size.  A chunk that
-    raises is run again as one-item chunks of the same chunk_task, so the
-    failure stays with the item that raised it."""
-    n_chunks = min(effective_workers(workers), len(tasks))
-    edges = [len(tasks) * k // n_chunks for k in range(n_chunks + 1)]
-    chunks = [tasks[a:b] for a, b in zip(edges, edges[1:])]
-    outputs, failed, chunk_seconds = run_tasks(
-        chunk_task,
-        [(k, (context, [item for _, item in chunk]))
-         for k, chunk in enumerate(chunks)],
-        workers=workers,
-    )
-    results, failures, seconds = {}, {}, {}
-    retry = []
-    for k, chunk in enumerate(chunks):
-        if k in failed:
-            retry.extend(chunk)
-            continue
-        for (key, _), value in zip(chunk, outputs[k]):
-            results[key] = value
-            seconds[key] = chunk_seconds[k] / len(chunk)
-    if retry:
-        values, failures, retry_seconds = run_tasks(
-            chunk_task, [(key, (context, [item])) for key, item in retry],
-            workers=workers,
-        )
-        results.update((key, value[0]) for key, value in values.items())
-        seconds.update(retry_seconds)
-    return results, failures, seconds
+
+def _run_in_chunks(chunk_task, context, columns, workers):
+    """run_tasks over one contiguous chunk of the columns' rows per worker.
+
+    chunk_task((context, columns sliced to the chunk)) returns output
+    columns whose rows do not depend on the chunking; a chunk that raises
+    runs again row by row, so a failure stays with its row.  Returns the
+    mask of the rows whose chunk returned, their output columns joined
+    (an empty list when none did), and the failures and the seconds (a
+    chunk's wall time over its size) keyed by the rows of columns[0]."""
+    keys = columns[0].tolist()
+    n_chunks = min(effective_workers(workers), len(keys))
+    edges = [len(keys) * k // n_chunks for k in range(n_chunks + 1)]
+    ends = dict(zip(edges, edges[1:]))  # each chunk's first row -> its end
+
+    def run(chunks):
+        return run_tasks(chunk_task, [
+            (a, (context, tuple(None if c is None else c[a:b] for c in columns)))
+            for a, b in chunks.items()], workers=workers)
+
+    outputs, failures, seconds = run(ends)
+    if retry := {j: j + 1 for a in failures for j in range(a, ends[a])}:
+        more, failures, more_seconds = run(retry)
+        outputs.update(more)
+        seconds.update(more_seconds)
+        ends.update(retry)
+    done = np.zeros(len(keys), dtype=bool)
+    for a in outputs:
+        done[a:ends[a]] = True
+    return (done, [_join(c) for c in zip(*map(outputs.get, sorted(outputs)))],
+            {keys[a]: failure for a, failure in failures.items()},
+            {keys[j]: s / (ends[a] - a) for a, s in seconds.items()
+             for j in range(a, ends[a])})
 
 
 @dataclass
 class SolveOutput:
-    """All optimization outcomes plus the configuration that made them."""
+    """The solve stage's table: seeds, seconds and failed problems' errors
+    over all n1, then indices, x_min, f_min, hess, iterations (None from a
+    custom solver) and gps (or None) over the solved problems."""
 
     model: Model
     n1: int
     master_seed: int
     use_bo: bool
     options: dict
-    records: list
+    seeds: np.ndarray
+    seconds: np.ndarray
+    errors: dict
+    indices: np.ndarray
+    x_min: np.ndarray
+    f_min: np.ndarray
+    hess: np.ndarray
+    iterations: np.ndarray
+    gps: Optional[list] = None
 
-    def solved(self):
-        """(index, result) pairs for the problems that produced a minimum."""
-        return [(r.index, r.result) for r in self.records if r.result is not None]
-
-    def f_min_values(self):
-        return np.array([result.f_min for _, result in self.solved()])
+    @property
+    def records(self):
+        """One ProblemRecord per problem, built from the columns when read."""
+        records = [ProblemRecord(i, seed, error=self.errors.get(i), seconds=s)
+                   for i, (seed, s) in enumerate(zip(self.seeds.tolist(),
+                                                     self.seconds.tolist()))]
+        for k, i in enumerate(self.indices.tolist()):
+            it = self.iterations[k]
+            records[i].result = OptimisationResult(
+                self.x_min[k], self.f_min[k], self.hess[k],
+                None if it is None else int(it))
+            records[i].gp = None if self.gps is None else self.gps[k]
+        return records
 
     def compute_eps(self, quantile):
-        values = self.f_min_values()
-        if values.size == 0:
+        if self.f_min.size == 0:
             raise DegenerateResult("no problem was solved; cannot pick eps")
-        return compute_eps(values, quantile)
+        return compute_eps(self.f_min, quantile)
 
     def histogram(self, bins=20):
-        values = self.f_min_values()
-        if values.size == 0:
+        if self.f_min.size == 0:
             raise DegenerateResult("no problem was solved; nothing to histogram")
-        return distance_histogram(values, bins=bins)
+        return distance_histogram(self.f_min, bins=bins)
 
 
 def solve_problems(model, n1, seed, use_bo=False, restarts=1, max_iters=200,
@@ -180,7 +210,7 @@ def solve_problems(model, n1, seed, use_bo=False, restarts=1, max_iters=200,
     Failures are recorded per problem, not raised; an invalid option of
     the built-in optimizer in use raises ValueError before any solve.
     """
-    seeds = draw_nuisance_seeds(n1, seed)
+    seeds = np.array(draw_nuisance_seeds(n1, seed))
     options = {
         "use_bo": bool(use_bo),
         "restarts": int(restarts),
@@ -193,83 +223,66 @@ def solve_problems(model, n1, seed, use_bo=False, restarts=1, max_iters=200,
         check_bayesian_options(options["budget"], options["init_points"])
     elif solver is None:
         check_gradient_options(options["restarts"], options["max_iters"])
-    results, failures, seconds = _run_in_chunks(
+    done, outputs, failures, seconds = _run_in_chunks(
         _solve_chunk_task, (model, int(seed), options, solver),
-        [(i, (i, seeds[i])) for i in range(n1)], workers)
-    records = []
-    for i in range(n1):
-        record = ProblemRecord(index=i, seed=seeds[i], seconds=seconds[i])
-        if i in failures:
-            record.error = failures[i].message
-        else:
-            result, gp = results[i]
-            record.result = result
-            record.gp = gp
-            if result is None:
-                record.error = "optimizer returned no solution"
-        records.append(record)
+        (np.arange(n1), seeds), workers)
+    solved, x_min, f_min, hess, iterations, gps = outputs or _stack_results(
+        [], model.prior.dimension)
+    rows = np.flatnonzero(done)
+    errors = {i: "optimizer returned no solution" for i in rows[~solved].tolist()}
     return SolveOutput(
-        model=model,
-        n1=n1,
-        master_seed=int(seed),
-        use_bo=bool(use_bo),
-        options=options,
-        records=records,
-    )
+        model=model, n1=n1, master_seed=int(seed), use_bo=bool(use_bo),
+        options=options, seeds=seeds,
+        seconds=np.array([seconds[i] for i in range(n1)]),
+        errors=errors | {i: failure.message for i, failure in failures.items()},
+        indices=rows[solved], x_min=x_min, f_min=f_min, hess=hess,
+        iterations=iterations, gps=gps)
 
 
 def _region_chunk_task(payload):
-    """Regions of a run of accepted problems, then, when fit is given, each
-    region's quadratic fit.  Without a custom region_builder, the chunk's
-    curvatures are chosen on one stack, its boxes come from one lockstep
-    walk over its GP means or its seeds' DistanceStack and are checked
-    together; with one, it builds one region at a time."""
-    (model, master_seed, eps, settings, region_builder, fit), items = payload
-    indices, seeds, results, gps = zip(*items)
-    if region_builder is not None or fit is not None:
-        distances = [gp if gp is not None else make_objective(model, seed, index)
-                     for index, seed, _, gp in items]
-    if region_builder is not None:
-        boxes = [region_builder(distance, result, eps, settings)
-                 for distance, result in zip(distances, results)]
-        sources = ["custom"] * len(boxes)
-    else:
+    """A chunk's regions as the columns (sources, rotations, centers,
+    limits, quadratics): boxes from one stacked curvature choice and walk
+    over its GP means or seeds' DistanceStack, or a region_builder call
+    each; under fit, the built-in fits from one draw and stack call, or a
+    surrogate_fitter call each."""
+    (model, master_seed, eps, settings, region_builder, fit), columns = payload
+    indices, seeds, x_min, f_min, hess, iterations, gps = columns
+    indices, seeds = indices.tolist(), seeds.tolist()
+    n_train, fitter = fit or (None, None)
+    if region_builder is not None or fitter is not None:
+        # a hook takes one region's distance
+        distances = gps or [make_objective(model, seed, index)
+                            for seed, index in zip(seeds, indices)]
+    if region_builder is None:
         # every item carries its GP when the regions run on the surrogates
-        stack = (DistanceStack(gps) if gps[0] is not None
+        stack = (DistanceStack(gps) if gps is not None
                  else DistanceStack.of_model(model, seeds, indices))
         curvatures, sources = choose_curvatures(
-            results, lambda k: make_objective(model, seeds[k], indices[k]))
-        boxes = build_boxes(stack, results, curvatures, eps, settings)
-    quadratics = [None] * len(boxes)
-    if fit is not None:
-        n_train, fitter = fit
-        quadratics = [fitter(distance, box, n_train=n_train,
-                             seed=[master_seed, index, STREAM_FIT])
-                      for index, distance, box in zip(indices, distances, boxes)]
-    return list(zip(boxes, sources, quadratics))
-
-
-@dataclass
-class RegionEntry:
-    """Everything inference needs about one accepted problem."""
-
-    index: int
-    seed: int
-    result: OptimisationResult
-    region: BoundingBox
-    gp: Optional[GaussianProcessSurrogate] = None
-    quadratic: Optional[object] = None
-    curvature_source: str = ""
+            x_min, hess, lambda k: make_objective(model, seeds[k], indices[k]))
+        regions = build_boxes(stack, x_min, f_min, curvatures, eps, settings)
+    else:
+        stack = DistanceStack(distances)
+        regions = RegionStack.of([
+            region_builder(distance, OptimisationResult(*row), eps, settings)
+            for distance, *row in zip(distances, x_min, f_min, hess,
+                                      iterations)])
+        sources = ["custom"] * len(indices)
+    streams = [[master_seed, index, STREAM_FIT] for index in indices]
+    quadratics = None if fit is None else (
+        fit_quadratics(stack, regions, n_train, streams) if fitter is None
+        else [fitter(distance, regions.box(k), n_train=n_train, seed=stream)
+              for k, (distance, stream) in enumerate(zip(distances, streams))])
+    return (sources, regions.rotations, regions.centers, regions.limits,
+            quadratics)
 
 
 @dataclass
 class InferenceBundle:
-    """Trained state: accepted problems, their regions and distances.
-
-    use_surrogate records whether inference runs on the Gaussian-process
-    means (True) or the real objectives (False); under fit_models, every
-    entry has a quadratic fit, which takes precedence over both.
-    """
+    """Trained state: the table of the accepted problems whose regions
+    were built, each column and the RegionStack regions one row per
+    region, and gps and quadratics lists or None.  Inference runs on the
+    quadratics under fit_models, else the GP means under use_surrogate,
+    else the real objectives."""
 
     model: Model
     master_seed: int
@@ -278,33 +291,36 @@ class InferenceBundle:
     eps: float
     use_surrogate: bool
     fit_models: bool
-    entries: list
+    indices: np.ndarray
+    seeds: np.ndarray
+    x_min: np.ndarray
+    f_min: np.ndarray
+    hess: np.ndarray
+    iterations: np.ndarray
+    curvature_sources: list
+    regions: RegionStack
+    gps: Optional[list] = None
+    quadratics: Optional[list] = None
     region_failures: dict = field(default_factory=dict)
     region_seconds: dict = field(default_factory=dict)
     _posterior: object = field(default=None, init=False, repr=False,
                                compare=False)
 
-    @property
-    def accepted(self):
-        return [entry.index for entry in self.entries]
-
     def posterior(self):
-        """The posterior approximation over the entries, built once.  Its
-        distances are the fitted quadratics under fit_models, else the GP
-        means under use_surrogate, else one DistanceStack of the accepted
-        seeds."""
+        """The posterior approximation over the regions, built once, on
+        the fitted quadratics under fit_models, else the GP means under
+        use_surrogate, else one DistanceStack of the accepted seeds."""
         if self._posterior is None:
-            entries = self.entries
             if self.fit_models:
-                distances = DistanceStack(e.quadratic for e in entries)
+                distances = DistanceStack(self.quadratics)
             elif self.use_surrogate:
-                distances = DistanceStack(e.gp for e in entries)
+                distances = DistanceStack(self.gps)
             else:
                 distances = DistanceStack.of_model(
-                    self.model, [e.seed for e in entries], self.accepted)
+                    self.model, self.seeds.tolist(), self.indices.tolist())
             self._posterior = PosteriorApproximation(
-                self.model.prior, self.eps, [e.region for e in entries],
-                distances, self.accepted)
+                self.model.prior, self.eps, self.regions, distances,
+                self.indices.tolist())
         return self._posterior
 
     def sample(self, n2, seed):
@@ -324,12 +340,12 @@ def estimate_regions(solve_output, eps=None, quantile=None, fraction=0.05,
     surrogate means, False forces the real objectives.  fit_models adds a
     quadratic fit of that distance over each region, in the chunk task
     that builds its box; a region whose box or fit failed is left out and
-    listed in region_failures.  The boxes of a worker's chunk come from
-    one stacked curvature choice, one lockstep walk and one box check;
-    region_builder, a picklable callable (distance, result, eps,
-    settings) -> BoundingBox, replaces all three and is called once per
-    region of the chunk (again if another region of its chunk raised), as
-    surrogate_fitter is.
+    listed in region_failures.  A worker's chunk of boxes and fits is
+    built in lockstep; region_builder, a picklable callable (distance,
+    result, eps, settings) -> BoundingBox, and surrogate_fitter, one
+    (distance, box, n_train, seed) -> quadratic, replace them and are
+    called once per region of the chunk (again if another region of its
+    chunk raised).
     """
     if eps is not None and quantile is not None:
         raise ValueError("give either eps or quantile, not both")
@@ -342,51 +358,46 @@ def estimate_regions(solve_output, eps=None, quantile=None, fraction=0.05,
         use_surrogate = solve_output.use_bo
     use_surrogate = bool(use_surrogate)
     model = solve_output.model
-    by_index = {record.index: record for record in solve_output.records}
-    accepted = filter_solutions(solve_output.solved(), eps)
-    if not accepted:
+    accepted = filter_solutions(solve_output.f_min, eps)
+    if not accepted.any():
         raise DegenerateResult(f"no solution lies within eps={eps}")
-    if use_surrogate:
-        missing = [i for i in accepted if by_index[i].gp is None]
-        if missing:
-            raise ValueError(
-                f"use_surrogate requires a fitted surrogate; missing for {missing}"
-            )
+    indices = solve_output.indices[accepted]
+    gps = solve_output.gps and [solve_output.gps[k]
+                                for k in np.flatnonzero(accepted)]
+    missing = [i for i, gp in zip(indices.tolist(), gps or [None] * len(indices))
+               if gp is None]
+    if use_surrogate and missing:
+        raise ValueError(
+            f"use_surrogate requires a fitted surrogate; missing for {missing}")
 
     settings = RegionSettings.from_prior(
         model.prior, fraction=fraction, refinements=refinements,
         max_steps=max_steps,
     )
-    fit = None
-    if fit_models:
-        if surrogate_fitter is None:
-            # an n_train below the feature count fails here, not per region
-            training_size(n_train, model.prior.dimension)
-        fit = (n_train, surrogate_fitter or fit_quadratic)
-    regions, failures, region_seconds = _run_in_chunks(
+    if fit_models and surrogate_fitter is None:
+        # an n_train below the feature count fails here, not per region
+        training_size(n_train, model.prior.dimension)
+    columns = [indices, solve_output.seeds[indices]] + [
+        getattr(solve_output, name)[accepted]
+        for name in ("x_min", "f_min", "hess", "iterations")]
+    done, outputs, failures, region_seconds = _run_in_chunks(
         _region_chunk_task,
-        (model, solve_output.master_seed, eps, settings, region_builder, fit),
-        [(i, (i, by_index[i].seed, by_index[i].result,
-              by_index[i].gp if use_surrogate else None)) for i in accepted],
-        workers)
-    entries = [
-        RegionEntry(index=i, seed=by_index[i].seed, result=by_index[i].result,
-                    region=box, gp=by_index[i].gp, quadratic=quadratic,
-                    curvature_source=source)
-        for i, (box, source, quadratic) in sorted(regions.items())
-    ]
-    if not entries:
+        (model, solve_output.master_seed, eps, settings, region_builder,
+         (n_train, surrogate_fitter) if fit_models else None),
+        (*columns, gps if use_surrogate else None), workers)
+    if not done.any():
         raise DegenerateResult("every region's box or quadratic fit failed")
-
+    sources, rotations, centers, limits, quadratics = outputs
+    indices, seeds, x_min, f_min, hess, iterations = (c[done] for c in columns)
     return InferenceBundle(
-        model=model,
-        master_seed=solve_output.master_seed,
-        use_bo=solve_output.use_bo,
-        options=dict(solve_output.options),
-        eps=eps,
-        use_surrogate=use_surrogate,
-        fit_models=bool(fit_models),
-        entries=entries,
+        model=model, master_seed=solve_output.master_seed,
+        use_bo=solve_output.use_bo, options=dict(solve_output.options),
+        eps=eps, use_surrogate=use_surrogate, fit_models=bool(fit_models),
+        indices=indices, seeds=seeds, x_min=x_min, f_min=f_min, hess=hess,
+        iterations=iterations, curvature_sources=sources,
+        regions=RegionStack(rotations, centers, limits),
+        gps=gps and [gps[k] for k in np.flatnonzero(done)],
+        quadratics=quadratics,
         region_failures={key: f.message for key, f in failures.items()},
         region_seconds=region_seconds,
     )

@@ -1,15 +1,16 @@
 """Region construction around each accepted minimizer.
 
 A region is an oriented bounding box of the acceptance set
-{theta : d_i(theta) <= eps} around x_min, kept as a validated BoundingBox;
-its problem's proposal is uniform on the box, and a RegionStack of many
-boxes maps rotated coordinates and draws the samples.  Axes come from the
-eigenvectors of a curvature matrix at the minimizer; extents along each
-direction come from a step-doubling-free, step-halving line search that
-walks outward until the distance exceeds eps.  Boxes may stick out of the
-prior bounds; the prior density zeroes those samples, so none is clipped.
+{theta : d_i(theta) <= eps} around x_min; its problem's proposal is
+uniform on the box.  A stage's boxes are one RegionStack, which maps
+rotated coordinates and draws the samples; a hook gets a BoundingBox.
+Axes come from the eigenvectors of a curvature matrix at the minimizer;
+extents along each direction come from a step-doubling-free,
+step-halving line search that walks outward until the distance exceeds
+eps.  Boxes may stick out of the prior bounds; the prior density zeroes
+those samples, so none is clipped.
 
-Regions are built on stacks, one eigvalsh, one eigh, one lockstep walk
+Regions are built on columns, one eigvalsh, one eigh, one lockstep walk
 and one check_boxes call for many; the one-region functions are the
 one-row cases, so a region gets the same bits in any stack.
 """
@@ -73,34 +74,35 @@ def jacobian_curvature(objective, theta, step=1e-5):
     return jac.T @ jac
 
 
-def choose_curvatures(results, objective_of=lambda k: None):
+def choose_curvatures(x_min, hess, objective_of=lambda k: None):
     """Pick the curvature matrix at each of k minimizers, with fallbacks.
 
-    Row k keeps its optimizer's hess_appr when that is positive
+    Row k keeps hess[k], its optimizer's estimate, when that is positive
     semidefinite, decided for every row by one eigvalsh over the stack.
     Only the other rows fall back, one at a time: to J^T J of the
-    summaries of objective_of(k), asked for no other row, unless it is
-    None, else to the identity.  Returns the (k, D, D) matrices and a
-    list of sources, each "hess_appr", "jacobian" or "identity".
+    summaries of objective_of(k) at x_min[k], asked for no other row,
+    unless it is None, else to the identity.  Returns (k, D, D) matrices,
+    new ones, and sources, each "hess_appr", "jacobian" or "identity".
     """
-    hess = np.stack([result.hess_appr for result in results])
+    hess = np.array(hess, dtype=np.float64)
     eigvals = np.linalg.eigvalsh((hess + hess.transpose(0, 2, 1)) / 2.0)
     # fmax skips a NaN, as the scalar max(1.0, nan) does
     tol = 1e-8 * np.fmax(1.0, np.max(np.abs(eigvals), axis=1))
     psd = np.isfinite(eigvals).all(axis=1) & (eigvals.min(axis=1) >= -tol)
-    sources = ["hess_appr"] * len(results)
+    sources = ["hess_appr"] * len(hess)
     for k in np.flatnonzero(~psd):
         hess[k], sources[k] = np.eye(hess.shape[1]), "identity"
         if (objective := objective_of(k)) is not None:
             with contextlib.suppress(NumericalFailure):
                 hess[k], sources[k] = jacobian_curvature(
-                    objective, results[k].x_min), "jacobian"
+                    objective, x_min[k]), "jacobian"
     return hess, sources
 
 
 def choose_curvature(result, objective=None):
     """choose_curvatures for one minimizer: (matrix, source)."""
-    matrices, sources = choose_curvatures([result], lambda k: objective)
+    matrices, sources = choose_curvatures(
+        result.x_min[None], result.hess_appr[None], lambda k: objective)
     return matrices[0], sources[0]
 
 
@@ -214,14 +216,13 @@ def check_boxes(rotations, centers, limits):
 
 
 class BoundingBox:
-    """One region's validated record: the center, orthonormal rotation
-    and per-axis signed limits of an oriented box.
+    """One region's validated box, the row type of the hooks: the center,
+    orthonormal rotation and per-axis signed limits of an oriented box.
 
     A point theta maps to rotated coordinates z = R^T (theta - center);
     the box is {z : limits[m, 0] <= z_m <= limits[m, 1]} with the lower
     limit negative and the upper positive, so the center is interior.
-    Every box is checked by check_boxes: a constructed one as a stack of
-    one, the boxes of BoundingBox.stacked together.
+    check_boxes validates it as a stack of one.
     """
 
     def __init__(self, rotation, center, limits):
@@ -231,49 +232,33 @@ class BoundingBox:
             check_boxes(rotation[None], center[None], limits[None])[0])
         self.rotation, self.center, self.limits = rotation, center, limits
 
-    @classmethod
-    def stacked(cls, rotations, centers, limits):
-        """The k boxes of a (k, D, D), (k, D), (k, D, 2) stack, checked
-        together by check_boxes; box k holds views of row k."""
-        rotations, centers, limits = (np.asarray(a, dtype=np.float64)
-                                      for a in (rotations, centers, limits))
-        boxes = []
-        for row in zip(rotations, centers, limits,
-                       check_boxes(rotations, centers, limits).tolist()):
-            box = cls.__new__(cls)
-            box.rotation, box.center, box.limits, box.volume = row
-            boxes.append(box)
-        return boxes
-
-    @property
-    def dimension(self):
-        return self.center.size
-
     def sample(self, n, seed):
         """n uniform draws in the box: RegionStack.sample of it alone."""
-        return RegionStack([self]).sample(n, [seed])
-
-    def to_record(self):
-        return {
-            "center": self.center.tolist(),
-            "rotation": self.rotation.tolist(),
-            "limits": self.limits.tolist(),
-        }
-
-    @classmethod
-    def from_record(cls, record):
-        return cls(record["rotation"], record["center"], record["limits"])
+        return RegionStack.of([self]).sample(n, [seed])
 
 
 class RegionStack:
-    """Several boxes as arrays, and the only map between their rotated
-    coordinates z and the parameters theta = z R^T + center."""
+    """k boxes as (k, D, D) rotations, (k, D) centers and (k, D, 2) limits,
+    checked by check_boxes, which gives their volumes; the only map
+    between rotated coordinates z and parameters theta = z R^T + center."""
 
-    def __init__(self, boxes):
-        self.rotations = np.stack([box.rotation for box in boxes])
-        self.centers = np.stack([box.center for box in boxes])
-        self.limits = np.stack([box.limits for box in boxes])
-        self.volumes = np.array([box.volume for box in boxes])
+    def __init__(self, rotations, centers, limits):
+        self.rotations, self.centers, self.limits = (
+            np.asarray(a, dtype=np.float64) for a in (rotations, centers, limits))
+        self.volumes = check_boxes(self.rotations, self.centers, self.limits)
+
+    @classmethod
+    def of(cls, boxes):
+        """The stack of a list of BoundingBox."""
+        return cls(*(np.stack([getattr(b, name) for b in boxes])
+                     for name in ("rotation", "center", "limits")))
+
+    def __len__(self):
+        return len(self.volumes)
+
+    def box(self, k):
+        """Box k as a BoundingBox, for a hook."""
+        return BoundingBox(self.rotations[k], self.centers[k], self.limits[k])
 
     def sample(self, n, seeds):
         """n uniform draws in each box, box k's from default_rng(seeds[k])
@@ -293,35 +278,35 @@ class RegionStack:
         return np.all((z >= lo - atol) & (z <= hi + atol), axis=1)
 
 
-def build_boxes(func, results, curvatures, eps, settings):
-    """Bounding boxes around several minimizers from one lockstep walk.
+def build_boxes(func, x_min, f_min, curvatures, eps, settings):
+    """The RegionStack of the boxes around k minimizers, one lockstep walk.
 
-    func(points, owners) evaluates points under the distance of result
-    owners (a DistanceStack indexed like results).  Box k takes its axes
-    from curvatures[k], all of them from one curvature_axes call on the
-    stack, and its extents from a pair of line searches per axis; the
-    boxes are checked together by BoundingBox.stacked.  Requires every
-    f_min <= eps so each center is acceptable.
+    func(points, owners) evaluates points under the distance of minimizer
+    owners (a DistanceStack indexed like x_min).  Box k is centered on
+    x_min[k], takes its axes from curvatures[k], all of them from one
+    curvature_axes call on the stack, and its extents from a pair of line
+    searches per axis.  Requires every f_min <= eps so each center is
+    acceptable.
     """
-    if any(result.f_min > eps for result in results):
+    if np.any(np.asarray(f_min) > eps):
         raise ValueError("cannot build a region around a rejected minimizer")
     axes = curvature_axes(curvatures)
     k, d, _ = axes.shape
     # row (k, m, 0) walks box k along +axis m, row (k, m, 1) along -axis m
     directions = np.stack([axes, -axes], axis=-1).transpose(0, 2, 3, 1)
-    centers = np.stack([result.x_min for result in results])
     extents = line_search_extents(
-        func, np.repeat(centers, 2 * d, axis=0), directions.reshape(-1, d),
+        func, np.repeat(x_min, 2 * d, axis=0), directions.reshape(-1, d),
         np.repeat(np.arange(k), 2 * d), eps, settings,
     ).reshape(k, d, 2)
-    return BoundingBox.stacked(
-        axes, centers, np.stack([-extents[..., 1], extents[..., 0]], axis=-1))
+    return RegionStack(
+        axes, x_min, np.stack([-extents[..., 1], extents[..., 0]], axis=-1))
 
 
 def build_box(distance, result, eps, settings, curvature=None, objective=None):
-    """build_boxes for one minimizer; choose_curvature picks the curvature
-    matrix unless one is given."""
+    """build_boxes for one minimizer, as a BoundingBox; choose_curvature
+    picks the curvature matrix unless one is given."""
     if curvature is None:
         curvature, _ = choose_curvature(result, objective=objective)
-    return build_boxes(DistanceStack([distance]), [result], [curvature], eps,
-                       settings)[0]
+    return build_boxes(DistanceStack([distance]), result.x_min[None],
+                       [result.f_min], np.asarray(curvature)[None], eps,
+                       settings).box(0)

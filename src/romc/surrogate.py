@@ -1,8 +1,9 @@
 """Cheap local stand-ins for the per-seed distances.
 
 After regions exist, each distance can be replaced by a quadratic fitted
-on points drawn inside its bounding box, which makes posterior evaluation
-and weighting orders of magnitude cheaper for expensive simulators.
+on points drawn inside its bounding box, all boxes of a stack drawn and
+evaluated at once, which makes posterior evaluation and weighting orders
+of magnitude cheaper for expensive simulators.
 InferenceBundle.posterior picks the one kind inference uses for every
 problem: fitted quadratics first, then Gaussian-process means, then the
 true objectives.
@@ -11,6 +12,8 @@ true objectives.
 import logging
 
 import numpy as np
+
+from .regions import RegionStack
 
 logger = logging.getLogger(__name__)
 
@@ -39,13 +42,9 @@ def training_size(n_train, dimension):
 
 
 def _features(thetas):
-    n, d = thetas.shape
-    cols = [np.ones(n)]
-    cols.extend(thetas[:, m] for m in range(d))
-    for a in range(d):
-        for b in range(a, d):
-            cols.append(thetas[:, a] * thetas[:, b])
-    return np.column_stack(cols)
+    a, b = np.triu_indices(thetas.shape[1])
+    return np.column_stack([np.ones(len(thetas)), thetas,
+                            thetas[:, a] * thetas[:, b]])
 
 
 class QuadraticSurrogate:
@@ -85,18 +84,31 @@ class QuadraticSurrogate:
         return cls(record["intercept"], record["linear"], record["quad"])
 
 
-def fit_quadratic(distance, box, n_train=None, seed=0):
-    """Least-squares quadratic fit of a distance over one bounding box.
+def fit_quadratics(distances, regions, n_train, seeds):
+    """Least-squares quadratic fit of each distance of a DistanceStack over
+    its box of a RegionStack, from n_train uniform draws in it (box k's
+    from seeds[k]), all drawn and evaluated at once.  n_train defaults to
+    20 per feature, capped at 500, and must cover the feature count; a
+    rank-deficient design gets a tiny ridge penalty."""
+    k, d = regions.centers.shape
+    n = training_size(n_train, d)
+    thetas = regions.sample(n, seeds)
+    values = np.asarray(distances(thetas, np.repeat(np.arange(k), n)),
+                        dtype=np.float64)
+    return [_least_squares(t, v) for t, v in zip(thetas.reshape(k, n, d),
+                                                 values.reshape(k, n))]
 
-    Training points are drawn uniformly inside the box; the distance is
-    evaluated exactly n_train times.  n_train defaults to 20 design points
-    per feature, capped at 500, and must cover the feature count.  Falls
-    back to a tiny ridge penalty when the design is rank deficient.
-    """
-    d = box.dimension
+
+def fit_quadratic(distance, box, n_train=None, seed=0):
+    """fit_quadratics of one distance over one BoundingBox: the built-in
+    surrogate_fitter."""
+    return fit_quadratics(lambda thetas, owners: distance.evaluate_batch(thetas),
+                          RegionStack.of([box]), n_train, [seed])[0]
+
+
+def _least_squares(thetas, values):
+    d = thetas.shape[1]
     n_features = quadratic_feature_count(d)
-    thetas = box.sample(training_size(n_train, d), seed)
-    values = np.asarray(distance.evaluate_batch(thetas), dtype=np.float64)
     design = _features(thetas)
     coef, _, rank, _ = np.linalg.lstsq(design, values, rcond=None)
     if rank < n_features:
@@ -106,16 +118,7 @@ def fit_quadratic(distance, box, n_train=None, seed=0):
         )
         gram = design.T @ design + RIDGE_LAMBDA * np.eye(n_features)
         coef = np.linalg.solve(gram, design.T @ values)
-    intercept = coef[0]
-    linear = coef[1 : 1 + d]
+    # the upper triangle; the surrogate halves each cross term into Q
     quad = np.zeros((d, d))
-    pos = 1 + d
-    for a in range(d):
-        for b in range(a, d):
-            if a == b:
-                quad[a, a] = coef[pos]
-            else:
-                quad[a, b] = coef[pos] / 2.0
-                quad[b, a] = coef[pos] / 2.0
-            pos += 1
-    return QuadraticSurrogate(intercept, linear, quad)
+    quad[np.triu_indices(d)] = coef[1 + d:]
+    return QuadraticSurrogate(coef[0], coef[1:1 + d], quad)

@@ -29,7 +29,7 @@ from romc import (
 from romc.inference import PosteriorApproximation
 from romc.model import BoxUniformPrior, DistanceStack, finite_difference_gradient
 from romc.optimize import compute_eps, solve_gradient
-from romc.regions import RegionSettings, RegionStack, build_box, line_search_extent
+from romc.regions import RegionSettings, build_box, line_search_extent
 
 
 def verdict(number, ok, detail):
@@ -212,15 +212,14 @@ def test_criterion_5_parallel_training(tmp_path):
 def _check_region_suite():
     solve = solve_problems(make_toy_model(), n1=40, seed=7)
     bundle = estimate_regions(solve, eps=0.75)
-    stack = RegionStack([entry.region for entry in bundle.entries])
-    for k, entry in enumerate(bundle.entries):
-        box = entry.region
+    stack = bundle.regions
+    for k, (rotation, limits) in enumerate(zip(stack.rotations, stack.limits)):
         np.testing.assert_allclose(
-            box.rotation.T @ box.rotation, np.eye(box.dimension), atol=1e-10
+            rotation.T @ rotation, np.eye(len(rotation)), atol=1e-10
         )
-        assert stack.contains(entry.result.x_min[None], [k]).all()
-        assert np.all(box.limits[:, 0] < 0.0)
-        assert np.all(box.limits[:, 1] > 0.0)
+        assert stack.contains(bundle.x_min[k][None], [k]).all()
+        assert np.all(limits[:, 0] < 0.0)
+        assert np.all(limits[:, 1] > 0.0)
 
     # ellipse d = t1^2 + 4 t2^2 at eps = 1 has semi-axes (1, 0.5)
     settings = RegionSettings(eta_start=0.1, refinements=12, max_steps=100)
@@ -256,10 +255,10 @@ def _check_weight_suite():
     for j in range(result.n_samples):
         theta = result.thetas[j]
         k = owner[int(result.problem_indices[j])]
-        region = posterior.regions[k]
         expected = 0.0
         if posterior.distances(theta[None, :], k)[0] <= posterior.eps:
-            expected = posterior.prior.pdf_batch(theta[None, :])[0] * region.volume
+            expected = (posterior.prior.pdf_batch(theta[None, :])[0]
+                        * posterior.regions.volumes[k])
         assert result.weights[j] == pytest.approx(expected, rel=1e-12)
 
     points, volume = midpoint_grid(posterior.prior.bounds, 0.05)

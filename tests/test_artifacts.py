@@ -7,6 +7,7 @@ loaded form must reproduce the original file byte for byte.
 
 import csv
 import json
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -24,8 +25,6 @@ from romc import (
 )
 from romc.inference import InferenceResult
 from romc.model import BoxUniformPrior
-from romc.optimize import OptimisationResult
-from romc.pipeline import ProblemRecord
 
 
 @pytest.fixture(scope="module")
@@ -77,22 +76,21 @@ class TestSolutionsArtifact:
             )
 
     def test_failed_problems_persisted(self, tmp_path):
-        from romc.pipeline import ProblemRecord, SolveOutput
+        from romc.pipeline import SolveOutput
 
         output = SolveOutput(
             model=make_toy_model(), n1=2, master_seed=0, use_bo=False,
-            options={},
-            records=[
-                ProblemRecord(index=0, seed=11, error="went sideways"),
-                ProblemRecord(index=1, seed=12, error=None),
-            ],
+            options={}, seeds=np.array([11, 12]), seconds=np.zeros(2),
+            errors={0: "went sideways"}, indices=np.zeros(0, dtype=int),
+            x_min=np.empty((0, 1)), f_min=np.empty(0),
+            hess=np.empty((0, 1, 1)), iterations=np.empty(0, dtype=object),
         )
         path = tmp_path / "solutions.json"
         artifacts.write_solutions(path, output)
         loaded = artifacts.load_solutions(path)
         assert loaded.records[0].result is None
         assert loaded.records[0].error == "went sideways"
-        assert loaded.solved() == []
+        assert loaded.indices.tolist() == []
 
     def test_model_without_recipe_rejected(self, tmp_path):
         base = make_toy_model()
@@ -114,12 +112,14 @@ class TestRegionsArtifact:
         assert loaded.eps == bundle.eps
         assert loaded.use_surrogate == bundle.use_surrogate
         assert loaded.fit_models == bundle.fit_models
-        assert loaded.accepted == bundle.accepted
-        for a, b in zip(loaded.entries, bundle.entries):
-            np.testing.assert_array_equal(a.region.rotation, b.region.rotation)
-            np.testing.assert_array_equal(a.region.limits, b.region.limits)
-            np.testing.assert_array_equal(a.quadratic.quad, b.quadratic.quad)
-            assert a.curvature_source == b.curvature_source
+        np.testing.assert_array_equal(loaded.indices, bundle.indices)
+        np.testing.assert_array_equal(loaded.regions.rotations,
+                                      bundle.regions.rotations)
+        np.testing.assert_array_equal(loaded.regions.limits,
+                                      bundle.regions.limits)
+        for a, b in zip(loaded.quadratics, bundle.quadratics, strict=True):
+            np.testing.assert_array_equal(a.quad, b.quad)
+        assert loaded.curvature_sources == bundle.curvature_sources
 
     def test_rewrite_is_byte_identical(self, bundle, tmp_path):
         first = tmp_path / "a.json"
@@ -211,7 +211,7 @@ class TestTelemetry:
         artifacts.write_region_telemetry(path, bundle)
         lines = path.read_text().splitlines()
         assert lines[0] == "index,status,region_seconds"
-        assert len(lines) == 1 + len(bundle.entries)
+        assert len(lines) == 1 + len(bundle.indices)
 
 
 class TestPosteriorGridAndMetrics:
@@ -271,11 +271,9 @@ class TestCsvText:
 
     def test_solve_telemetry(self, tmp_path):
         path = tmp_path / "t.csv"
-        ok = OptimisationResult([0.5], 1e-17, [[1.0]], iterations=3)
-        artifacts.write_solve_telemetry(path, SimpleNamespace(records=[
-            ProblemRecord(index=0, seed=4, result=ok, seconds=0.1),
-            ProblemRecord(index=1, seed=5, seconds=float("inf")),
-        ]))
+        artifacts.write_solve_telemetry(path, SimpleNamespace(
+            seconds=np.array([0.1, np.inf]), indices=np.array([0]),
+            f_min=np.array([1e-17]), iterations=np.array([3], dtype=object)))
         assert self._lines(path) == [
             "index,status,f_min,iterations,seconds",
             "0,ok,1e-17,3,0.1", "1,failed,,,inf", ""]
@@ -283,7 +281,7 @@ class TestCsvText:
     def test_region_telemetry(self, tmp_path):
         path = tmp_path / "t.csv"
         artifacts.write_region_telemetry(path, SimpleNamespace(
-            entries=[SimpleNamespace(index=2)],
+            indices=np.array([2]),
             region_seconds={2: 0.1, 5: 1e-17}, region_failures={7: "err"}))
         assert self._lines(path) == [
             "index,status,region_seconds",
@@ -452,7 +450,7 @@ class TestLoadValidation:
                                                   problem):
         # inference runs every region on its quadratic under fit_models and
         # on none otherwise, so a mismatch would mix distances silently
-        index = bundle.entries[1 if "no quadratic" in problem else 0].index
+        index = bundle.indices[1 if "no quadratic" in problem else 0]
         _tamper(regions, edit)
         with pytest.raises(ValueError, match=f"region {index} {problem}"):
             artifacts.load_regions(regions)
@@ -463,7 +461,7 @@ class TestLoadValidation:
         bo_bundle = estimate_regions(bo_solve_output, quantile=1.0)
         assert bo_bundle.use_surrogate
         artifacts.write_regions(path, bo_bundle)
-        index = bo_bundle.entries[0].index
+        index = bo_bundle.indices[0]
         _tamper(path, lambda p: p["regions"][0].pop("gp"))
         with pytest.raises(ValueError, match=f"region {index} has no GP"):
             artifacts.load_regions(path)
@@ -483,6 +481,61 @@ class TestLoadValidation:
     def test_eps_must_be_finite_and_nonnegative(self, regions, eps):
         _tamper(regions, lambda p: p.update(eps=eps))
         with pytest.raises(ValueError, match="eps must be finite"):
+            artifacts.load_regions(regions)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: _first_ok(p).update(status="okay"),
+         "status must be 'ok' or 'failed', found 'okay'"),
+        (lambda p: p["problems"][1].update(index=1.0),
+         "problem index must be a nonnegative integer, found 1.0"),
+        (lambda p: p["problems"][0].update(seed=1.5),
+         "seed must be a nonnegative integer, found 1.5"),
+        (lambda p: p["problems"][0].update(seed="7"),
+         "seed must be a nonnegative integer, found '7'"),
+        (lambda p: p["problems"][0].update(seed=-3),
+         "seed must be a nonnegative integer, found -3"),
+        (lambda p: p.update(use_bo="no"),
+         "use_bo must be true or false, found 'no'"),
+        (lambda p: _first_ok(p)["result"].update(iterations="x"),
+         "iterations must be a nonnegative integer, found 'x'"),
+        (lambda p: _first_ok(p)["result"].update(iterations=-1),
+         "iterations must be a nonnegative integer, found -1"),
+    ], ids=["status", "float-index", "float-seed", "string-seed",
+            "negative-seed", "string-flag", "string-iterations",
+            "negative-iterations"])
+    def test_malformed_solutions_rejected(self, solutions, edit, message):
+        _tamper(solutions, edit)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            artifacts.load_solutions(solutions)
+
+    def test_null_iterations_load(self, solutions):
+        # a custom solver may report no iteration count
+        _tamper(solutions, lambda p: _first_ok(p)["result"].update(
+            iterations=None))
+        loaded = artifacts.load_solutions(solutions)
+        assert loaded.iterations[0] is None
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: p["regions"][0].update(seed=1.5),
+         "seed must be a nonnegative integer, found 1.5"),
+        (lambda p: p["regions"][0].update(seed="7"),
+         "seed must be a nonnegative integer, found '7'"),
+        (lambda p: p["regions"][0].update(index=-1),
+         "region index must be a nonnegative integer, found -1"),
+        (lambda p: p.update(use_bo="no"),
+         "use_bo must be true or false, found 'no'"),
+        (lambda p: p["regions"][0]["result"].update(iterations="x"),
+         "iterations must be a nonnegative integer, found 'x'"),
+        (lambda p: p["regions"][0].update(curvature_source="banana"),
+         "curvature_source must be one of ('hess_appr', 'jacobian', "
+         "'identity', 'custom'), found 'banana'"),
+        (lambda p: p["regions"][0]["result"].update(f_min=2.0 * p["eps"] + 1),
+         "above eps"),
+    ], ids=["float-seed", "string-seed", "negative-index", "string-flag",
+            "string-iterations", "curvature-source", "f_min-above-eps"])
+    def test_malformed_regions_rejected(self, regions, edit, message):
+        _tamper(regions, edit)
+        with pytest.raises(ValueError, match=re.escape(message)):
             artifacts.load_regions(regions)
 
     @pytest.fixture

@@ -75,7 +75,7 @@ class TestPipeline:
     def test_metrics_contents(self, pipeline_dir):
         payload = json.loads((pipeline_dir / "metrics.json").read_text())
         assert payload["n_samples"] == 20 * len(
-            artifacts.load_regions(pipeline_dir / "regions.json").entries
+            artifacts.load_regions(pipeline_dir / "regions.json").indices
         )
         assert 1.0 <= payload["ess"] <= payload["n_samples"]
         assert payload["reference"] == "true-1d"
@@ -102,7 +102,7 @@ class TestPipeline:
         assert (f"curvature sources: hess_appr {len(solved) - 1}, "
                 "jacobian 1, identity 0\n") in out
         bundle = artifacts.load_regions(tmp_path / "regions.json")
-        sources = {e.index: e.curvature_source for e in bundle.entries}
+        sources = dict(zip(bundle.indices.tolist(), bundle.curvature_sources))
         assert sources[solved[0]["index"]] == "jacobian"
 
     def test_posterior_evaluates_grid_once(self, pipeline_dir, tmp_path,
@@ -135,8 +135,8 @@ class TestPipeline:
         bundle = artifacts.load_regions(regions)
         axes, _ = grid_axes(bundle.model.prior.bounds)
         guards = []
-        for entry in bundle.entries:
-            values, bound = entry.gp.evaluate_grid(axes)
+        for gp in bundle.gps:
+            values, bound = gp.evaluate_grid(axes)
             guards.append(int(np.sum(np.abs(values - bundle.eps) <= bound)))
         rows = []
         original = GaussianProcessSurrogate.evaluate_batch

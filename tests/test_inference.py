@@ -22,6 +22,15 @@ from romc import (
 from romc.inference import PosteriorApproximation, grid_axes, sample
 from romc.model import BoxUniformPrior, DistanceStack, make_objective
 from romc.optimize import GaussianProcessSurrogate
+from romc.regions import RegionStack
+
+
+def _rows(*parts):
+    """The RegionStack of the chosen rows of stacks, each part a (stack,
+    rows) pair, in order."""
+    return RegionStack(*(np.concatenate([getattr(stack, name)[rows]
+                                         for stack, rows in parts])
+                         for name in ("rotations", "centers", "limits")))
 
 
 class TestMidpointGrid:
@@ -96,7 +105,8 @@ def two_bump_posterior(eps=0.04):
         distances.append(BatchDistance(
             lambda t, c=center: float((np.asarray(t).ravel()[0] - c) ** 2)
         ))
-    return PosteriorApproximation(prior, eps, regions, DistanceStack(distances),
+    return PosteriorApproximation(prior, eps, RegionStack.of(regions),
+                                  DistanceStack(distances),
                                   problem_indices=[4, 9])
 
 
@@ -177,9 +187,10 @@ class TestPosteriorApproximation:
         with pytest.raises(ValueError):
             PosteriorApproximation(prior, 0.1, [], DistanceStack([]))
         with pytest.raises(ValueError):
-            PosteriorApproximation(prior, 0.1, [box], DistanceStack([]))
+            PosteriorApproximation(prior, 0.1, RegionStack.of([box]),
+                                   DistanceStack([]))
         with pytest.raises(ValueError):
-            PosteriorApproximation(prior, 0.1, [box],
+            PosteriorApproximation(prior, 0.1, RegionStack.of([box]),
                                    DistanceStack([BatchDistance(lambda t: 0.0)]),
                                    problem_indices=[1, 2])
 
@@ -207,10 +218,11 @@ def mixed_posterior(ma2_bo_posterior):
         quantile=0.97)
     return PosteriorApproximation(
         ma2_bo_posterior.prior, 0.05,
-        ma2_bo_posterior.regions[:10] + [e.region for e in gradient.entries],
+        _rows((ma2_bo_posterior.regions, slice(10)),
+              (gradient.regions, slice(None))),
         DistanceStack(ma2_bo_posterior.distances.distances[:10] + [
-            make_objective(gradient.model, e.seed, e.index)
-            for e in gradient.entries]))
+            make_objective(gradient.model, seed, index) for seed, index in zip(
+                gradient.seeds.tolist(), gradient.indices.tolist())]))
 
 
 @pytest.fixture(scope="module")
@@ -271,7 +283,8 @@ class TestProductGrid:
         # eps at the batch mean, only the batch value counts it
         cell = int(np.flatnonzero(product > batch)[0])
         box = BoundingBox(np.eye(2), np.zeros(2), np.array([[-1.0, 1.0]] * 2))
-        posterior = PosteriorApproximation(prior, batch[cell], [box],
+        posterior = PosteriorApproximation(prior, batch[cell],
+                                           RegionStack.of([box]),
                                            DistanceStack([gp]))
         evaluated = []
 
@@ -293,14 +306,14 @@ class TestSample:
         posterior = two_bump_posterior()
         result = sample(posterior, 100, seed=11)
         by_index = dict(zip(posterior.problem_indices,
-                            zip(posterior.regions,
+                            zip(posterior.regions.volumes,
                                 posterior.distances.distances)))
         for j in range(result.n_samples):
             theta = result.thetas[j]
-            region, distance = by_index[int(result.problem_indices[j])]
+            volume, distance = by_index[int(result.problem_indices[j])]
             expected = 0.0
             if distance(theta) <= posterior.eps:
-                expected = posterior.prior.pdf_batch(theta[None, :])[0] * region.volume
+                expected = posterior.prior.pdf_batch(theta[None, :])[0] * volume
             assert result.weights[j] == pytest.approx(expected, rel=1e-12)
 
     def test_zero_weight_draws_are_kept(self):
@@ -320,7 +333,7 @@ class TestSample:
         # reversing the region order must not change any per-problem draw
         flipped = PosteriorApproximation(
             posterior.prior, posterior.eps,
-            list(reversed(posterior.regions)),
+            _rows((posterior.regions, slice(None, None, -1))),
             DistanceStack(reversed(posterior.distances.distances)),
             problem_indices=list(reversed(posterior.problem_indices)),
         )
@@ -336,7 +349,7 @@ class TestSample:
         for k, pi in enumerate(posterior.problem_indices):
             block = result.thetas[result.problem_indices == pi]
             owners = np.full(len(block), k)
-            assert posterior.stack.contains(block, owners).all()
+            assert posterior.regions.contains(block, owners).all()
 
     def test_draw_indices_run_per_region(self):
         posterior = two_bump_posterior()

@@ -11,6 +11,7 @@ is really taken.
 import inspect
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -366,15 +367,16 @@ class TestChunking:
             solve = request.getfixturevalue("ma2_solve")
             out = estimate_regions(solve, quantile=0.97, fit_models=True,
                                    region_builder=_axis_box)
-            assert len(out.accepted) == 195
-            for entry in out.entries:
-                box = _axis_box(None, entry.result, None, None)
-                _same_box(entry.region, box)
-                assert entry.curvature_source == "custom"
-                objective = make_objective(solve.model, entry.seed,
-                                           entry.index)
-                _same_quadratic(entry.quadratic, fit_quadratic(
-                    objective, box, seed=[21, entry.index, STREAM_FIT]))
+            assert len(out.indices) == 195
+            for k, (index, seed) in enumerate(zip(out.indices.tolist(),
+                                                  out.seeds.tolist())):
+                box = _axis_box(None, SimpleNamespace(x_min=out.x_min[k]),
+                                None, None)
+                _same_box(out.regions.box(k), box)
+                assert out.curvature_sources[k] == "custom"
+                objective = make_objective(solve.model, seed, index)
+                _same_quadratic(out.quadratics[k], fit_quadratic(
+                    objective, box, seed=[21, index, STREAM_FIT]))
             return
         reference = request.getfixturevalue(
             {"gradient": "ma2_solve", "bo": "ma2_bo_solve",
@@ -382,11 +384,11 @@ class TestChunking:
         if stage == "fit":
             out = estimate_regions(request.getfixturevalue("ma2_solve"),
                                    quantile=0.97, fit_models=True)
-            assert out.accepted == reference.accepted
-            assert len(out.accepted) == 195
-            for a, b in zip(out.entries, reference.entries):
-                _same_box(a.region, b.region)
-                _same_quadratic(a.quadratic, b.quadratic)
+            np.testing.assert_array_equal(out.indices, reference.indices)
+            assert len(out.indices) == 195
+            for k in range(195):
+                _same_box(out.regions.box(k), reference.regions.box(k))
+                _same_quadratic(out.quadratics[k], reference.quadratics[k])
             return
         out = solve_problems(reference.model, n1=reference.n1,
                              seed=21, **reference.options)
@@ -472,4 +474,4 @@ def test_perfbench_tracer_still_wraps_the_solve():
     assert len(tracer.named("parallel.run_tasks")) == 2
     assert tracer.counter("parallel.task")[0] == 2
     assert tracer.counter("parallel.failures")[0] == 0
-    assert all(entry.quadratic is not None for entry in bundle.entries)
+    assert all(quadratic is not None for quadratic in bundle.quadratics)

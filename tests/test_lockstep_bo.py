@@ -25,7 +25,12 @@ from romc.model import (
     draw_nuisance_seeds,
     make_objective,
 )
-from romc.optimize import SINGULAR, solve_bayesian, solve_bayesians
+from romc.optimize import (
+    SINGULAR,
+    OptimisationResult,
+    solve_bayesian,
+    solve_bayesians,
+)
 
 SQUARE = BoxUniformPrior([[-1.0, 1.0], [-1.0, 1.0]])
 SMALL = {"budget": 20, "init_points": 6}
@@ -57,12 +62,27 @@ def _reference(objectives, prior, seeds, **options):
             for o, seed in zip(objectives, seeds)]
 
 
+def _entries(columns):
+    """The columns of solve_bayesians as one entry per problem: (result,
+    surrogate), or None for a problem it did not solve."""
+    solved, x_min, f_min, hess, iterations, gps = columns
+    rows = iter(zip(x_min, f_min, hess, iterations.tolist(), gps))
+    entries = []
+    for ok in solved:
+        if ok:
+            x, f, h, it, gp = next(rows)
+            entries.append((OptimisationResult(x, f, h, it), gp))
+        else:
+            entries.append(None)
+    return entries
+
+
 def check_against_reference(make_objectives, prior, seeds, **options):
     """Solve fresh objectives in lockstep and others alone with the
     reference, and check every problem bit for bit; returns the lockstep
     entries."""
-    out = solve_bayesians(DistanceStack(make_objectives()), prior, seeds,
-                          **options)
+    out = _entries(solve_bayesians(DistanceStack(make_objectives()), prior,
+                                   seeds, **options))
     for a, b in zip(out, _reference(make_objectives(), prior, seeds,
                                     **options)):
         _same(a, b)
@@ -142,9 +162,9 @@ class TestAgainstReference:
     def test_ma2_30_problems(self, request, master_seed):
         model = make_ma2_model()
         objectives, seeds = _problems(model, 30, master_seed)
-        out = solve_bayesians(
+        out = _entries(solve_bayesians(
             DistanceStack.of_model(model, draw_nuisance_seeds(30, master_seed),
-                                   range(30)), model.prior, seeds)
+                                   range(30)), model.prior, seeds))
         if master_seed == 21:
             ref = request.getfixturevalue("ma2_reference")
         else:

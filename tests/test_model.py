@@ -169,7 +169,7 @@ class TestDeterministicObjective:
         for i, seed in enumerate(draw_nuisance_seeds(50, 8)):
             make_objective(model, seed, i)
         output = solve_problems(model, n1=10, seed=8)
-        assert len(output.solved()) == 10
+        assert len(output.indices) == 10
         assert calls == []
 
 
@@ -350,14 +350,14 @@ class TestKernelProtocol:
     def test_custom_factory_runs_the_pipeline(self):
         model = _shift_model()
         solve = solve_problems(model, n1=12, seed=4)
-        assert len(solve.solved()) == 12
+        assert len(solve.indices) == 12
         bundle = estimate_regions(solve, quantile=0.9)
         result = bundle.sample(5, seed=4)
-        assert result.n_samples == 5 * len(bundle.entries)
+        assert result.n_samples == 5 * len(bundle.indices)
         stack = bundle.posterior().distances
         assert stack.kernel is _shift_kernel
-        objectives = [make_objective(model, e.seed, e.index)
-                      for e in bundle.entries]
+        objectives = [make_objective(model, seed, index) for seed, index in
+                      zip(bundle.seeds.tolist(), bundle.indices.tolist())]
         owners = np.repeat(np.arange(len(objectives)), 5)
         got = stack(result.thetas, owners)
         alone = np.concatenate([

@@ -126,12 +126,13 @@ class TestSolveGradient:
             return x0, f, h_inv, 0, np.arange(9)
 
         monkeypatch.setattr(romc.optimize, "_bfgs", bfgs)
-        out = solve_gradients([quadratic([0.0, 0.0], [1.0, 1.0])] * 3,
-                              unit_square_prior, [0, 1, 2], restarts=3)
-        assert [(r.iterations, r.f_min) for r in out[:2]] == [(1, 1.0),
-                                                               (4, 3.0)]
-        np.testing.assert_array_equal(out[1].hess_appr, np.eye(2) / 16.0)
-        assert out[2] is None
+        solved, _, f_min, hess, iterations = solve_gradients(
+            [quadratic([0.0, 0.0], [1.0, 1.0])] * 3, unit_square_prior,
+            [0, 1, 2], restarts=3)
+        assert list(zip(iterations.tolist(), f_min.tolist())) == [(1, 1.0),
+                                                                   (4, 3.0)]
+        np.testing.assert_array_equal(hess[1], np.eye(2) / 16.0)
+        assert solved.tolist() == [True, True, False]
 
     def test_all_restarts_failing_returns_none(self, unit_square_prior):
         result = solve_gradient(BatchDistance(lambda x: np.nan),
@@ -493,32 +494,29 @@ class TestComputeEps:
 
 
 class TestFilterSolutions:
-    def make_results(self):
-        out = []
-        for i, f_min in enumerate([0.5, 2.0, 1.0, None, 0.25]):
-            if f_min is None:
-                out.append((i, None))
-            else:
-                out.append((i, OptimisationResult([0.0], f_min, [[1.0]])))
-        return out
+    # the f_min column of solved problems 0, 1, 2 and 4; problem 3 failed,
+    # so it has no row
+    indices = np.array([0, 1, 2, 4])
+    f_min = np.array([0.5, 2.0, 1.0, 0.25])
 
     def test_inclusive_threshold(self):
-        accepted = filter_solutions(self.make_results(), 1.0)
-        assert accepted == [0, 2, 4]
+        accepted = self.indices[filter_solutions(self.f_min, 1.0)]
+        assert accepted.tolist() == [0, 2, 4]
 
     def test_skips_failed_problems(self):
-        accepted = filter_solutions(self.make_results(), 100.0)
-        assert accepted == [0, 1, 2, 4]
+        accepted = self.indices[filter_solutions(self.f_min, 100.0)]
+        assert accepted.tolist() == [0, 1, 2, 4]
 
     def test_sorted_output(self):
-        results = list(reversed(self.make_results()))
-        assert filter_solutions(results, 100.0) == [0, 1, 2, 4]
+        # the mask follows the rows, whatever their order
+        mask = filter_solutions(self.f_min[::-1], 1.0)
+        assert self.indices[::-1][mask].tolist() == [4, 2, 0]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            filter_solutions(self.make_results(), -1.0)
+            filter_solutions(self.f_min, -1.0)
         with pytest.raises(ValueError):
-            filter_solutions(self.make_results(), np.inf)
+            filter_solutions(self.f_min, np.inf)
 
 
 class TestDistanceHistogram:

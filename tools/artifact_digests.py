@@ -172,10 +172,10 @@ def _digest_hooks(name, model_name, n1, regions, n2, seed):
 
 
 def _digest_stages(name, output, bundle, n2, seed):
-    results = [result for _, result in output.solved()]
+    # row-major bytes: the (k, D) stack hashes like its k rows in turn
     stages = {
-        "solve": [r.x_min for r in results] + [[r.f_min for r in results]],
-        "regions": [entry.region.limits for entry in bundle.entries],
+        "solve": [output.x_min, output.f_min],
+        "regions": [bundle.regions.limits],
         "samples": [bundle.sample(n2, seed).weights],
     }
     for stage, arrays in stages.items():
